@@ -8,6 +8,13 @@ self-certifying: when no edge improves, every cycle's mean is bounded by the
 best policy cycle (gains are monotone along edges and the bias inequalities
 telescope around equal-gain cycles), so a converged run is always correct.
 
+Each policy is a functional graph, and it is evaluated in numpy passes by
+pointer jumping (Cochet-Terrasson et al. 1998; Dasdan 2004): repeated
+squaring of the successor map finds the cycle nodes, and doubling sums give
+every node's weight and length along its path to its cycle's smallest node.
+Biases stay in int64; an evaluation whose biases could leave the safe range
+hands over to the descent rescue below instead of wrapping.
+
 Termination needs care when several policy cycles share a gain, because
 biases are only defined up to a constant per cycle.  Two measures handle
 this: biases are kept continuous across iterations (each cycle is pinned at
@@ -19,8 +26,9 @@ kept as an independent oracle for small graphs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd
+from itertools import chain
 
 import numpy as np
 
@@ -31,81 +39,153 @@ class NoCycleError(ValueError):
 
 _MAX_ITERATIONS = 3000
 _INF = np.int64(2**62)
+# every bias and every candidate bias stays below this in magnitude, so int64
+# arithmetic on them is exact and the _INF sentinel still compares above them
+_SAFE = 2**62
 
 
-def _evaluate(num_nodes: int, succ_l: list, w_l: list, prev_bias: list):
+class CSRAdjacency(Sequence):
+    """Per-node out-arc lists [(weight, dst), ...] held as CSR arrays.
+
+    Reads like the list-of-lists adjacency that csr_from_adjacency packs,
+    but csr_from_adjacency hands its arrays back without copying.
+    """
+
+    __slots__ = ("indptr", "dst", "w")
+
+    def __init__(self, indptr: np.ndarray, dst: np.ndarray, w: np.ndarray):
+        self.indptr, self.dst, self.w = indptr, dst, w
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, v: int) -> list:
+        v = range(len(self))[v]  # IndexError past either end, as for a list
+        lo, hi = int(self.indptr[v]), int(self.indptr[v + 1])
+        return list(zip(self.w[lo:hi].tolist(), self.dst[lo:hi].tolist()))
+
+    def __iter__(self):
+        arcs = list(zip(self.w.tolist(), self.dst.tolist()))
+        bounds = self.indptr.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield arcs[lo:hi]
+
+
+def csr_from_adjacency(adjacency: Sequence) -> tuple:
+    """CSR arrays (indptr, dst, w) from per-node [(weight, dst), ...] lists."""
+    if isinstance(adjacency, CSRAdjacency):
+        return adjacency.indptr, adjacency.dst, adjacency.w
+    deg = np.fromiter(map(len, adjacency), dtype=np.int64, count=len(adjacency))
+    indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    total = int(indptr[-1])
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(adjacency)),
+                       dtype=np.int64, count=2 * total).reshape(total, 2)
+    return indptr, flat[:, 1].copy(), flat[:, 0].copy()
+
+
+def _policy_cycles(succ: np.ndarray, wsel: np.ndarray):
+    """Cycles of a functional graph by pointer jumping.
+
+    succ[v] is v's successor and wsel[v] the weight of the arc v -> succ[v].
+    Returns per node: the smallest node of the cycle it reaches (its handle),
+    whether it lies on a cycle, the weight and the arc count of its path to
+    the handle (going round the cycle for cycle nodes), and the reduced mean
+    (num, den) of its cycle.
+    """
+    n = len(succ)
+    nodes = np.arange(n, dtype=np.int64)
+    ahead = succ
+    for _ in range((n - 1).bit_length()):
+        ahead = ahead[ahead]  # succ^(2^k) with 2^k >= n lands on the cycle
+    on_cycle = np.zeros(n, dtype=bool)
+    on_cycle[ahead] = True
+    ring = np.flatnonzero(on_cycle)  # sorted, so local order is node order
+    local = np.empty(n, dtype=np.int64)
+    local[ring] = np.arange(len(ring), dtype=np.int64)
+    low = np.arange(len(ring), dtype=np.int64)
+    jump = local[succ[ring]]
+    for _ in range((len(ring) - 1).bit_length()):
+        low = np.minimum(low, low[jump])
+        jump = jump[jump]
+    handle = ring[low[local[ahead]]]
+
+    root = handle == nodes
+    jump = np.where(root, nodes, succ)
+    dist_w = np.where(root, 0, wsel)
+    dist_n = (~root).astype(np.int64)
+    while True:
+        further = jump[jump]
+        if np.array_equal(further, jump):
+            break
+        dist_w = dist_w + dist_w[jump]
+        dist_n = dist_n + dist_n[jump]
+        jump = further
+    heads = np.flatnonzero(root)
+    total = dist_w[succ[heads]] + wsel[heads]
+    length = dist_n[succ[heads]] + 1
+    g = np.gcd(total, length)
+    num = np.zeros(n, dtype=np.int64)
+    den = np.ones(n, dtype=np.int64)
+    num[heads] = total // g
+    den[heads] = length // g
+    return handle, on_cycle, dist_w, dist_n, num[handle], den[handle]
+
+
+def _evaluate(succ: np.ndarray, wsel: np.ndarray, prev_bias: np.ndarray, max_w: int):
     """Evaluate a policy (functional graph): per-node cycle mean and bias.
 
-    Each policy cycle is pinned at its smallest node, whose bias keeps its
-    previous value; bias[v] is scaled by lam_den[v].  Returns integer lists
-    (lam_num, lam_den, bias) and the cycles as (num, den, nodes).
+    Each policy cycle is pinned at its smallest node h, whose bias keeps its
+    previous value, so bias[v] = prev_bias[h] + den*W - num*L, where W and L
+    are the weight and arc count of v's path to h and num/den is its cycle's
+    mean.  Returns (lam_num, lam_den, bias, handle, on_cycle) as int64 and
+    bool arrays, or None when a bias or a candidate bias built from one
+    (an arc weight up to max_w in magnitude, times den) could reach _SAFE.
     """
-    state = bytearray(num_nodes)  # 0 unseen, 1 on current walk, 2 done
-    lam_num = [0] * num_nodes
-    lam_den = [1] * num_nodes
-    bias = [0] * num_nodes
-    cycles = []
-    for v0 in range(num_nodes):
-        if state[v0]:
-            continue
-        path = []
-        v = v0
-        while state[v] == 0:
-            state[v] = 1
-            path.append(v)
-            v = succ_l[v]
-        if state[v] == 1:
-            start = len(path) - 1
-            while path[start] != v:
-                start -= 1
-            cyc = path[start:]
-            total = sum(w_l[u] for u in cyc)
-            length = len(cyc)
-            g = gcd(total, length)
-            p, q = total // g, length // g
-            cycles.append((p, q, cyc))
-            handle = min(cyc)
-            pos = cyc.index(handle)
-            cyc = cyc[pos:] + cyc[:pos]
-            bias[handle] = prev_bias[handle]
-            lam_num[handle] = p
-            lam_den[handle] = q
-            for j in range(length - 1, 0, -1):
-                u = cyc[j]
-                lam_num[u] = p
-                lam_den[u] = q
-                bias[u] = w_l[u] * q - p + bias[succ_l[u]]
-            for u in cyc:
-                state[u] = 2
-            tail = path[:start]
-        else:
-            tail = path
-        for u in reversed(tail):
-            nxt = succ_l[u]
-            q = lam_den[nxt]
-            lam_num[u] = lam_num[nxt]
-            lam_den[u] = q
-            bias[u] = w_l[u] * q - lam_num[nxt] + bias[nxt]
-            state[u] = 2
-    return lam_num, lam_den, bias, cycles
+    handle, on_cycle, dist_w, dist_n, lam_num, lam_den = _policy_cycles(succ, wsel)
+    n = len(succ)
+    reach = int(np.abs(prev_bias).max()) + 2 * (n + 1) * int(lam_den.max()) * max_w
+    if reach >= _SAFE:
+        return None
+    bias = prev_bias[handle] + lam_den * dist_w - lam_num * dist_n
+    return lam_num, lam_den, bias, handle, on_cycle
 
 
-def _initial_policy(indptr: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _gain_rank(lam_num: np.ndarray, lam_den: np.ndarray, handle: np.ndarray) -> np.ndarray:
+    """Per node, the rank of its cycle's mean among the policy's distinct means."""
+    heads = np.flatnonzero(handle == np.arange(len(handle)))
+    pairs = list(zip(lam_num[heads].tolist(), lam_den[heads].tolist()))
+    distinct = sorted(set(pairs), key=lambda t: Fraction(t[0], t[1]))
+    rank_of = {t: i for i, t in enumerate(distinct)}
+    head_rank = np.zeros(len(handle), dtype=np.int64)
+    head_rank[heads] = [rank_of[t] for t in pairs]
+    return head_rank[handle]
+
+
+def _best_cycle(succ: np.ndarray, wsel: np.ndarray, rank: np.ndarray,
+                on_cycle: np.ndarray) -> tuple[list, list]:
+    """The policy cycle of least mean whose basin has the smallest node.
+
+    Walks from that node to the first cycle node it meets, and lists the
+    cycle from there: the order in which a walk over the nodes in increasing
+    order meets the cycles and their nodes.
+    """
+    v = int(np.argmin(rank))  # rank 0 is the least mean; argmin takes the smallest node
+    while not on_cycle[v]:
+        v = int(succ[v])
+    cyc = [v]
+    u = int(succ[v])
+    while u != v:
+        cyc.append(u)
+        u = int(succ[u])
+    return cyc, wsel[cyc].tolist()
+
+
+def _initial_policy(indptr: np.ndarray, w: np.ndarray, src_per_edge: np.ndarray) -> np.ndarray:
     """Per node, the first outgoing edge of minimum weight."""
-    num_nodes = len(indptr) - 1
-    pol = np.empty(num_nodes, dtype=np.int64)
-    wl = w.tolist()
-    ip = indptr.tolist()
-    for v in range(num_nodes):
-        lo, hi = ip[v], ip[v + 1]
-        best = lo
-        bw = wl[lo]
-        for e in range(lo + 1, hi):
-            if wl[e] < bw:
-                bw = wl[e]
-                best = e
-        pol[v] = best
-    return pol
+    seg_min = np.minimum.reduceat(w, indptr[:-1])
+    edges = np.arange(len(w), dtype=np.int64)
+    return np.minimum.reduceat(np.where(w == seg_min[src_per_edge], edges, len(w)), indptr[:-1])
 
 
 def _segment_argmin_switch(values: np.ndarray, src_per_edge: np.ndarray,
@@ -146,48 +226,32 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray):
     dst = dst.astype(np.int64)
     w = w.astype(np.int64)
     src_per_edge = np.repeat(np.arange(num_nodes, dtype=np.int64), deg)
-    pol = _initial_policy(indptr, w)
-    dst_l = dst.tolist()
-    w_all = w.tolist()
-    prev_bias = [0] * num_nodes
+    pol = _initial_policy(indptr, w, src_per_edge)
+    max_w = max(int(w.max()), -int(w.min()))
+    prev_bias = np.zeros(num_nodes, dtype=np.int64)
 
     for _ in range(_MAX_ITERATIONS):
-        pol_l = pol.tolist()
-        succ_l = [dst_l[e] for e in pol_l]
-        wsel_l = [w_all[e] for e in pol_l]
-        lam_num_l, lam_den_l, bias_l, cycles = _evaluate(num_nodes, succ_l, wsel_l, prev_bias)
-        prev_bias = bias_l
-        # rank the few distinct gains so argmins vectorize over integers
-        distinct = sorted({(p, q) for p, q in zip(lam_num_l, lam_den_l)},
-                          key=lambda t: Fraction(t[0], t[1]))
-        rank_of = {t: i for i, t in enumerate(distinct)}
-        rank = np.array([rank_of[(p, q)] for p, q in zip(lam_num_l, lam_den_l)],
-                        dtype=np.int64)
-        if _segment_argmin_switch(rank[dst], src_per_edge, indptr, rank, pol):
-            continue
-        lam_num = np.array(lam_num_l, dtype=np.int64)
-        lam_den = np.array(lam_den_l, dtype=np.int64)
-        try:
-            bias = np.array(bias_l, dtype=np.int64)
-        except OverflowError:
-            # biases are exact python ints; runaway growth across pinned
-            # evaluations is pathological, so hand over to the safe path
-            break
-        src_num = lam_num[src_per_edge]
-        src_den = lam_den[src_per_edge]
-        equal = rank[dst] == rank[src_per_edge]
-        cand = np.where(equal, w * src_den - src_num + bias[dst], _INF)
+        succ = dst[pol]
+        wsel = w[pol]
+        evaluated = _evaluate(succ, wsel, prev_bias, max_w)
+        if evaluated is None:
+            break  # biases could leave the int64-safe range: take the safe path
+        lam_num, lam_den, bias, handle, on_cycle = evaluated
+        prev_bias = bias
+        rank = _gain_rank(lam_num, lam_den, handle)
+        if rank.any():
+            rank_dst = rank[dst]
+            if _segment_argmin_switch(rank_dst, src_per_edge, indptr, rank, pol):
+                continue
+            equal = rank_dst == rank[src_per_edge]
+            cand = np.where(equal, w * lam_den[src_per_edge] - lam_num[src_per_edge] + bias[dst], _INF)
+        else:  # one gain everywhere: no edge improves it, every edge may improve a bias
+            cand = w * lam_den[0] - lam_num[0] + bias[dst]
         if _segment_argmin_switch(cand, src_per_edge, indptr, bias, pol):
             continue
         # Bellman optimality reached: the best policy cycle is extremal.
-        best = None
-        for p, q, cyc in cycles:
-            if best is None or p * best[1] < best[0] * q:
-                best = (p, q, cyc)
-        assert best is not None
-        p, q, cyc = best
-        weights = [wsel_l[u] for u in cyc]
-        return Fraction(p, q), cyc, weights
+        cyc, weights = _best_cycle(succ, wsel, rank, on_cycle)
+        return Fraction(int(lam_num[cyc[0]]), int(lam_den[cyc[0]])), cyc, weights
     return _min_mean_cycle_descent(indptr, dst, w, src_per_edge)
 
 
@@ -221,7 +285,8 @@ def _min_mean_cycle_descent(indptr, dst, w, src_per_edge):
     Starting from any policy cycle, test with Bellman-Ford whether a cycle of
     mean strictly below the candidate exists (reduced weights w*q - p); each
     hit strictly lowers the candidate mean, and cycle means form a finite
-    set, so this terminates regardless of tie structure.
+    set, so this terminates regardless of tie structure.  Reduced weights and
+    distances are Python integers when int64 could not hold them.
     """
     num_nodes = len(indptr) - 1
     order = np.argsort(dst, kind="stable")
@@ -232,20 +297,21 @@ def _min_mean_cycle_descent(indptr, dst, w, src_per_edge):
     src_l = src_per_edge.tolist()
     dst_l = dst.tolist()
     w_l = w.tolist()
+    max_w = max(int(w.max()), -int(w.min()))
 
-    pol = _initial_policy(indptr, w)
-    succ_l = [dst_l[e] for e in pol.tolist()]
-    wsel_l = [w_l[e] for e in pol.tolist()]
-    lam_num_l, lam_den_l, _, cycles = _evaluate(num_nodes, succ_l, wsel_l, [0] * num_nodes)
-    best = None
-    for p, q, cyc in cycles:
-        if best is None or p * best[0][1] < best[0][0] * q:
-            best = ((p, q), cyc, [wsel_l[u] for u in cyc])
+    pol = _initial_policy(indptr, w, src_per_edge)
+    succ, wsel = dst[pol], w[pol]
+    handle, on_cycle, _, _, lam_num, lam_den = _policy_cycles(succ, wsel)
+    cyc, weights = _best_cycle(succ, wsel, _gain_rank(lam_num, lam_den, handle), on_cycle)
+    mean = Fraction(sum(weights), len(weights))  # exact even where int64 sums wrapped
 
     while True:
-        (p, q), cyc, weights = best
-        wr = w * q - p
-        dist = np.zeros(num_nodes, dtype=np.int64)
+        p, q = mean.numerator, mean.denominator
+        # |w*q - p| <= 2*q*max_w, and a distance sums at most num_nodes of them
+        exact = 2 * num_nodes * q * max_w < _SAFE
+        dtype = np.int64 if exact else object
+        wr = w.astype(dtype) * q - p
+        dist = np.zeros(num_nodes, dtype=dtype)
         parent = [-1] * num_nodes
         negative_at = -1
         for _ in range(num_nodes):
@@ -267,42 +333,25 @@ def _min_mean_cycle_descent(indptr, dst, w, src_per_edge):
                 if t not in seen:
                     seen[t] = e
             for t, e in seen.items():
-                nd = dist[src_l[e]] + int(wr[e])
+                nd = dist[src_l[e]] + wr[e]
                 if nd < dist[t]:
                     dist[t] = nd
                     parent[t] = e
                     negative_at = t
         if negative_at < 0:
-            return Fraction(p, q), cyc, weights
-        nodes, cycle_edges = _cycle_from_parents(parent, dst_l, src_l, negative_at, num_nodes)
-        total = sum(w_l[e] for e in cycle_edges)
-        length = len(cycle_edges)
-        assert total * q < p * length, "descent did not improve"
-        g = gcd(total, length)
-        best = ((total // g, length // g), nodes, [w_l[e] for e in cycle_edges])
+            return mean, cyc, weights
+        cyc, cycle_edges = _cycle_from_parents(parent, dst_l, src_l, negative_at, num_nodes)
+        weights = [w_l[e] for e in cycle_edges]
+        lower = Fraction(sum(weights), len(weights))
+        if lower >= mean:
+            raise RuntimeError("negative-cycle descent did not lower the mean")
+        mean = lower
 
 
 def max_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray):
     """Maximum mean cycle via weight negation."""
     mean, cyc, weights = min_mean_cycle_howard(indptr, dst, -np.asarray(w))
     return -mean, cyc, [-x for x in weights]
-
-
-def csr_from_adjacency(adjacency: list) -> tuple:
-    """Build CSR arrays from per-node [(weight, dst), ...] lists."""
-    indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
-    for i, lst in enumerate(adjacency):
-        indptr[i + 1] = indptr[i] + len(lst)
-    total = int(indptr[-1])
-    dst = np.zeros(total, dtype=np.int64)
-    w = np.zeros(total, dtype=np.int64)
-    k = 0
-    for lst in adjacency:
-        for weight, j in lst:
-            dst[k] = j
-            w[k] = weight
-            k += 1
-    return indptr, dst, w
 
 
 # ---------------------------------------------------------------------------

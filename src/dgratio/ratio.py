@@ -40,6 +40,11 @@ def _all_odd_witness(divisor: int) -> BlockList:
     return BlockList([1] * (divisor - 1) + [divisor + 1])
 
 
+def _check_witness(witness: BlockList, distances: DistanceSet) -> None:
+    if not verify_periodic_independent(witness, distances).ok:
+        raise AssertionError(f"internal error: witness for {distances} failed verification")
+
+
 def independence_ratio(
     distances: DistanceSet,
     method: str = "auto",
@@ -54,7 +59,7 @@ def independence_ratio(
 
     if ns.all_odd:
         witness = _all_odd_witness(divisor)
-        assert verify_periodic_independent(witness, distances).ok
+        _check_witness(witness, distances)
         note = None
         if method != "auto":
             note = "all-odd set answered by the parity shortcut; no search run"
@@ -83,7 +88,7 @@ def independence_ratio(
                 raise
         else:
             witness = scale_block_witness(witness, divisor)
-            assert verify_periodic_independent(witness, distances).ok
+            _check_witness(witness, distances)
             return RatioReport(
                 distances=distances,
                 status="exact",
@@ -105,7 +110,7 @@ def independence_ratio(
 
     report = compute_ratio(reduced, budget=budget)
     witness = scale_block_witness(report.lower_witness, divisor)
-    assert verify_periodic_independent(witness, distances).ok
+    _check_witness(witness, distances)
     return RatioReport(
         distances=distances,
         status=report.status,

@@ -205,8 +205,8 @@ def _alpha_circulant_solution(
     if len(solution) != prefix[n]:
         # the optimum was inherited from the wrap-free prefix; recover a set
         chosen = []
-        ok = table._search(0, (1 << n) - 1, prefix[n], nbr, prefix, budget, chosen)
-        assert ok, "failed to recover a maximum circulant independent set"
+        if not table._search(0, (1 << n) - 1, prefix[n], nbr, prefix, budget, chosen):
+            raise AssertionError("internal error: failed to recover a maximum circulant independent set")
         solution = list(chosen)
     table.prefix_alpha = prefix  # replaced wholesale on the next n
     return prefix[n], solution
@@ -270,9 +270,10 @@ class RatioReport:
     note: Optional[str] = None
 
     def __post_init__(self):
-        assert self.lower <= self.upper, "bounds crossed"
-        if self.status == "exact":
-            assert self.value is not None and self.lower == self.upper == self.value
+        if self.lower > self.upper:
+            raise AssertionError(f"internal error: bounds crossed for {self.distances}")
+        if self.status == "exact" and not (self.value is not None and self.lower == self.upper == self.value):
+            raise AssertionError(f"internal error: exact report for {self.distances} has unequal bounds")
 
 
 def _gaps_of_circulant_solution(solution: list[int], n: int) -> BlockList:
@@ -345,16 +346,16 @@ def compute_ratio(
                 r = Fraction(size, n)
                 if r > lower:
                     witness = _gaps_of_circulant_solution(solution, n)
-                    verdict = verify_periodic_independent(witness, distances)
-                    assert verdict.ok, "circulant witness not independent"
+                    if not verify_periodic_independent(witness, distances).ok:
+                        raise AssertionError(f"internal error: circulant witness for {distances} not independent")
                     lower, lower_witness = r, witness
             if lower == upper:
                 exact = True
                 break
-            if n == s + _WINDOW_CERTIFICATE_GRACE and not certified:
-                certified = True
+            if n == s + _WINDOW_CERTIFICATE_GRACE:
                 cert = _window_certificate_upper(distances)
-                if cert is not None and cert < upper:
+                certified = cert is not None
+                if certified and cert < upper:
                     upper, upper_n = cert, None
                     note = "upper bound certified by the window-state construction"
                     if lower == upper:

@@ -419,42 +419,98 @@ def extremal_mean_cycle(graph: StateGraph, direction: str = "max") -> CycleWitne
 # ---------------------------------------------------------------------------
 
 
+_COUNT_CHUNK = 1 << 18
+
+
+def _gap_state_masks(distances: DistanceSet, max_states: int) -> np.ndarray:
+    """Sorted int64 masks of the gap engine's states, counted before any build.
+
+    The reachable states are exactly the S-independent subsets of
+    [0, max(S)) that contain 0: every such subset is reached from mask 1 by
+    appending its elements in order.  They are counted over the 2^(max(S)-1)
+    candidate masks in chunks, so memory stays a few MB; past max_states the
+    count goes on but nothing is kept, and StateSpaceError carries the exact
+    count.
+    """
+    s = distances.max_element
+    inner = [d for d in distances if d < s]
+    candidates = 1 << (s - 1)
+    kept, count = [], 0
+    for lo in range(0, candidates, _COUNT_CHUNK):
+        m = (np.arange(lo, min(candidates, lo + _COUNT_CHUNK), dtype=np.int64) << 1) | 1
+        ok = np.ones(len(m), dtype=bool)
+        for d in inner:
+            ok &= (m & (m >> d)) == 0
+        count += int(np.count_nonzero(ok))
+        if count <= max_states:
+            kept.append(m[ok])
+    if count > max_states:
+        raise StateSpaceError(
+            f"independence state space for {distances} has {count} states, "
+            f"over the cap of {max_states}",
+            required=count,
+        )
+    return np.concatenate(kept)
+
+
 def _independence_gap_graph(distances: DistanceSet, max_states: int):
     """States are bitmasks of occupied offsets behind the latest element
     (bit 0 = the element itself); an edge labelled g appends an element g
     positions later.  Gaps beyond max(S)+1 never help, so labels stop there.
+
+    Returns (order, arcs): the state masks in breadth-first discovery order
+    from mask 1, and per state its arcs [(g, j), ...] in increasing g, as a
+    meancycle.CSRAdjacency.  The graph is built in numpy passes: every arc
+    of every state at once, with targets looked up in the sorted masks, then
+    a frontier BFS that numbers the states as a queue over arcs in gap order
+    would.
     """
+    masks = _gap_state_masks(distances, max_states)
     s = distances.max_element
-    sbits = 0
-    for d in distances:
-        sbits |= 1 << d
-    window = (1 << s) - 1
-    index = {1: 0}
-    order = [1]
-    adjacency = []
-    i = 0
-    while i < len(order):
-        m = order[i]
-        out = []
-        for g in range(1, s + 2):
-            if (m << g) & sbits:
-                continue
-            nm = ((m << g) & window) | 1
-            j = index.get(nm)
-            if j is None:
-                j = len(order)
-                if j >= max_states:
-                    raise StateSpaceError(
-                        f"independence state space for {distances} exceeds "
-                        f"{max_states} states",
-                        required=j + 1,
-                    )
-                index[nm] = j
-                order.append(nm)
-            out.append((g, j))
-        adjacency.append(out)
-        i += 1
-    return order, adjacency
+    n = len(masks)
+    gaps = np.arange(1, s + 2, dtype=np.int64)
+    sbits = sum(1 << d for d in distances)
+    # gap g is free when no occupied offset sits at d - g for a d in S; the
+    # arcs come out grouped by state, in increasing gap within a state
+    src, col = np.nonzero((masks[:, None] & (sbits >> gaps)) == 0)
+    gap = gaps[col]
+    keys = ((masks[src] << gap) & ((1 << s) - 1)) | 1
+    # binary search runs far faster over keys in near-sorted order, so look
+    # them up in the order of a (linear-time) stable sort by their top 16 bits
+    by_top = np.argsort((keys >> max(0, s - 16)).astype(np.uint16), kind="stable")
+    tgt = np.empty_like(keys)
+    tgt[by_top] = np.searchsorted(masks, keys[by_top])
+    deg = np.bincount(src, minlength=n)
+    first = np.zeros(n, dtype=np.int64)
+    np.cumsum(deg[:-1], out=first[1:])
+
+    def arcs_of(states):
+        """Indices of the arcs of `states`, state by state, each in gap order."""
+        counts = deg[states]
+        ends = np.cumsum(counts)
+        return np.repeat(first[states] - ends + counts, counts) + np.arange(ends[-1])
+
+    # mask 1 is the smallest mask, so the start state is index 0
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    levels = [np.zeros(1, dtype=np.int64)]
+    while len(levels[-1]):
+        reached = tgt[arcs_of(levels[-1])]
+        reached = reached[~seen[reached]]
+        _, earliest = np.unique(reached, return_index=True)
+        frontier = reached[np.sort(earliest)]
+        seen[frontier] = True
+        levels.append(frontier)
+    found = np.concatenate(levels)
+    if len(found) != n:
+        raise AssertionError(f"internal error: gap states of {distances} not all reachable")
+    number = np.empty(n, dtype=np.int64)
+    number[found] = np.arange(n, dtype=np.int64)
+
+    arcs = arcs_of(found)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg[found], out=indptr[1:])
+    return masks[found], meancycle.CSRAdjacency(indptr, number[tgt[arcs]], gap[arcs])
 
 
 def independence_ratio_exact(
@@ -483,11 +539,6 @@ def independence_ratio_exact(
             f"internal error: witness for {distances} failed verification"
         )
     return value, witness
-
-
-def independence_gap_graph_size(distances: DistanceSet, caps: EngineCaps = DEFAULT_CAPS) -> int:
-    order, _ = _independence_gap_graph(distances, caps.independence_max_states)
-    return len(order)
 
 
 # ---------------------------------------------------------------------------

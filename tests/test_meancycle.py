@@ -101,3 +101,103 @@ def test_negation_duality():
         mn, _, _ = meancycle.min_mean_cycle_howard(indptr, dst, w)
         mx, _, _ = meancycle.max_mean_cycle_howard(indptr, dst, -w)
         assert mn == -mx
+
+
+def test_csr_adjacency_reads_as_its_lists():
+    adjacency = [[(5, 0), (2, 1)], [(3, 2)], [(4, 0), (-1, 1)]]
+    indptr, dst, w = _csr(adjacency)
+    rows = meancycle.CSRAdjacency(indptr, dst, w)
+    assert len(rows) == 3
+    assert list(rows) == adjacency
+    assert rows[2] == adjacency[2] and rows[-1] == adjacency[-1]
+    with pytest.raises(IndexError):
+        rows[3]
+    packed = meancycle.csr_from_adjacency(rows)
+    assert all(a is b for a, b in zip(packed, (indptr, dst, w)))
+
+
+def test_biases_past_int64_take_the_descent_rescue(monkeypatch):
+    # weights near 2^60 make every bias bound exceed the int64-safe range, so
+    # Howard must hand over to the descent, which then works in Python ints
+    descents = []
+    descent = meancycle._min_mean_cycle_descent
+
+    def counted(*args):
+        descents.append(1)
+        return descent(*args)
+
+    monkeypatch.setattr(meancycle, "_min_mean_cycle_descent", counted)
+    rng = random.Random(58)
+    for _ in range(20):
+        n = rng.randint(2, 8)
+        adjacency, edges = _random_graph(rng, n)
+        big = [[(rng.choice((-1, 1)) * 2**60 + wt, v) for wt, v in row] for row in adjacency]
+        big_edges = [(u, v, wt) for u, row in enumerate(big) for wt, v in row]
+        indptr, dst, w = _csr(big)
+        mean, cyc, weights = meancycle.min_mean_cycle_howard(indptr, dst, w)
+        assert mean == meancycle.min_mean_cycle_karp(n, big_edges)
+        assert Fraction(sum(weights), len(weights)) == mean
+        mx, _, _ = meancycle.max_mean_cycle_howard(indptr, dst, w)
+        assert mx == meancycle.max_mean_cycle_karp(n, big_edges)
+    assert len(descents) == 40
+
+
+def python_evaluate(succ, w, prev_bias):
+    """Oracle: a policy's gains and biases by walking the nodes in order.
+
+    Returns per-node (num, den) gain and bias, where each cycle is pinned at
+    its smallest node h to prev_bias[h], and the cycles as (num, den, nodes)
+    in the order the walk meets them, each listed from where it was entered.
+    """
+    n = len(succ)
+    state = [0] * n  # 0 unseen, 1 on the current walk, 2 done
+    gain, bias, cycles = [None] * n, [0] * n, []
+    for v0 in range(n):
+        path, v = [], v0
+        while state[v] == 0:
+            state[v] = 1
+            path.append(v)
+            v = succ[v]
+        tail = path
+        if state[v] == 1:
+            start = path.index(v)
+            cyc, tail = path[start:], path[:start]
+            mean = Fraction(sum(w[u] for u in cyc), len(cyc))
+            cycles.append((mean, cyc))
+            h = min(cyc)
+            pos = cyc.index(h)
+            ring = cyc[pos:] + cyc[:pos]
+            bias[h] = prev_bias[h]
+            for u in reversed(ring):
+                gain[u] = mean
+                if u != h:
+                    bias[u] = w[u] * mean.denominator - mean.numerator + bias[succ[u]]
+        for u in reversed(tail):
+            gain[u] = mean = gain[succ[u]]
+            bias[u] = w[u] * mean.denominator - mean.numerator + bias[succ[u]]
+        for u in path:
+            state[u] = 2
+    return gain, bias, cycles
+
+
+def test_pointer_jumping_evaluation_matches_the_walk():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        succ = [rng.randrange(n) for _ in range(n)]
+        if rng.random() < 0.5:  # long tails into few short cycles, renumbered
+            perm = rng.sample(range(n), n)
+            for v in range(n):
+                succ[perm[v]] = perm[rng.randint(max(0, v - 3), v)]
+        w = [rng.randint(-3, 3) for _ in range(n)]
+        prev = [rng.randint(-50, 50) for _ in range(n)]
+        gain, bias, cycles = python_evaluate(succ, w, prev)
+        succ_a, w_a = np.array(succ, dtype=np.int64), np.array(w, dtype=np.int64)
+        lam_num, lam_den, got_bias, handle, on_cycle = meancycle._evaluate(
+            succ_a, w_a, np.array(prev, dtype=np.int64), 3)
+        assert [Fraction(p, q) for p, q in zip(lam_num.tolist(), lam_den.tolist())] == gain
+        assert got_bias.tolist() == bias
+        best_mean = min(mean for mean, _ in cycles)
+        first_best = next(cyc for mean, cyc in cycles if mean == best_mean)
+        rank = meancycle._gain_rank(lam_num, lam_den, handle)
+        assert meancycle._best_cycle(succ_a, w_a, rank, on_cycle) == (first_best, [w[u] for u in first_best])

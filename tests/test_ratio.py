@@ -1,10 +1,14 @@
 """The top-level pipeline: normalization, shortcuts, engine routing."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import dgratio
 from dgratio.core import DistanceSet, block_density, verify_periodic_independent
 from dgratio.ratio import independence_ratio, scale_block_witness
 from dgratio.search import SearchBudget
@@ -94,3 +98,49 @@ def test_verified_blocklist_density_never_exceeds_ratio():
         assert report.status == "exact"
         assert block_density(blocks) <= report.value, (s, sizes)
         checked += 1
+
+
+# Runs under python -O, which strips assert statements: every witness check in
+# the pipeline must still refuse a witness the verifier rejects.
+_REJECT_UNDER_O = """
+import dgratio.core, dgratio.ratio, dgratio.search, dgratio.stategraph
+from dgratio.core import DistanceSet, IndependenceVerdict
+from dgratio.ratio import independence_ratio
+
+if __debug__:
+    raise SystemExit("asserts are on; run with python -O")
+
+def reject(blocks, distances):
+    return IndependenceVerdict(ok=False, violation=(0, 1))
+
+def ask(label, members):
+    try:
+        report = independence_ratio(DistanceSet(members))
+    except AssertionError:
+        print(label, members, "raised")
+    else:
+        print(label, members, "returned", report.value)
+
+# the pipeline's own re-check, after each engine: state graph, shortcut, search
+dgratio.ratio.verify_periodic_independent = reject
+for members in ([1, 4, 7], [3, 5, 7], [1, 4, 25]):
+    ask("ratio", members)
+# every verifier rejects: the engines refuse before the pipeline sees a witness
+for module in (dgratio.core, dgratio.search, dgratio.stategraph):
+    module.verify_periodic_independent = reject
+for members in ([1, 4, 7], [1, 4, 25]):
+    ask("all", members)
+"""
+
+
+def test_rejected_witnesses_raise_under_python_O():
+    package_root = os.path.dirname(os.path.dirname(dgratio.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _REJECT_UNDER_O],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 5, proc.stdout
+    assert all(line.endswith(" raised") for line in lines), proc.stdout

@@ -178,6 +178,16 @@ def test_window_certificate_closes_interval_resistant_sets():
     assert verify_periodic_independent(report.lower_witness, DistanceSet([5, 6, 9])).ok
 
 
+def test_window_certificate_counter_reports_only_a_computed_bound():
+    # max(S) = 14 is past the window construction's cap: the schedule consults
+    # it at round max(S) + 5, gets no bound, and must not claim a certificate
+    report = compute_ratio(DistanceSet([5, 6, 14]))
+    assert report.status == "exact"
+    assert report.counters["circulant_rounds"] >= 5
+    assert report.counters["window_certificate"] is False
+    assert report.note is None
+
+
 def test_huge_generators_stay_cheap_and_bounded():
     report = compute_ratio(
         DistanceSet([1, 500000]), budget=SearchBudget(max_nodes=20000)
