@@ -33,7 +33,6 @@ from .search import (
     SearchBudget,
     alpha_circulant,
     alpha_interval,
-    brute_force_alpha_interval,
     compute_ratio,
 )
 from .stategraph import (
@@ -42,7 +41,6 @@ from .stategraph import (
     Domination,
     EngineCaps,
     IdentifyingCode,
-    Independence,
     InexactResultError,
     InfeasibleError,
     StateGraph,

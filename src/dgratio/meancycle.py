@@ -20,8 +20,7 @@ biases are only defined up to a constant per cycle.  Two measures handle
 this: biases are kept continuous across iterations (each cycle is pinned at
 its smallest node to that node's previous bias), which removes the usual
 oscillation, and a hard iteration cap falls back to a strictly descending
-negative-cycle search that terminates unconditionally.  Karp's recurrence is
-kept as an independent oracle for small graphs.
+negative-cycle search that terminates unconditionally.
 """
 
 from __future__ import annotations
@@ -352,122 +351,3 @@ def max_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray):
     """Maximum mean cycle via weight negation."""
     mean, cyc, weights = min_mean_cycle_howard(indptr, dst, -np.asarray(w))
     return -mean, cyc, [-x for x in weights]
-
-
-# ---------------------------------------------------------------------------
-# Karp's recurrence (exact oracle for small graphs)
-# ---------------------------------------------------------------------------
-
-
-def _strongly_connected_components(n: int, adj: list) -> list:
-    """Tarjan's algorithm, iterative."""
-    index = [0] * n
-    low = [0] * n
-    on_stack = bytearray(n)
-    visited = bytearray(n)
-    stack = []
-    comps = []
-    counter = [1]
-    for root in range(n):
-        if visited[root]:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                visited[v] = 1
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = 1
-            advanced = False
-            while ei < len(adj[v]):
-                u = adj[v][ei][1]
-                ei += 1
-                if not visited[u]:
-                    work[-1] = (v, ei)
-                    work.append((u, 0))
-                    advanced = True
-                    break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = 0
-                    comp.append(u)
-                    if u == v:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comps
-
-
-def max_mean_cycle_karp(num_nodes: int, edges: list) -> Fraction:
-    """Maximum mean cycle by Karp's recurrence, run per strongly connected
-    component.  edges: list of (u, v, weight) with integer weights.
-
-    Raises NoCycleError when the graph is acyclic.  Value only (no witness);
-    intended as a test oracle.
-    """
-    adj = [[] for _ in range(num_nodes)]
-    for u, v, weight in edges:
-        adj[u].append((weight, v))
-    best: Fraction | None = None
-    for comp in _strongly_connected_components(num_nodes, adj):
-        comp_set = set(comp)
-        if len(comp) == 1:
-            v = comp[0]
-            loops = [weight for weight, u in adj[v] if u == v]
-            if loops:
-                cand = Fraction(max(loops))
-                if best is None or cand > best:
-                    best = cand
-            continue
-        local = {v: i for i, v in enumerate(comp)}
-        m = len(comp)
-        ledges = []
-        for v in comp:
-            for weight, u in adj[v]:
-                if u in comp_set:
-                    ledges.append((local[v], local[u], weight))
-        table = [[None] * m for _ in range(m + 1)]
-        for i in range(m):
-            table[0][i] = 0
-        for k in range(1, m + 1):
-            row = table[k]
-            prev = table[k - 1]
-            for u, v, weight in ledges:
-                pu = prev[u]
-                if pu is None:
-                    continue
-                cand = pu + weight
-                if row[v] is None or cand > row[v]:
-                    row[v] = cand
-        for v in range(m):
-            fn = table[m][v]
-            if fn is None:
-                continue
-            worst = None
-            for k in range(m):
-                fk = table[k][v]
-                if fk is None:
-                    continue
-                ratio = Fraction(fn - fk, m - k)
-                if worst is None or ratio < worst:
-                    worst = ratio
-            if worst is not None and (best is None or worst > best):
-                best = worst
-    if best is None:
-        raise NoCycleError("graph has no cycle")
-    return best
-
-
-def min_mean_cycle_karp(num_nodes: int, edges: list) -> Fraction:
-    return -max_mean_cycle_karp(num_nodes, [(u, v, -w) for u, v, w in edges])

@@ -9,6 +9,7 @@ periodic independent set for the set that was asked about.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -35,14 +36,18 @@ def scale_block_witness(blocks: BlockList, divisor: int) -> BlockList:
     return BlockList(sizes)
 
 
-def _all_odd_witness(divisor: int) -> BlockList:
-    # clusters of d consecutive integers every 2d positions, density 1/2
-    return BlockList([1] * (divisor - 1) + [divisor + 1])
-
-
-def _check_witness(witness: BlockList, distances: DistanceSet) -> None:
-    if not verify_periodic_independent(witness, distances).ok:
-        raise AssertionError(f"internal error: witness for {distances} failed verification")
+def _exact_report(distances: DistanceSet, value: Fraction, witness: BlockList, method: str) -> RatioReport:
+    return RatioReport(
+        distances=distances,
+        status="exact",
+        value=value,
+        lower=value,
+        upper=value,
+        lower_witness=witness,
+        upper_witness_n=None,
+        method=method,
+        counters={},
+    )
 
 
 def independence_ratio(
@@ -58,68 +63,26 @@ def independence_ratio(
     reduced, divisor = ns.reduced, ns.divisor
 
     if ns.all_odd:
-        witness = _all_odd_witness(divisor)
-        _check_witness(witness, distances)
-        note = None
-        if method != "auto":
-            note = "all-odd set answered by the parity shortcut; no search run"
-        return RatioReport(
-            distances=distances,
-            status="exact",
-            value=Fraction(1, 2),
-            lower=Fraction(1, 2),
-            upper=Fraction(1, 2),
-            lower_witness=witness,
-            upper_witness_n=None,
-            method="shortcut",
-            counters={},
-            note=note,
-        )
+        # the even integers, scaled by the divisor below
+        report = _exact_report(reduced, Fraction(1, 2), BlockList([2]), "shortcut")
+        notes = [] if method == "auto" else ["all-odd set answered by the parity shortcut; no search run"]
+    else:
+        notes = [f"gcd {divisor} factored out; computed on {reduced}"] if divisor > 1 else []
+        report = None
+        if method != "search":
+            try:
+                value, witness = independence_ratio_exact(reduced, caps)
+            except StateSpaceError:
+                if method == "stategraph":
+                    raise
+            else:
+                report = _exact_report(reduced, value, witness, "stategraph")
+        if report is None:
+            report = compute_ratio(reduced, budget=budget)
+            if report.note:
+                notes.append(report.note)
 
-    note = None
-    if divisor > 1:
-        note = f"gcd {divisor} factored out; computed on {reduced}"
-
-    if method in ("auto", "stategraph") and reduced.max_element <= caps.independence_max_element:
-        try:
-            value, witness = independence_ratio_exact(reduced, caps)
-        except StateSpaceError:
-            if method == "stategraph":
-                raise
-        else:
-            witness = scale_block_witness(witness, divisor)
-            _check_witness(witness, distances)
-            return RatioReport(
-                distances=distances,
-                status="exact",
-                value=value,
-                lower=value,
-                upper=value,
-                lower_witness=witness,
-                upper_witness_n=None,
-                method="stategraph",
-                counters={},
-                note=note,
-            )
-    elif method == "stategraph":
-        raise StateSpaceError(
-            f"max(S) = {reduced.max_element} exceeds the independence cap "
-            f"{caps.independence_max_element}",
-            required=1 << reduced.max_element,
-        )
-
-    report = compute_ratio(reduced, budget=budget)
     witness = scale_block_witness(report.lower_witness, divisor)
-    _check_witness(witness, distances)
-    return RatioReport(
-        distances=distances,
-        status=report.status,
-        value=report.value,
-        lower=report.lower,
-        upper=report.upper,
-        lower_witness=witness,
-        upper_witness_n=report.upper_witness_n,
-        method="search",
-        counters=report.counters,
-        note=note,
-    )
+    if not verify_periodic_independent(witness, distances).ok:
+        raise AssertionError(f"internal error: witness for {distances} failed verification")
+    return replace(report, distances=distances, lower_witness=witness, note="; ".join(notes) or None)

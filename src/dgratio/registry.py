@@ -21,7 +21,6 @@ from math import gcd
 from typing import Callable, Optional
 
 from .core import (
-    BlockList,
     BlockStructure,
     DistanceSet,
     Literal,
@@ -1244,27 +1243,6 @@ def closed_form(distances: DistanceSet) -> Optional[Prediction]:
         if value is not None:
             return Prediction(family_id=fam.id, kind=fam.kind, params=params, value=value)
     return None
-
-
-def prediction_report(distances: DistanceSet) -> Optional[RatioReport]:
-    """RatioReport built from the catalog alone (no computation)."""
-    pred = closed_form(distances)
-    if pred is None:
-        return None
-    lower = pred.value if pred.kind == THEOREM else Fraction(0)
-    upper = pred.value if pred.kind == THEOREM else Fraction(1)
-    return RatioReport(
-        distances=distances,
-        status="registry_only",
-        value=None,
-        lower=lower,
-        upper=upper,
-        lower_witness=BlockList([distances.max_element + 1]),
-        upper_witness_n=None,
-        method="shortcut",
-        counters={},
-        note=f"catalog prediction {pred.value} from family {pred.family_id} ({pred.kind})",
-    )
 
 
 @dataclass(frozen=True)

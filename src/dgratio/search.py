@@ -20,12 +20,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .core import BlockList, DistanceSet, verify_periodic_independent
+from .stategraph import StateSpaceError, independence_ratio_exact
 
 FALLBACK_NODE_BUDGET = 3_000_000
-BRUTE_FORCE_CAP = 26
 
 
 def default_node_budget() -> int:
@@ -220,46 +218,12 @@ def alpha_circulant(distances: DistanceSet, n: int, table: Optional[AlphaTable] 
     return size
 
 
-def _popcount64(x):
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + (
-        (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
-    )
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-
-def brute_force_alpha_interval(distances: DistanceSet, n: int) -> int:
-    """Independent oracle: exhaustive enumeration over all 2^n subsets of [n].
-
-    Every bitmask is tested for independence directly (a subset is dependent
-    exactly when it intersects itself shifted by some generator); no search
-    tables or pruning from the main solver are involved.
-    """
-    if n > BRUTE_FORCE_CAP:
-        raise ValueError(f"oracle capped at n <= {BRUTE_FORCE_CAP}")
-    if n == 0:
-        return 0
-    best = 0
-    chunk = 1 << 20
-    for start in range(0, 1 << n, chunk):
-        end = min(start + chunk, 1 << n)
-        masks = np.arange(start, end, dtype=np.uint64)
-        ok = np.ones(end - start, dtype=bool)
-        for d in distances.distances:
-            ok &= (masks & (masks >> np.uint64(d))) == 0
-        valid = masks[ok]
-        if len(valid):
-            best = max(best, int(_popcount64(valid).max()))
-    return best
-
-
 @dataclass
 class RatioReport:
     """Outcome of a ratio computation: exact value or certified bounds."""
 
     distances: DistanceSet
-    status: str  # exact | bounded | registry_only
+    status: str  # exact | bounded
     value: Optional[Fraction]
     lower: Fraction
     upper: Fraction
@@ -283,25 +247,23 @@ def _gaps_of_circulant_solution(solution: list[int], n: int) -> BlockList:
     return BlockList(gaps)
 
 
-WINDOW_CERTIFICATE_MAX_ELEMENT = 13
 _WINDOW_CERTIFICATE_GRACE = 5
 
 
 def _window_certificate_upper(distances: DistanceSet) -> Optional[Fraction]:
-    """Exact upper bound from the explicit window-subset state graph.
+    """Exact ratio from the gap-state engine, used as an upper bound.
 
     The minimum of alpha(G(S)[m])/m over m need not be attained at any
     finite m (for {5,6,9} it stays one element above 4m/11 at every multiple
-    of 11), so a stalled schedule consults the window construction, whose
+    of 11), so a stalled schedule consults the gap-state engine, whose
     extremal cycle mean equals the ratio exactly.  Returns None when the
-    window is too large; value only, witnesses still come from circulants.
+    engine's caps refuse the set; value only, witnesses still come from
+    circulants.
     """
-    if distances.max_element > WINDOW_CERTIFICATE_MAX_ELEMENT:
+    try:
+        return independence_ratio_exact(distances)[0]
+    except StateSpaceError:
         return None
-    from .stategraph import Independence, build_state_graph, extremal_mean_cycle
-
-    graph = build_state_graph(distances, Independence())
-    return extremal_mean_cycle(graph, "max").density
 
 
 def compute_ratio(
@@ -314,10 +276,10 @@ def compute_ratio(
     Schedule: at round n compute alpha of the intervals [2n-1] and [2n], and
     once n exceeds max(S) also alpha of the circulant on Z_n; stop when the
     best lower and upper bounds agree.  If the bounds have not met a few
-    rounds past max(S) and the set is small, the exact window certificate is
-    folded into the upper bound (interval minima alone can stay strictly
-    above the ratio forever).  Budget exhaustion downgrades the result to
-    certified bounds (status 'bounded'), never an error.
+    rounds past max(S) and the set fits the gap-state engine's caps, its
+    exact ratio is folded into the upper bound (interval minima alone can
+    stay strictly above the ratio forever).  Budget exhaustion downgrades
+    the result to certified bounds (status 'bounded'), never an error.
     """
     budget = budget or SearchBudget()
     table = AlphaTable(distances)
@@ -337,10 +299,7 @@ def compute_ratio(
                 r = Fraction(a, m)
                 if r < upper:
                     upper, upper_n = r, m
-            if lower == upper:
-                exact = True
-                break
-            if n > s:
+            if n > s and lower < upper:
                 circulant_rounds += 1
                 size, solution = _alpha_circulant_solution(distances, n, table, budget)
                 r = Fraction(size, n)
@@ -349,43 +308,28 @@ def compute_ratio(
                     if not verify_periodic_independent(witness, distances).ok:
                         raise AssertionError(f"internal error: circulant witness for {distances} not independent")
                     lower, lower_witness = r, witness
-            if lower == upper:
-                exact = True
-                break
-            if n == s + _WINDOW_CERTIFICATE_GRACE:
+            if n == s + _WINDOW_CERTIFICATE_GRACE and lower < upper:
                 cert = _window_certificate_upper(distances)
                 certified = cert is not None
                 if certified and cert < upper:
                     upper, upper_n = cert, None
-                    note = "upper bound certified by the window-state construction"
-                    if lower == upper:
-                        exact = True
-                        break
+                    note = "upper bound certified by the exact gap-state engine"
+            if lower == upper:
+                exact = True
+                break
     except BudgetExceeded:
         pass
     counters = {
         "nodes": budget.nodes,
         "interval_max_n": len(table.interval_alpha) - 1,
         "circulant_rounds": circulant_rounds,
+        # the gap-state bound; the key keeps its name for the --json layout
         "window_certificate": certified,
     }
-    if exact:
-        return RatioReport(
-            distances=distances,
-            status="exact",
-            value=lower,
-            lower=lower,
-            upper=upper,
-            lower_witness=lower_witness,
-            upper_witness_n=upper_n,
-            method="search",
-            counters=counters,
-            note=note,
-        )
     return RatioReport(
         distances=distances,
-        status="bounded",
-        value=None,
+        status="exact" if exact else "bounded",
+        value=lower if exact else None,
         lower=lower,
         upper=upper,
         lower_witness=lower_witness,

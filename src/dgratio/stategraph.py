@@ -10,12 +10,13 @@ witness read off the extremal cycle:
   * minimum r-identifying-code density,
   * periodic proper k-colorings.
 
-For independence a compressed but equivalent state space is used: a state
-records the occupied offsets within max(S) behind the latest element, and an
-edge labelled g places the next element g positions later.  Cycle mean gap
-lambda then gives ratio 1/lambda, and the cycle's edge labels are literally
-the witness block sizes.  The window construction is also built explicitly
-(build_state_graph) and the two are cross-checked in the test suite.
+Independence uses a compressed state space over element gaps, the only
+independence engine in the package: a state records the occupied offsets
+within max(S) behind the latest element, and an edge labelled g places the
+next element g positions later.  Cycle mean gap lambda then gives ratio
+1/lambda, and the cycle's edge labels are literally the witness block sizes.
+The other problems run on explicit window graphs (build_state_graph);
+domination and identifying codes share one pair builder, _window_graph.
 """
 
 from __future__ import annotations
@@ -31,7 +32,13 @@ from . import meancycle
 
 
 class StateSpaceError(RuntimeError):
-    """The construction would exceed the configured state cap."""
+    """The construction would exceed a configured cap.
+
+    required is the size that was refused.  For the gap engine's state cap
+    it is the exact number of reachable states.  For the element cap
+    (2^max(S)) and the window caps (2^window, or colors^max(S)) it counts
+    candidate states before any pruning.
+    """
 
     def __init__(self, message: str, required: int | None = None):
         super().__init__(message)
@@ -59,7 +66,6 @@ class EngineCaps:
 
     independence_max_element: int = 22
     independence_max_states: int = 400_000
-    window_independence_max_element: int = 13
     domination_max_element: int = 4
     identifying_max_window: int = 12
     coloring_max_states: int = 4096
@@ -74,32 +80,23 @@ DEFAULT_CAPS = EngineCaps()
 
 
 @dataclass(frozen=True)
-class Independence:
-    def window(self, s: int) -> int:
-        return s
-
-
-@dataclass(frozen=True)
 class Domination:
-    def window(self, s: int) -> int:
-        return 2 * s
+    """Minimum dominating sets, on windows of 2 max(S) positions."""
 
 
 @dataclass(frozen=True)
 class IdentifyingCode:
-    def window(self, s: int) -> int:
-        return 6 * s
+    """Minimum 1-identifying codes, on windows of 6 max(S) positions."""
 
 
 @dataclass(frozen=True)
 class Coloring:
+    """Proper colorings with `colors` colors, on windows of max(S) positions."""
+
     colors: int
 
-    def window(self, s: int) -> int:
-        return s
 
-
-ProblemKind = Union[Independence, Domination, IdentifyingCode, Coloring]
+ProblemKind = Union[Domination, IdentifyingCode, Coloring]
 
 
 @dataclass(frozen=True)
@@ -154,53 +151,6 @@ def _prune(states: list, arcs: list) -> tuple[list, list]:
     return new_states, new_arcs
 
 
-def _independent_window_masks(length: int, distances: DistanceSet) -> list[int]:
-    masks = []
-    for m in range(1 << length):
-        ok = True
-        for d in distances:
-            if d < length and m & (m >> d):
-                ok = False
-                break
-        if ok:
-            masks.append(m)
-    return masks
-
-
-def _build_independence_window(distances: DistanceSet, caps: EngineCaps) -> StateGraph:
-    s = distances.max_element
-    if s > caps.window_independence_max_element:
-        raise StateSpaceError(
-            f"independence window graph needs 2^{s} candidate states",
-            required=1 << s,
-        )
-    admissible = _independent_window_masks(s, distances)
-    index = {m: i for i, m in enumerate(admissible)}
-    is_admissible = [False] * (1 << s)
-    for m in admissible:
-        is_admissible[m] = True
-    full = (1 << s) - 1
-    arcs = []
-    for m in admissible:
-        # positions forbidden in the next window by elements of this one
-        forbidden = 0
-        for d in distances:
-            forbidden |= m >> (s - d)
-        allowed = full & ~forbidden
-        out = []
-        sub = allowed
-        while True:
-            if is_admissible[sub]:
-                out.append(index[sub])
-            if sub == 0:
-                break
-            sub = (sub - 1) & allowed
-        arcs.append(tuple(sorted(out)))
-    states, arcs2 = _prune(admissible, [list(a) for a in arcs])
-    weights = tuple(m.bit_count() for m in states)
-    return StateGraph(window=s, kind=Independence(), states=tuple(states), arcs=tuple(arcs2), weights=weights)
-
-
 def _neighborhood_mask(v: int, distances: DistanceSet, span: int) -> int:
     """Closed-neighborhood bitmask of vertex v within positions [1, span]."""
     m = 0
@@ -213,26 +163,36 @@ def _neighborhood_mask(v: int, distances: DistanceSet, span: int) -> int:
     return m
 
 
-def _build_domination_window(distances: DistanceSet, caps: EngineCaps) -> StateGraph:
-    s = distances.max_element
-    if s > caps.domination_max_element:
-        raise StateSpaceError(
-            f"domination window graph needs 2^{2 * s} states", required=1 << (2 * s)
-        )
-    ell = 2 * s
-    span = 2 * ell
+def _window_graph(ell: int, masks: list[int], kind: ProblemKind) -> StateGraph:
+    """Graph on all 2^ell windows, pruned to bi-infinite walks.
+
+    Window t may be followed by window t' when the pasted pattern
+    t | t' << ell meets every mask.  A mask inside one window rules out
+    windows; a mask across both rules out the pairs that miss both halves.
+    """
     size = 1 << ell
-    y = np.arange(1 << span, dtype=np.int64)
-    ok = np.ones(1 << span, dtype=bool)
-    for v in range(s + 1, 3 * s + 1):
-        cov = _neighborhood_mask(v, distances, span)
-        ok &= (y & cov) != 0
-    ok2d = ok.reshape(size, size)  # [t_next, t]
+    t = np.arange(size, dtype=np.int64)
+    valid_t = np.ones(size, dtype=bool)  # masks local to the first window
+    valid_n = np.ones(size, dtype=bool)  # masks local to the second window
+    bad = np.zeros((size, size), dtype=bool)  # [t, t_next] crossing masks
+    low_full = size - 1
+    for m in masks:
+        lo = m & low_full
+        hi = m >> ell
+        if hi == 0:
+            valid_t &= (t & lo) != 0
+        elif lo == 0:
+            valid_n &= (t & hi) != 0
+        else:
+            a = (t & lo) == 0
+            b = (t & hi) == 0
+            bad |= np.outer(a, b)
+    valid = (~bad) & valid_t[:, None] & valid_n[None, :]
     states = list(range(size))
-    arcs = [np.flatnonzero(ok2d[:, t]).tolist() for t in range(size)]
+    arcs = [np.flatnonzero(valid[i]).tolist() for i in range(size)]
     states, arcs = _prune(states, arcs)
     weights = tuple(m.bit_count() for m in states)
-    return StateGraph(window=ell, kind=Domination(), states=tuple(states), arcs=tuple(arcs), weights=weights)
+    return StateGraph(window=ell, kind=kind, states=tuple(states), arcs=tuple(arcs), weights=weights)
 
 
 def _identifying_condition_masks(distances: DistanceSet) -> list[int]:
@@ -257,38 +217,6 @@ def _identifying_condition_masks(distances: DistanceSet) -> list[int]:
             m = _neighborhood_mask(u, distances, span) ^ _neighborhood_mask(v, distances, span)
             masks.append(m)
     return sorted(set(masks))
-
-
-def _build_identifying_window(distances: DistanceSet, caps: EngineCaps) -> StateGraph:
-    s = distances.max_element
-    ell = 6 * s
-    if ell > caps.identifying_max_window:
-        raise StateSpaceError(
-            f"identifying-code window graph needs 2^{ell} states", required=1 << ell
-        )
-    size = 1 << ell
-    t = np.arange(size, dtype=np.int64)
-    valid_t = np.ones(size, dtype=bool)  # masks local to the first window
-    valid_n = np.ones(size, dtype=bool)  # masks local to the second window
-    bad = np.zeros((size, size), dtype=bool)  # [t, t_next] crossing masks
-    low_full = size - 1
-    for m in _identifying_condition_masks(distances):
-        lo = m & low_full
-        hi = m >> ell
-        if hi == 0:
-            valid_t &= (t & lo) != 0
-        elif lo == 0:
-            valid_n &= (t & hi) != 0
-        else:
-            a = (t & lo) == 0
-            b = (t & hi) == 0
-            bad |= np.outer(a, b)
-    valid = (~bad) & valid_t[:, None] & valid_n[None, :]
-    states = list(range(size))
-    arcs = [np.flatnonzero(valid[i]).tolist() for i in range(size)]
-    states, arcs = _prune(states, arcs)
-    weights = tuple(m.bit_count() for m in states)
-    return StateGraph(window=ell, kind=IdentifyingCode(), states=tuple(states), arcs=tuple(arcs), weights=weights)
 
 
 def _build_coloring_window(distances: DistanceSet, colors: int, caps: EngineCaps) -> StateGraph:
@@ -342,12 +270,21 @@ def _build_coloring_window(distances: DistanceSet, colors: int, caps: EngineCaps
 
 def build_state_graph(distances: DistanceSet, kind: ProblemKind, caps: EngineCaps = DEFAULT_CAPS) -> StateGraph:
     """Window-state graph for the given property, pruned to bi-infinite walks."""
-    if isinstance(kind, Independence):
-        return _build_independence_window(distances, caps)
+    s = distances.max_element
     if isinstance(kind, Domination):
-        return _build_domination_window(distances, caps)
+        if s > caps.domination_max_element:
+            raise StateSpaceError(
+                f"domination window graph needs 2^{2 * s} states", required=1 << (2 * s)
+            )
+        # every vertex in the middle 2s positions of a pasted pair is dominated
+        masks = [_neighborhood_mask(v, distances, 4 * s) for v in range(s + 1, 3 * s + 1)]
+        return _window_graph(2 * s, masks, kind)
     if isinstance(kind, IdentifyingCode):
-        return _build_identifying_window(distances, caps)
+        if 6 * s > caps.identifying_max_window:
+            raise StateSpaceError(
+                f"identifying-code window graph needs 2^{6 * s} states", required=1 << (6 * s)
+            )
+        return _window_graph(6 * s, _identifying_condition_masks(distances), kind)
     if isinstance(kind, Coloring):
         return _build_coloring_window(distances, kind.colors, caps)
     raise TypeError(f"unknown problem kind: {kind!r}")

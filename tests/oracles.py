@@ -1,0 +1,240 @@
+"""Test oracles: slow, independent reimplementations the package is checked
+against.  None of them is used by the package itself.
+
+- Karp's recurrence for extremal cycle means, with Tarjan's strongly
+  connected components;
+- exhaustive alpha(G(S)[n]) over all 2^n subsets;
+- the explicit window-subset graph for the independence ratio, whose
+  maximum mean cycle the gap-state engine must match.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from dgratio import stategraph
+from dgratio.core import DistanceSet
+from dgratio.meancycle import NoCycleError
+from dgratio.stategraph import StateGraph
+
+BRUTE_FORCE_CAP = 26
+
+
+# ---------------------------------------------------------------------------
+# Karp's recurrence (exact oracle for small graphs)
+# ---------------------------------------------------------------------------
+
+
+def _strongly_connected_components(n: int, adj: list) -> list:
+    """Tarjan's algorithm, iterative."""
+    index = [0] * n
+    low = [0] * n
+    on_stack = bytearray(n)
+    visited = bytearray(n)
+    stack = []
+    comps = []
+    counter = [1]
+    for root in range(n):
+        if visited[root]:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, ei = work[-1]
+            if ei == 0:
+                visited[v] = 1
+                index[v] = low[v] = counter[0]
+                counter[0] += 1
+                stack.append(v)
+                on_stack[v] = 1
+            advanced = False
+            while ei < len(adj[v]):
+                u = adj[v][ei][1]
+                ei += 1
+                if not visited[u]:
+                    work[-1] = (v, ei)
+                    work.append((u, 0))
+                    advanced = True
+                    break
+                if on_stack[u]:
+                    low[v] = min(low[v], index[u])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    u = stack.pop()
+                    on_stack[u] = 0
+                    comp.append(u)
+                    if u == v:
+                        break
+                comps.append(comp)
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return comps
+
+
+def max_mean_cycle_karp(num_nodes: int, edges: list) -> Fraction:
+    """Maximum mean cycle by Karp's recurrence, run per strongly connected
+    component.  edges: list of (u, v, weight) with integer weights.
+
+    Raises NoCycleError when the graph is acyclic.  Value only (no witness);
+    intended as a test oracle.
+    """
+    adj = [[] for _ in range(num_nodes)]
+    for u, v, weight in edges:
+        adj[u].append((weight, v))
+    best: Fraction | None = None
+    for comp in _strongly_connected_components(num_nodes, adj):
+        comp_set = set(comp)
+        if len(comp) == 1:
+            v = comp[0]
+            loops = [weight for weight, u in adj[v] if u == v]
+            if loops:
+                cand = Fraction(max(loops))
+                if best is None or cand > best:
+                    best = cand
+            continue
+        local = {v: i for i, v in enumerate(comp)}
+        m = len(comp)
+        ledges = []
+        for v in comp:
+            for weight, u in adj[v]:
+                if u in comp_set:
+                    ledges.append((local[v], local[u], weight))
+        table = [[None] * m for _ in range(m + 1)]
+        for i in range(m):
+            table[0][i] = 0
+        for k in range(1, m + 1):
+            row = table[k]
+            prev = table[k - 1]
+            for u, v, weight in ledges:
+                pu = prev[u]
+                if pu is None:
+                    continue
+                cand = pu + weight
+                if row[v] is None or cand > row[v]:
+                    row[v] = cand
+        for v in range(m):
+            fn = table[m][v]
+            if fn is None:
+                continue
+            worst = None
+            for k in range(m):
+                fk = table[k][v]
+                if fk is None:
+                    continue
+                ratio = Fraction(fn - fk, m - k)
+                if worst is None or ratio < worst:
+                    worst = ratio
+            if worst is not None and (best is None or worst > best):
+                best = worst
+    if best is None:
+        raise NoCycleError("graph has no cycle")
+    return best
+
+
+def min_mean_cycle_karp(num_nodes: int, edges: list) -> Fraction:
+    return -max_mean_cycle_karp(num_nodes, [(u, v, -w) for u, v, w in edges])
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive independence numbers of intervals
+# ---------------------------------------------------------------------------
+
+
+def _popcount64(x):
+    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + (
+        (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
+    )
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
+
+
+def brute_force_alpha_interval(distances: DistanceSet, n: int) -> int:
+    """Independent oracle: exhaustive enumeration over all 2^n subsets of [n].
+
+    Every bitmask is tested for independence directly (a subset is dependent
+    exactly when it intersects itself shifted by some generator); no search
+    tables or pruning from the main solver are involved.
+    """
+    if n > BRUTE_FORCE_CAP:
+        raise ValueError(f"oracle capped at n <= {BRUTE_FORCE_CAP}")
+    if n == 0:
+        return 0
+    best = 0
+    chunk = 1 << 20
+    for start in range(0, 1 << n, chunk):
+        end = min(start + chunk, 1 << n)
+        masks = np.arange(start, end, dtype=np.uint64)
+        ok = np.ones(end - start, dtype=bool)
+        for d in distances.distances:
+            ok &= (masks & (masks >> np.uint64(d))) == 0
+        valid = masks[ok]
+        if len(valid):
+            best = max(best, int(_popcount64(valid).max()))
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Window-subset graph for the independence ratio
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Independence:
+    """Maximum independent sets, on windows of max(S) positions."""
+
+
+def _independent_window_masks(length: int, distances: DistanceSet) -> list[int]:
+    masks = []
+    for m in range(1 << length):
+        ok = True
+        for d in distances:
+            if d < length and m & (m >> d):
+                ok = False
+                break
+        if ok:
+            masks.append(m)
+    return masks
+
+
+def independence_window_graph(distances: DistanceSet) -> StateGraph:
+    """Explicit window graph of the independence ratio.
+
+    States are the S-independent subsets of a window of max(S) positions; an
+    arc joins two windows whose pasted pair is still S-independent.  The
+    graph is pruned to bi-infinite walks, and its maximum mean weight per
+    position is the independence ratio.
+    """
+    s = distances.max_element
+    admissible = _independent_window_masks(s, distances)
+    index = {m: i for i, m in enumerate(admissible)}
+    is_admissible = [False] * (1 << s)
+    for m in admissible:
+        is_admissible[m] = True
+    full = (1 << s) - 1
+    arcs = []
+    for m in admissible:
+        # positions forbidden in the next window by elements of this one
+        forbidden = 0
+        for d in distances:
+            forbidden |= m >> (s - d)
+        allowed = full & ~forbidden
+        out = []
+        sub = allowed
+        while True:
+            if is_admissible[sub]:
+                out.append(index[sub])
+            if sub == 0:
+                break
+            sub = (sub - 1) & allowed
+        arcs.append(tuple(sorted(out)))
+    states, arcs2 = stategraph._prune(admissible, [list(a) for a in arcs])
+    weights = tuple(m.bit_count() for m in states)
+    return StateGraph(window=s, kind=Independence(), states=tuple(states), arcs=tuple(arcs2), weights=weights)

@@ -18,7 +18,6 @@ from dgratio.search import (
     AlphaTable,
     SearchBudget,
     alpha_interval,
-    brute_force_alpha_interval,
     compute_ratio,
 )
 from dgratio.stategraph import (
@@ -28,6 +27,8 @@ from dgratio.stategraph import (
     min_identifying_density,
     verify_periodic_identifying,
 )
+
+from oracles import brute_force_alpha_interval
 
 
 def _verdict(number: int, description: str, ok: bool, detail: str = ""):

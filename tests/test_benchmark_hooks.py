@@ -7,9 +7,11 @@ absent or wrong in a traced run.  These checks fail the suite instead.
 
 import importlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import dgratio.ratio
+import dgratio.stategraph
 from dgratio import meancycle
 from dgratio.core import DistanceSet
 from dgratio.stategraph import _independence_gap_graph
@@ -44,3 +46,21 @@ def test_traced_independence_ratio_records_the_gap_engine():
     values, absent = spans.layer_values([tracer], hooks.missing)
     assert absent == []
     assert values["stategraph.gap_build.calls"]["value"] == 1
+
+
+def test_traced_domination_records_the_window_graph():
+    tracer = spans.Tracer()
+    hooks = spans.Hooks(tracer)
+    hooks.install()
+    try:
+        density, _ = dgratio.stategraph.min_dominating_density(DistanceSet([1, 2]))
+    finally:
+        hooks.restore()
+    assert density == Fraction(1, 5)
+    assert not hooks.missing
+    assert tracer.counts["window.states"] == 16
+    assert tracer.counts["window.arcs"] == 236
+    assert tracer.parent_calls[("stategraph.prune", "stategraph.window_build")] == 1
+    values, absent = spans.layer_values([tracer], hooks.missing)
+    assert absent == []
+    assert values["stategraph.window.states"]["value"] == 16

@@ -63,6 +63,15 @@ def test_method_routing():
     assert forced.value == small.value
 
 
+def test_search_method_keeps_the_search_note():
+    certified = "upper bound certified by the exact gap-state engine"
+    report = independence_ratio(DistanceSet([5, 6, 9]), method="search")
+    assert report.note == certified
+    report = independence_ratio(DistanceSet([10, 12, 18]), method="search")
+    assert report.value == Fraction(4, 11)
+    assert report.note == "gcd 2 factored out; computed on {5,6,9}; " + certified
+
+
 def test_stategraph_cap_raises_when_forced():
     with pytest.raises(StateSpaceError):
         independence_ratio(DistanceSet([1, 4, 30]), method="stategraph")

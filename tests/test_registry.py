@@ -13,7 +13,6 @@ from dgratio.registry import (
     closed_form,
     get_family,
     list_families,
-    prediction_report,
     verify_family,
 )
 
@@ -189,15 +188,6 @@ def test_catalog_predictions_match_bundled_table():
             assert pred.value == Fraction(num, den), (k, i, pred)
             hits += 1
     assert hits >= 40
-
-
-def test_prediction_report_registry_only_status():
-    report = prediction_report(DistanceSet([1, 4, 12]))
-    assert report is not None
-    assert report.status == "registry_only"
-    assert report.value is None
-    assert closed_form(DistanceSet([2, 3, 7])) is None
-    assert prediction_report(DistanceSet([2, 3, 7])) is None
 
 
 def test_every_bundled_exact_cell_reproduces_through_the_pipeline():

@@ -11,9 +11,10 @@ from dgratio.search import (
     SearchBudget,
     alpha_circulant,
     alpha_interval,
-    brute_force_alpha_interval,
     compute_ratio,
 )
+
+from oracles import brute_force_alpha_interval
 
 
 def test_alpha_interval_examples():
@@ -167,25 +168,28 @@ def test_search_matches_known_family_values():
 
 def test_window_certificate_closes_interval_resistant_sets():
     # for this set alpha(G(S)[m])/m exceeds 4/11 at every m (the boundary
-    # defect never vanishes), so exactness requires the window certificate
+    # defect never vanishes), so exactness requires the gap-state certificate
     report = compute_ratio(DistanceSet([5, 6, 9]))
     assert report.status == "exact"
     assert report.value == Fraction(4, 11)
     assert report.counters["window_certificate"]
-    assert report.note is not None and "window" in report.note
+    assert report.note is not None and "gap-state" in report.note
     # the lower half was still certified independently by a circulant witness
     assert block_density(report.lower_witness) == Fraction(4, 11)
     assert verify_periodic_independent(report.lower_witness, DistanceSet([5, 6, 9])).ok
 
 
 def test_window_certificate_counter_reports_only_a_computed_bound():
-    # max(S) = 14 is past the window construction's cap: the schedule consults
-    # it at round max(S) + 5, gets no bound, and must not claim a certificate
-    report = compute_ratio(DistanceSet([5, 6, 14]))
+    # max(S) = 24 is past the gap-state engine's element cap: the schedule
+    # consults it at round max(S) + 5, gets no bound, and must not claim a
+    # certificate
+    report = compute_ratio(DistanceSet([5, 6, 24]))
     assert report.status == "exact"
-    assert report.counters["circulant_rounds"] >= 5
+    assert report.counters["circulant_rounds"] == 6
     assert report.counters["window_certificate"] is False
     assert report.note is None
+    # within the caps the bound is computed, even where it does not decide
+    assert compute_ratio(DistanceSet([5, 6, 14])).counters["window_certificate"] is True
 
 
 def test_huge_generators_stay_cheap_and_bounded():

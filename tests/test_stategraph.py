@@ -11,7 +11,7 @@ from dgratio.stategraph import (
     Coloring,
     Domination,
     EngineCaps,
-    Independence,
+    IdentifyingCode,
     InfeasibleError,
     StateGraph,
     StateSpaceError,
@@ -27,6 +27,8 @@ from dgratio.stategraph import (
     verify_periodic_identifying,
 )
 
+from oracles import Independence, independence_window_graph
+
 
 # ---------------------------------------------------------------------------
 # build_state_graph
@@ -34,7 +36,7 @@ from dgratio.stategraph import (
 
 
 def test_build_independence_single_generator():
-    g = build_state_graph(DistanceSet([1]), Independence())
+    g = independence_window_graph(DistanceSet([1]))
     assert g.window == 1
     assert set(g.states) == {0, 1}
     arcs = {g.states[i]: {g.states[j] for j in out} for i, out in enumerate(g.arcs)}
@@ -43,7 +45,7 @@ def test_build_independence_single_generator():
 
 
 def test_build_independence_two_generators():
-    g = build_state_graph(DistanceSet([1, 2]), Independence())
+    g = independence_window_graph(DistanceSet([1, 2]))
     assert g.window == 2
     # subsets of a 2-window: {} , {1}, {2}; {1,2} has internal distance 1
     assert set(g.states) == {0b00, 0b01, 0b10}
@@ -53,6 +55,19 @@ def test_build_domination_single_generator():
     g = build_state_graph(DistanceSet([1]), Domination())
     assert g.window == 2
     assert len(g.states) == 4  # all states admissible and bi-extensible
+
+
+def test_window_graph_sizes_are_pinned():
+    # states and arcs after pruning, as the separate domination and
+    # identifying-code builders gave them before they shared one pair builder
+    for members, kind, states, arcs in (
+        ([1], Domination(), 4, 13),
+        ([1, 2], Domination(), 16, 236),
+        ([1, 2, 3, 4], Domination(), 256, 64960),
+        ([1], IdentifyingCode(), 23, 376),
+    ):
+        g = build_state_graph(DistanceSet(members), kind)
+        assert (len(g.states), sum(map(len, g.arcs))) == (states, arcs), (members, kind)
 
 
 def test_extremal_examples():
@@ -66,7 +81,7 @@ def test_extremal_examples():
     wit = extremal_mean_cycle(two, "max")
     assert wit.density == Fraction(1, 2)
 
-    g = build_state_graph(DistanceSet([1]), Independence())
+    g = independence_window_graph(DistanceSet([1]))
     wit = extremal_mean_cycle(g, "max")
     assert wit.density == Fraction(1, 2)
     assert wit.period_set is not None
@@ -75,7 +90,7 @@ def test_extremal_examples():
 
 def test_negation_duality_on_window_graphs():
     for s in ([1], [1, 2], [1, 3], [2, 3], [1, 4]):
-        g = build_state_graph(DistanceSet(s), Independence())
+        g = independence_window_graph(DistanceSet(s))
         mx = extremal_mean_cycle(g, "max").density
         neg = StateGraph(
             window=g.window,
@@ -112,7 +127,7 @@ def test_gap_engine_matches_window_graph():
         for combo in combinations(range(1, 10), size):
             s = DistanceSet(combo)
             value, _ = independence_ratio_exact(s)
-            wit = extremal_mean_cycle(build_state_graph(s, Independence()), "max")
+            wit = extremal_mean_cycle(independence_window_graph(s), "max")
             assert wit.density == value, combo
 
 
