@@ -78,7 +78,8 @@ def independence_ratio(
             else:
                 report = _exact_report(reduced, value, witness, "stategraph")
         if report is None:
-            report = compute_ratio(reduced, budget=budget)
+            # auto reaches here only when the gap engine refused the set
+            report = compute_ratio(reduced, budget=budget, caps=caps if method == "search" else None)
             if report.note:
                 notes.append(report.note)
 

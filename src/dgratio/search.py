@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import BlockList, DistanceSet, verify_periodic_independent
-from .stategraph import StateSpaceError, independence_ratio_exact
+from .stategraph import DEFAULT_CAPS, EngineCaps, StateSpaceError, independence_ratio_exact
 
 FALLBACK_NODE_BUDGET = 3_000_000
 
@@ -250,7 +250,7 @@ def _gaps_of_circulant_solution(solution: list[int], n: int) -> BlockList:
 _WINDOW_CERTIFICATE_GRACE = 5
 
 
-def _window_certificate_upper(distances: DistanceSet) -> Optional[Fraction]:
+def _window_certificate_upper(distances: DistanceSet, caps: EngineCaps) -> Optional[Fraction]:
     """Exact ratio from the gap-state engine, used as an upper bound.
 
     The minimum of alpha(G(S)[m])/m over m need not be attained at any
@@ -261,7 +261,7 @@ def _window_certificate_upper(distances: DistanceSet) -> Optional[Fraction]:
     circulants.
     """
     try:
-        return independence_ratio_exact(distances)[0]
+        return independence_ratio_exact(distances, caps)[0]
     except StateSpaceError:
         return None
 
@@ -270,6 +270,7 @@ def compute_ratio(
     distances: DistanceSet,
     budget: Optional[SearchBudget] = None,
     max_rounds: int = 2000,
+    caps: Optional[EngineCaps] = DEFAULT_CAPS,
 ) -> RatioReport:
     """Interleaved two-sided search for the independence ratio of G(S).
 
@@ -278,8 +279,10 @@ def compute_ratio(
     best lower and upper bounds agree.  If the bounds have not met a few
     rounds past max(S) and the set fits the gap-state engine's caps, its
     exact ratio is folded into the upper bound (interval minima alone can
-    stay strictly above the ratio forever).  Budget exhaustion downgrades
-    the result to certified bounds (status 'bounded'), never an error.
+    stay strictly above the ratio forever); caps=None skips that step, for
+    callers that have just seen the engine refuse the set.  Budget
+    exhaustion downgrades the result to certified bounds (status
+    'bounded'), never an error.
     """
     budget = budget or SearchBudget()
     table = AlphaTable(distances)
@@ -308,8 +311,8 @@ def compute_ratio(
                     if not verify_periodic_independent(witness, distances).ok:
                         raise AssertionError(f"internal error: circulant witness for {distances} not independent")
                     lower, lower_witness = r, witness
-            if n == s + _WINDOW_CERTIFICATE_GRACE and lower < upper:
-                cert = _window_certificate_upper(distances)
+            if n == s + _WINDOW_CERTIFICATE_GRACE and lower < upper and caps is not None:
+                cert = _window_certificate_upper(distances, caps)
                 certified = cert is not None
                 if certified and cert < upper:
                     upper, upper_n = cert, None

@@ -1,9 +1,8 @@
-"""Window-state graphs over G(S) and the exact extremal densities they carry.
+"""Finite automata over G(S) and the exact extremal densities they carry.
 
-Slicing the integers into consecutive windows turns a density problem on
-G(S) into a mean-cycle problem on a finite digraph of admissible window
-patterns, so each extremal density below is exact and comes with a periodic
-witness read off the extremal cycle:
+A periodic object on the integers is a closed walk in a finite automaton
+whose arcs append positions, so each extremal density below is exact and
+comes with a periodic witness read off the extremal cycle:
 
   * maximum independent-set density (the independence ratio),
   * minimum dominating-set density,
@@ -15,8 +14,12 @@ independence engine in the package: a state records the occupied offsets
 within max(S) behind the latest element, and an edge labelled g places the
 next element g positions later.  Cycle mean gap lambda then gives ratio
 1/lambda, and the cycle's edge labels are literally the witness block sizes.
-The other problems run on explicit window graphs (build_state_graph);
-domination and identifying codes share one pair builder, _window_graph.
+
+The other problems share one sliding-window automaton (build_state_graph):
+a state is the last L positions, an arc appends one position, and an arc is
+admissible when the L+1 positions pasted together pass the local test for
+the position the arc completes.  Every position of a cycle is tested once,
+when it is completed, so every cycle spells a valid periodic object.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ class StateSpaceError(RuntimeError):
     """The construction would exceed a configured cap.
 
     required is the size that was refused.  For the gap engine's state cap
-    it is the exact number of reachable states.  For the element cap
-    (2^max(S)) and the window caps (2^window, or colors^max(S)) it counts
-    candidate states before any pruning.
+    it is the exact number of reachable states; for its element cap it is
+    2^max(S).  For the window cap it is the number of window states before
+    pruning, alphabet^L (2^(2 max S), 2^(4 max S) or k^max(S)).
     """
 
     def __init__(self, message: str, required: int | None = None):
@@ -66,32 +69,35 @@ class EngineCaps:
 
     independence_max_element: int = 22
     independence_max_states: int = 400_000
-    domination_max_element: int = 4
-    identifying_max_window: int = 12
-    coloring_max_states: int = 4096
+    window_max_states: int = 4096
 
 
 DEFAULT_CAPS = EngineCaps()
 
 
 # ---------------------------------------------------------------------------
-# Problem kinds and the generic window-state graph
+# Problem kinds and the sliding-window automaton
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Domination:
-    """Minimum dominating sets, on windows of 2 max(S) positions."""
+    """Minimum dominating sets.  States hold the last 2 max(S) positions; an
+    arc is admissible when the position max(S) back is dominated."""
 
 
 @dataclass(frozen=True)
 class IdentifyingCode:
-    """Minimum 1-identifying codes, on windows of 6 max(S) positions."""
+    """Minimum 1-identifying codes.  States hold the last 4 max(S) positions;
+    an arc is admissible when the position max(S) back has a nonempty ball
+    that differs from the ball of every position up to 2 max(S) older."""
 
 
 @dataclass(frozen=True)
 class Coloring:
-    """Proper colorings with `colors` colors, on windows of max(S) positions."""
+    """Proper colorings with `colors` colors.  States hold the colors of the
+    last max(S) positions; an arc is admissible when the new color differs
+    from the color d back for every d in S."""
 
     colors: int
 
@@ -103,9 +109,12 @@ ProblemKind = Union[Domination, IdentifyingCode, Coloring]
 class StateGraph:
     """Digraph of admissible window states, pruned to bi-infinite walks.
 
-    states are bitmasks over [window] for subset kinds (bit j = position j+1
-    occupied) and color tuples for Coloring.  weights[i] is the element count
-    of state i (0 for Coloring).  arcs[i] lists successor state indices.
+    states are integers in base 2 (subset kinds) or base `colors`
+    (Coloring); each arc adds `window` positions, spelled by the low
+    `window` digits of the state it enters, digit 0 first.  The automaton
+    of build_state_graph has window 1 and digit 0 the newest position.
+    weights[i] is the element count an arc into state i adds (0 for
+    Coloring).  arcs[i] lists successor state indices in increasing order.
     """
 
     window: int
@@ -151,143 +160,66 @@ def _prune(states: list, arcs: list) -> tuple[list, list]:
     return new_states, new_arcs
 
 
-def _neighborhood_mask(v: int, distances: DistanceSet, span: int) -> int:
-    """Closed-neighborhood bitmask of vertex v within positions [1, span]."""
-    m = 0
-    if 1 <= v <= span:
-        m |= 1 << (v - 1)
-    for d in distances:
-        for u in (v - d, v + d):
-            if 1 <= u <= span:
-                m |= 1 << (u - 1)
-    return m
-
-
-def _window_graph(ell: int, masks: list[int], kind: ProblemKind) -> StateGraph:
-    """Graph on all 2^ell windows, pruned to bi-infinite walks.
-
-    Window t may be followed by window t' when the pasted pattern
-    t | t' << ell meets every mask.  A mask inside one window rules out
-    windows; a mask across both rules out the pairs that miss both halves.
-    """
-    size = 1 << ell
-    t = np.arange(size, dtype=np.int64)
-    valid_t = np.ones(size, dtype=bool)  # masks local to the first window
-    valid_n = np.ones(size, dtype=bool)  # masks local to the second window
-    bad = np.zeros((size, size), dtype=bool)  # [t, t_next] crossing masks
-    low_full = size - 1
-    for m in masks:
-        lo = m & low_full
-        hi = m >> ell
-        if hi == 0:
-            valid_t &= (t & lo) != 0
-        elif lo == 0:
-            valid_n &= (t & hi) != 0
-        else:
-            a = (t & lo) == 0
-            b = (t & hi) == 0
-            bad |= np.outer(a, b)
-    valid = (~bad) & valid_t[:, None] & valid_n[None, :]
-    states = list(range(size))
-    arcs = [np.flatnonzero(valid[i]).tolist() for i in range(size)]
-    states, arcs = _prune(states, arcs)
-    weights = tuple(m.bit_count() for m in states)
-    return StateGraph(window=ell, kind=kind, states=tuple(states), arcs=tuple(arcs), weights=weights)
+def _ball(v: int, distances: DistanceSet) -> int:
+    """Closed neighbourhood of pasted digit v as a bitmask (v >= max(S))."""
+    return (1 << v) | sum((1 << (v - d)) | (1 << (v + d)) for d in distances)
 
 
 def _identifying_condition_masks(distances: DistanceSet) -> list[int]:
-    """Nonzero-intersection masks encoding the identifying transition test.
+    """Masks a pasted pattern must meet for the position max(S) back.
 
-    A pasted pattern Y over [1, 12s] is admissible when Y meets every mask:
-    nonempty balls for u in [3s+1, 9s], and for close pairs (u, v) the
-    symmetric difference of their balls (far pairs are separated by the
-    nonemptiness conditions alone).
+    The first is that position's ball (nonempty); the others are the
+    symmetric differences of its ball with the balls of the 2 max(S)
+    positions before it (distinct).  Balls farther apart are disjoint, so
+    nonemptiness already separates them.
     """
     s = distances.max_element
-    span = 12 * s
-    masks = []
-    for u in range(3 * s + 1, 9 * s + 1):
-        masks.append(_neighborhood_mask(u, distances, span))
-    for u in range(3 * s + 1, 9 * s + 1):
-        lo = max(s + 1, u - 2 * s)
-        hi = min(11 * s, u + 2 * s)
-        for v in range(lo, hi + 1):
-            if v == u:
-                continue
-            m = _neighborhood_mask(u, distances, span) ^ _neighborhood_mask(v, distances, span)
-            masks.append(m)
-    return sorted(set(masks))
-
-
-def _build_coloring_window(distances: DistanceSet, colors: int, caps: EngineCaps) -> StateGraph:
-    s = distances.max_element
-    if colors < 1:
-        raise ValueError("need at least one color")
-    total = colors**s
-    if total > caps.coloring_max_states:
-        raise StateSpaceError(
-            f"coloring window graph needs {colors}^{s} states", required=total
-        )
-    states = []
-    for code in range(total):
-        c = []
-        x = code
-        for _ in range(s):
-            c.append(x % colors)
-            x //= colors
-        tup = tuple(c)  # tup[j] colors position j+1
-        proper = True
-        for d in distances:
-            for i in range(s - d):
-                if tup[i] == tup[i + d]:
-                    proper = False
-                    break
-            if not proper:
-                break
-        if proper:
-            states.append(tup)
-    index = {c: i for i, c in enumerate(states)}
-    arcs = []
-    for c in states:
-        out = []
-        for j, c2 in enumerate(states):
-            ok = True
-            for d in distances:
-                for i in range(s - d, s):
-                    # position i+1 in this window vs i+1+d in the next
-                    if c[i] == c2[i + d - s]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(j)
-        arcs.append(out)
-    states2, arcs2 = _prune(states, arcs)
-    weights = tuple(0 for _ in states2)
-    return StateGraph(window=s, kind=Coloring(colors), states=tuple(states2), arcs=tuple(arcs2), weights=weights)
+    own = _ball(s, distances)
+    return [own] + [own ^ _ball(s + j, distances) for j in range(1, 2 * s + 1)]
 
 
 def build_state_graph(distances: DistanceSet, kind: ProblemKind, caps: EngineCaps = DEFAULT_CAPS) -> StateGraph:
-    """Window-state graph for the given property, pruned to bi-infinite walks."""
+    """Sliding-window automaton for the given property, pruned to bi-infinite walks.
+
+    A state is the last L positions as an integer in base 2 (subsets) or
+    base k (colors), digit 0 the newest.  Appending x to state t gives the
+    pasted pattern t*base + x over L+1 positions, and the arc leads to that
+    pattern without its oldest digit when the pattern passes the kind's
+    local test.  Refused when base^L exceeds caps.window_max_states.
+    """
     s = distances.max_element
-    if isinstance(kind, Domination):
-        if s > caps.domination_max_element:
-            raise StateSpaceError(
-                f"domination window graph needs 2^{2 * s} states", required=1 << (2 * s)
-            )
-        # every vertex in the middle 2s positions of a pasted pair is dominated
-        masks = [_neighborhood_mask(v, distances, 4 * s) for v in range(s + 1, 3 * s + 1)]
-        return _window_graph(2 * s, masks, kind)
-    if isinstance(kind, IdentifyingCode):
-        if 6 * s > caps.identifying_max_window:
-            raise StateSpaceError(
-                f"identifying-code window graph needs 2^{6 * s} states", required=1 << (6 * s)
-            )
-        return _window_graph(6 * s, _identifying_condition_masks(distances), kind)
     if isinstance(kind, Coloring):
-        return _build_coloring_window(distances, kind.colors, caps)
-    raise TypeError(f"unknown problem kind: {kind!r}")
+        if kind.colors < 1:
+            raise ValueError("need at least one color")
+        base, length, masks = kind.colors, s, []
+    elif isinstance(kind, Domination):
+        base, length, masks = 2, 2 * s, [_ball(s, distances)]
+    elif isinstance(kind, IdentifyingCode):
+        base, length, masks = 2, 4 * s, _identifying_condition_masks(distances)
+    else:
+        raise TypeError(f"unknown problem kind: {kind!r}")
+    size = base**length
+    if size > caps.window_max_states:
+        raise StateSpaceError(
+            f"window automaton for {distances} needs {base}^{length} states, "
+            f"over the cap of {caps.window_max_states}",
+            required=size,
+        )
+    state = np.arange(size, dtype=np.int64)
+    targets = np.empty((size, base), dtype=np.int64)
+    for x in range(base):
+        pasted = state * base + x
+        ok = np.ones(size, dtype=bool)
+        for m in masks:
+            ok &= (pasted & m) != 0
+        if isinstance(kind, Coloring):
+            for d in distances:  # digit d of the pattern is the color d back
+                ok &= pasted // base**d % base != x
+        targets[:, x] = np.where(ok, pasted % size, -1)
+    arcs = [[j for j in row if j >= 0] for row in targets.tolist()]
+    states, arcs = _prune(list(range(size)), arcs)
+    weights = tuple(0 if isinstance(kind, Coloring) else t & 1 for t in states)
+    return StateGraph(window=1, kind=kind, states=tuple(states), arcs=tuple(arcs), weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -306,21 +238,30 @@ class CycleWitness:
     colors: Optional[tuple] = None
 
 
-def _decode_subset_cycle(states: Sequence[int], window: int) -> Optional[BlockList]:
-    positions = []
-    for j, mask in enumerate(states):
-        m = mask
-        while m:
-            low = m & -m
-            positions.append(j * window + low.bit_length() - 1)
-            m ^= low
-    if not positions:
-        return None
-    positions.sort()
-    period = window * len(states)
-    gaps = [b - a for a, b in zip(positions, positions[1:])]
-    gaps.append(period - positions[-1] + positions[0])
-    return BlockList(gaps)
+def _cycle_digits(graph: StateGraph, states: Sequence[int]) -> list[int]:
+    """One period of the object a cycle spells: the low `window` digits of
+    each state in turn, digit 0 first."""
+    base = graph.kind.colors if isinstance(graph.kind, Coloring) else 2
+    digits = []
+    for state in states:
+        for _ in range(graph.window):
+            state, digit = divmod(state, base)
+            digits.append(digit)
+    return digits
+
+
+def _cycle_witness(graph: StateGraph, cycle: Sequence[int], density: Fraction) -> CycleWitness:
+    states = tuple(graph.states[i] for i in cycle)
+    digits = _cycle_digits(graph, states)
+    if isinstance(graph.kind, Coloring):
+        return CycleWitness(states=states, density=density, period=len(digits), colors=tuple(digits))
+    positions = [p for p, digit in enumerate(digits) if digit]
+    blocks = None
+    if positions:
+        gaps = [b - a for a, b in zip(positions, positions[1:])]
+        gaps.append(len(digits) - positions[-1] + positions[0])
+        blocks = BlockList(gaps)
+    return CycleWitness(states=states, density=density, period=len(digits), period_set=blocks)
 
 
 def extremal_mean_cycle(graph: StateGraph, direction: str = "max") -> CycleWitness:
@@ -333,22 +274,13 @@ def extremal_mean_cycle(graph: StateGraph, direction: str = "max") -> CycleWitne
         raise ValueError("direction must be 'max' or 'min'")
     if not graph.states:
         raise InfeasibleError("state graph is empty after pruning")
-    adjacency = []
-    for i, out in enumerate(graph.arcs):
-        adjacency.append([(graph.weights[j], j) for j in out])
+    adjacency = [[(graph.weights[j], j) for j in out] for out in graph.arcs]
     indptr, dst, w = meancycle.csr_from_adjacency(adjacency)
     if direction == "max":
-        mean, cyc, weights = meancycle.max_mean_cycle_howard(indptr, dst, w)
+        mean, cyc, _ = meancycle.max_mean_cycle_howard(indptr, dst, w)
     else:
-        mean, cyc, weights = meancycle.min_mean_cycle_howard(indptr, dst, w)
-    cycle_states = tuple(graph.states[i] for i in cyc)
-    density = mean / graph.window
-    period = graph.window * len(cyc)
-    if isinstance(graph.kind, Coloring):
-        flat = tuple(c for state in cycle_states for c in state)
-        return CycleWitness(states=cycle_states, density=density, period=period, colors=flat)
-    blocks = _decode_subset_cycle(cycle_states, graph.window)
-    return CycleWitness(states=cycle_states, density=density, period=period, period_set=blocks)
+        mean, cyc, _ = meancycle.min_mean_cycle_howard(indptr, dst, w)
+    return _cycle_witness(graph, cyc, mean / graph.window)
 
 
 # ---------------------------------------------------------------------------
@@ -564,26 +496,15 @@ def periodic_coloring(
     if not graph.states:
         return None
     # any cycle works; find one by walking first arcs until a repeat
-    seen = {}
-    path = [0]
-    seen[0] = 0
-    while True:
-        nxt = graph.arcs[path[-1]][0]
-        if nxt in seen:
-            cyc = path[seen[nxt]:]
-            break
-        seen[nxt] = len(path)
-        path.append(nxt)
-    cycle_states = tuple(graph.states[i] for i in cyc)
-    flat = tuple(c for state in cycle_states for c in state)
-    if not verify_periodic_coloring(flat, distances):
+    seen: dict[int, int] = {}
+    node = 0
+    while node not in seen:
+        seen[node] = len(seen)
+        node = graph.arcs[node][0]
+    witness = _cycle_witness(graph, list(seen)[seen[node]:], Fraction(0))
+    if not verify_periodic_coloring(witness.colors, distances):
         raise AssertionError(f"internal error: coloring witness failed for {distances}")
-    return CycleWitness(
-        states=cycle_states,
-        density=Fraction(0),
-        period=graph.window * len(cyc),
-        colors=flat,
-    )
+    return witness
 
 
 def fractional_chromatic(distances: DistanceSet, budget=None, caps: EngineCaps = DEFAULT_CAPS) -> Fraction:

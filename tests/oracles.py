@@ -5,7 +5,10 @@ against.  None of them is used by the package itself.
   connected components;
 - exhaustive alpha(G(S)[n]) over all 2^n subsets;
 - the explicit window-subset graph for the independence ratio, whose
-  maximum mean cycle the gap-state engine must match.
+  maximum mean cycle the gap-state engine must match;
+- block-pair graphs for domination, identifying codes and colorings, whose
+  states are whole windows and whose arcs paste two of them, against which
+  the one-position sliding-window automaton is checked.
 """
 
 from __future__ import annotations
@@ -238,3 +241,98 @@ def independence_window_graph(distances: DistanceSet) -> StateGraph:
     states, arcs2 = stategraph._prune(admissible, [list(a) for a in arcs])
     weights = tuple(m.bit_count() for m in states)
     return StateGraph(window=s, kind=Independence(), states=tuple(states), arcs=tuple(arcs2), weights=weights)
+
+
+# ---------------------------------------------------------------------------
+# Block-pair graphs for domination, identifying codes and colorings
+# ---------------------------------------------------------------------------
+
+
+def _neighborhood_mask(v: int, distances: DistanceSet, span: int) -> int:
+    """Closed-neighborhood bitmask of vertex v within positions [1, span]."""
+    m = 0
+    if 1 <= v <= span:
+        m |= 1 << (v - 1)
+    for d in distances:
+        for u in (v - d, v + d):
+            if 1 <= u <= span:
+                m |= 1 << (u - 1)
+    return m
+
+
+def _pair_graph(ell: int, masks: list[int], kind) -> StateGraph:
+    """Graph on all 2^ell windows, pruned to bi-infinite walks.
+
+    Window t may be followed by window t' when the pasted pattern
+    t | t' << ell meets every mask.  A mask inside one window rules out
+    windows; a mask across both rules out the pairs that miss both halves.
+    """
+    size = 1 << ell
+    t = np.arange(size, dtype=np.int64)
+    valid_t = np.ones(size, dtype=bool)  # masks local to the first window
+    valid_n = np.ones(size, dtype=bool)  # masks local to the second window
+    bad = np.zeros((size, size), dtype=bool)  # [t, t_next] crossing masks
+    low_full = size - 1
+    for m in masks:
+        lo = m & low_full
+        hi = m >> ell
+        if hi == 0:
+            valid_t &= (t & lo) != 0
+        elif lo == 0:
+            valid_n &= (t & hi) != 0
+        else:
+            bad |= np.outer((t & lo) == 0, (t & hi) == 0)
+    valid = (~bad) & valid_t[:, None] & valid_n[None, :]
+    arcs = [np.flatnonzero(valid[i]).tolist() for i in range(size)]
+    states, arcs = stategraph._prune(list(range(size)), arcs)
+    weights = tuple(m.bit_count() for m in states)
+    return StateGraph(window=ell, kind=kind, states=tuple(states), arcs=tuple(arcs), weights=weights)
+
+
+def domination_pair_graph(distances: DistanceSet) -> StateGraph:
+    """Windows of 2 max(S) positions; every vertex in the middle 2 max(S)
+    positions of a pasted pair is dominated."""
+    s = distances.max_element
+    masks = [_neighborhood_mask(v, distances, 4 * s) for v in range(s + 1, 3 * s + 1)]
+    return _pair_graph(2 * s, masks, stategraph.Domination())
+
+
+def identifying_pair_graph(distances: DistanceSet) -> StateGraph:
+    """Windows of 6 max(S) positions.  A pasted pair over [1, 12s] is
+    admissible when every ball centred in [3s+1, 9s] is nonempty and differs
+    from the balls within 2s of it."""
+    s = distances.max_element
+    span = 12 * s
+    masks = []
+    for u in range(3 * s + 1, 9 * s + 1):
+        masks.append(_neighborhood_mask(u, distances, span))
+        for v in range(max(s + 1, u - 2 * s), min(11 * s, u + 2 * s) + 1):
+            if v != u:
+                masks.append(_neighborhood_mask(u, distances, span) ^ _neighborhood_mask(v, distances, span))
+    return _pair_graph(6 * s, sorted(set(masks)), stategraph.IdentifyingCode())
+
+
+def coloring_window_graph(distances: DistanceSet, colors: int) -> StateGraph:
+    """Properly colored windows of max(S) positions, a pair of windows an arc
+    when the pasted pair is still proper.  A state is its window in base
+    `colors`, digit j the color of position j+1."""
+    s = distances.max_element
+    states, windows = [], []
+    for code in range(colors**s):
+        c, x = [], code
+        for _ in range(s):
+            x, digit = divmod(x, colors)
+            c.append(digit)
+        if all(c[i] != c[i + d] for d in distances for i in range(s - d)):
+            states.append(code)
+            windows.append(c)
+    arcs = []
+    for c in windows:
+        # position i+1 of this window against position i+1+d of the next
+        arcs.append([
+            j for j, c2 in enumerate(windows)
+            if all(c[i] != c2[i + d - s] for d in distances for i in range(s - d, s))
+        ])
+    states, arcs = stategraph._prune(states, arcs)
+    kind = stategraph.Coloring(colors)
+    return StateGraph(window=s, kind=kind, states=tuple(states), arcs=tuple(arcs), weights=(0,) * len(states))

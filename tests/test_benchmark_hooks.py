@@ -59,7 +59,7 @@ def test_traced_domination_records_the_window_graph():
     assert density == Fraction(1, 5)
     assert not hooks.missing
     assert tracer.counts["window.states"] == 16
-    assert tracer.counts["window.arcs"] == 236
+    assert tracer.counts["window.arcs"] == 31
     assert tracer.parent_calls[("stategraph.prune", "stategraph.window_build")] == 1
     values, absent = spans.layer_values([tracer], hooks.missing)
     assert absent == []

@@ -193,9 +193,12 @@ def test_env_budget_override(tmp_path):
 
 
 def test_console_entry_point():
+    # PYTHONPATH points the child at the dgratio copy this process imported
+    package_root = os.path.dirname(os.path.dirname(dgratio.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "dgratio.cli", "compute", "--set", "1,4"],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert "2/5" in proc.stdout

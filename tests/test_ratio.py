@@ -12,7 +12,7 @@ import dgratio
 from dgratio.core import DistanceSet, block_density, verify_periodic_independent
 from dgratio.ratio import independence_ratio, scale_block_witness
 from dgratio.search import SearchBudget
-from dgratio.stategraph import StateSpaceError
+from dgratio.stategraph import EngineCaps, StateSpaceError
 
 
 def test_all_odd_shortcut():
@@ -81,6 +81,35 @@ def test_auto_falls_back_to_search_beyond_cap():
     report = independence_ratio(DistanceSet([1, 4, 25]))
     assert report.method == "search"
     assert report.value == Fraction(5, 13)
+
+
+def test_caps_reach_the_search_rescue(monkeypatch):
+    # {5,6,9} needs the gap-state bound to close (see test_search.py), and
+    # more than 10 gap states; record the cap of every gap-state count
+    counted = []
+    count_states = dgratio.stategraph._gap_state_masks
+    monkeypatch.setattr(
+        dgratio.stategraph, "_gap_state_masks", lambda d, cap: counted.append(cap) or count_states(d, cap)
+    )
+    small = EngineCaps(independence_max_states=10)
+    s = DistanceSet([5, 6, 9])
+    # auto: the gap engine refuses the set once, and the search does not ask again
+    report = independence_ratio(s, budget=SearchBudget(max_nodes=5000), caps=small)
+    assert counted == [10]
+    assert report.status == "bounded"
+    assert report.counters["window_certificate"] is False
+    # search: the rescue runs under the caller's caps, which refuse the set
+    counted.clear()
+    report = independence_ratio(s, method="search", budget=SearchBudget(max_nodes=5000), caps=small)
+    assert counted == [10]
+    assert report.status == "bounded"
+    assert report.counters["window_certificate"] is False
+    # the same budget suffices under the default caps
+    counted.clear()
+    report = independence_ratio(s, method="search", budget=SearchBudget(max_nodes=5000))
+    assert counted == [400_000]
+    assert report.value == Fraction(4, 11)
+    assert report.counters["window_certificate"] is True
 
 
 def test_bounded_status_propagates():

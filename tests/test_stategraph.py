@@ -1,8 +1,10 @@
 """Window-state graphs, extremal cycles, and the exact density engines."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +29,16 @@ from dgratio.stategraph import (
     verify_periodic_identifying,
 )
 
-from oracles import Independence, independence_window_graph
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench.corpus import COLORING_STRATA, WINDOWS_MEDIAN  # noqa: E402
+from oracles import (  # noqa: E402
+    Independence,
+    coloring_window_graph,
+    domination_pair_graph,
+    identifying_pair_graph,
+    independence_window_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -53,18 +64,17 @@ def test_build_independence_two_generators():
 
 def test_build_domination_single_generator():
     g = build_state_graph(DistanceSet([1]), Domination())
-    assert g.window == 2
+    assert g.window == 1
     assert len(g.states) == 4  # all states admissible and bi-extensible
 
 
 def test_window_graph_sizes_are_pinned():
-    # states and arcs after pruning, as the separate domination and
-    # identifying-code builders gave them before they shared one pair builder
+    # states and arcs of the sliding-window automaton after pruning
     for members, kind, states, arcs in (
-        ([1], Domination(), 4, 13),
-        ([1, 2], Domination(), 16, 236),
-        ([1, 2, 3, 4], Domination(), 256, 64960),
-        ([1], IdentifyingCode(), 23, 376),
+        ([1], Domination(), 4, 7),
+        ([1, 2], Domination(), 16, 31),
+        ([1, 2, 3, 4], Domination(), 256, 511),
+        ([1], IdentifyingCode(), 10, 15),
     ):
         g = build_state_graph(DistanceSet(members), kind)
         assert (len(g.states), sum(map(len, g.arcs))) == (states, arcs), (members, kind)
@@ -272,8 +282,86 @@ def test_identifying_scaled_generator():
 
 
 def test_identifying_cap():
+    # 2^(4 max S) window states, for the effective set at radius r
+    for members, radius in (([4], 1), ([1, 2], 2)):
+        with pytest.raises(StateSpaceError) as info:
+            min_identifying_density(DistanceSet(members), radius)
+        assert info.value.required == 1 << 16
+
+
+def test_window_cap_counts_window_states():
+    # 2^(2 max S) and k^max(S) window states against the cap of 4096
+    for refused, required in (
+        (lambda: min_dominating_density(DistanceSet([7])), 1 << 14),
+        (lambda: periodic_coloring(DistanceSet([1, 2, 3, 4, 5]), 6), 6**5),
+    ):
+        with pytest.raises(StateSpaceError) as info:
+            refused()
+        assert info.value.required == required
     with pytest.raises(StateSpaceError):
-        min_identifying_density(DistanceSet([3]), 1)
+        build_state_graph(DistanceSet([1]), Domination(), EngineCaps(window_max_states=3))
+
+
+def test_identifying_past_the_old_window_cap():
+    # sets the 6 max(S) block-pair windows could not hold
+    density, witness = min_identifying_density(DistanceSet([1, 3]), 1)
+    assert density == _brute_min_identifying(DistanceSet([1, 3]), 1, 11) == Fraction(4, 11)
+    assert verify_periodic_identifying(witness.period_set, DistanceSet([1, 3]), 1)
+    for members in ([2, 3], [3], [1, 2, 3]):
+        s = DistanceSet(members)
+        density, witness = min_identifying_density(s, 1)
+        assert density <= _brute_min_identifying(s, 1, 11), members
+        assert verify_periodic_identifying(witness.period_set, s, 1), members
+        assert block_density(witness.period_set) == density, members
+
+
+def test_domination_past_the_old_element_cap():
+    for members in ([1, 5], [1, 6], [1, 2, 3, 4, 5, 6]):
+        s = DistanceSet(members)
+        density, witness = min_dominating_density(s)
+        assert density <= _brute_min_dominating(s, 11), members
+        assert verify_periodic_dominating(witness.period_set, s), members
+        assert block_density(witness.period_set) == density, members
+
+
+# ---------------------------------------------------------------------------
+# the sliding-window automaton against the block-pair oracles
+# ---------------------------------------------------------------------------
+
+
+def test_domination_automaton_matches_pair_graph():
+    for size in (1, 2, 3, 4):
+        for combo in combinations(range(1, 5), size):
+            s = DistanceSet(combo)
+            oracle = extremal_mean_cycle(domination_pair_graph(s), "min").density
+            assert min_dominating_density(s)[0] == oracle, combo
+
+
+def test_identifying_automaton_matches_pair_graph():
+    for members in ([1], [1, 2]):
+        s = DistanceSet(members)
+        oracle = extremal_mean_cycle(identifying_pair_graph(s), "min").density
+        assert min_identifying_density(s, 1)[0] == oracle, members
+
+
+def test_coloring_automaton_matches_window_graph():
+    pool = [q for _, alternatives in COLORING_STRATA for q in alternatives] + [WINDOWS_MEDIAN]
+    refused = 0
+    for members, k in pool:
+        s = DistanceSet(members)
+        if k ** s.max_element > EngineCaps().window_max_states:
+            with pytest.raises(StateSpaceError) as info:
+                periodic_coloring(s, k)
+            assert info.value.required == k ** s.max_element
+            refused += 1
+            continue
+        oracle = coloring_window_graph(s, k)
+        witness = periodic_coloring(s, k)
+        assert (witness is not None) == bool(oracle.states), (members, k)
+        if witness is not None:
+            assert verify_periodic_coloring(witness.colors, s), (members, k)
+            assert verify_periodic_coloring(extremal_mean_cycle(oracle).colors, s), (members, k)
+    assert refused == 4
 
 
 # ---------------------------------------------------------------------------
