@@ -221,9 +221,9 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray):
     deg = np.diff(indptr)
     if (deg <= 0).any():
         raise ValueError("every node must have at least one outgoing edge")
-    indptr = indptr.astype(np.int64)
-    dst = dst.astype(np.int64)
-    w = w.astype(np.int64)
+    indptr = indptr.astype(np.int64, copy=False)
+    dst = dst.astype(np.int64, copy=False)
+    w = w.astype(np.int64, copy=False)
     src_per_edge = np.repeat(np.arange(num_nodes, dtype=np.int64), deg)
     pol = _initial_policy(indptr, w, src_per_edge)
     max_w = max(int(w.max()), -int(w.min()))

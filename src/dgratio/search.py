@@ -120,23 +120,43 @@ class AlphaTable:
         budget: SearchBudget,
         chosen: list[int],
     ) -> bool:
-        """Grow an independent set to `target` vertices, decreasing order."""
-        budget.charge(self)
-        if count == target:
+        """Grow an independent set to `target` vertices, decreasing order.
+
+        Depth first with an explicit stack, so the depth is not limited by
+        Python's recursion limit.  Each node is charged to the budget when
+        it is entered; a node with `count` chosen vertices and candidate set
+        B is cut when count + beta(B) < target, and it tries its candidates
+        v from the top while count + bound[v] can still reach the target.
+        On success `chosen` holds the vertices of the set, largest first.
+        """
+        charge, beta = budget.charge, self._beta
+        charge(self)
+        need = target - count
+        if need == 0:
             return True
-        if count + self._beta(candidates) < target:
+        if beta(candidates) < need:
             return False
-        rest = candidates
-        while rest:
+        rest = candidates  # candidates this node has not tried yet
+        parents = []  # the same, for every node above it
+        while True:
             v = rest.bit_length()
-            if count + bound[v] < target:
+            if v and bound[v] >= need:
+                rest ^= 1 << (v - 1)
+                charge(self)  # the child that takes v
+                if need == 1:
+                    chosen.append(v)
+                    return True
+                below = rest & ~nbr[v]
+                if beta(below) >= need - 1:
+                    parents.append(rest)
+                    chosen.append(v)
+                    rest, need = below, need - 1
+            elif parents:  # this node fails; back up to its parent
+                rest = parents.pop()
+                chosen.pop()
+                need += 1
+            else:
                 return False
-            rest ^= 1 << (v - 1)
-            chosen.append(v)
-            if self._search(count + 1, rest & ~nbr[v], target, nbr, bound, budget, chosen):
-                return True
-            chosen.pop()
-        return False
 
     def ensure_interval(self, n: int, budget: SearchBudget) -> None:
         self._extend_masks(n + 1)

@@ -288,7 +288,30 @@ def extremal_mean_cycle(graph: StateGraph, direction: str = "max") -> CycleWitne
 # ---------------------------------------------------------------------------
 
 
-_COUNT_CHUNK = 1 << 18
+_COUNT_CHUNK = 1 << 15
+
+
+def _count_grown(masks: np.ndarray, offset: int, conflicts: list[int]) -> int:
+    """How many masks growing `masks` from `offset` on would end with.
+
+    Nothing is kept: the masks are grown depth first in parts of at most
+    _COUNT_CHUNK, and a part that reaches max(S) is only counted.
+    """
+    s = len(conflicts)
+    count = 0
+    parts = [(masks[lo:lo + _COUNT_CHUNK], offset) for lo in range(0, len(masks), _COUNT_CHUNK)]
+    while parts:
+        part, p = parts.pop()
+        if p == s:
+            count += len(part)
+            continue
+        free = part[(part & conflicts[p]) == 0]
+        free |= 1 << p
+        if len(part) + len(free) <= _COUNT_CHUNK:
+            parts.append((np.concatenate((part, free)), p + 1))
+        else:
+            parts += [(part, p + 1), (free, p + 1)]
+    return count
 
 
 def _gap_state_masks(distances: DistanceSet, max_states: int) -> np.ndarray:
@@ -296,30 +319,36 @@ def _gap_state_masks(distances: DistanceSet, max_states: int) -> np.ndarray:
 
     The reachable states are exactly the S-independent subsets of
     [0, max(S)) that contain 0: every such subset is reached from mask 1 by
-    appending its elements in order.  They are counted over the 2^(max(S)-1)
-    candidate masks in chunks, so memory stays a few MB; past max_states the
-    count goes on but nothing is kept, and StateSpaceError carries the exact
-    count.
+    appending its elements in order.  They are grown from [1] one offset
+    at a time: offset p joins every mask with no offset p - d for a d in S
+    below max(S), and the joined masks, all at least 2^p, are appended
+    after the older ones, all below 2^p, so the array stays sorted and the
+    work is proportional to the states, not to the 2^(max(S)-1) candidate
+    masks.  When the next offset would take the count past max_states, the
+    rest is only counted (_count_grown), so memory stays a few MB, and
+    StateSpaceError carries the exact count.
     """
     s = distances.max_element
     inner = [d for d in distances if d < s]
-    candidates = 1 << (s - 1)
-    kept, count = [], 0
-    for lo in range(0, candidates, _COUNT_CHUNK):
-        m = (np.arange(lo, min(candidates, lo + _COUNT_CHUNK), dtype=np.int64) << 1) | 1
-        ok = np.ones(len(m), dtype=bool)
-        for d in inner:
-            ok &= (m & (m >> d)) == 0
-        count += int(np.count_nonzero(ok))
-        if count <= max_states:
-            kept.append(m[ok])
-    if count > max_states:
+    # conflicts[p] has bit p - d set for every d in S below max(S) with d <= p
+    conflicts = [sum(1 << (p - d) for d in inner if d <= p) for p in range(s)]
+    masks = np.ones(1, dtype=np.int32 if s < 32 else np.int64)
+    p = 1
+    while p < s:
+        free = masks[(masks & conflicts[p]) == 0]
+        if len(masks) + len(free) > max_states:
+            break
+        free |= 1 << p
+        masks = np.concatenate((masks, free))
+        p += 1
+    if p < s or len(masks) > max_states:
+        count = _count_grown(masks, p, conflicts)
         raise StateSpaceError(
             f"independence state space for {distances} has {count} states, "
             f"over the cap of {max_states}",
             required=count,
         )
-    return np.concatenate(kept)
+    return masks.astype(np.int64)
 
 
 def _independence_gap_graph(distances: DistanceSet, max_states: int):

@@ -4,6 +4,10 @@ against.  None of them is used by the package itself.
 - Karp's recurrence for extremal cycle means, with Tarjan's strongly
   connected components;
 - exhaustive alpha(G(S)[n]) over all 2^n subsets;
+- the recursive branch-and-bound search, one Python call per search node,
+  whose node order the package's explicit-stack search must keep;
+- the scan of all 2^(max(S)-1) candidate masks for the gap engine's
+  states, against which the grown masks and their count are checked;
 - the explicit window-subset graph for the independence ratio, whose
   maximum mean cycle the gap-state engine must match;
 - block-pair graphs for domination, identifying codes and colorings, whose
@@ -21,6 +25,7 @@ import numpy as np
 from dgratio import stategraph
 from dgratio.core import DistanceSet
 from dgratio.meancycle import NoCycleError
+from dgratio.search import AlphaTable
 from dgratio.stategraph import StateGraph
 
 BRUTE_FORCE_CAP = 26
@@ -182,6 +187,61 @@ def brute_force_alpha_interval(distances: DistanceSet, n: int) -> int:
         if len(valid):
             best = max(best, int(_popcount64(valid).max()))
     return best
+
+
+# ---------------------------------------------------------------------------
+# The recursive search and the candidate-mask scan the package replaced
+# ---------------------------------------------------------------------------
+
+
+def recursive_search(table: AlphaTable, count, candidates, target, nbr, bound, budget, chosen) -> bool:
+    """AlphaTable._search as one recursive call per node (Python's recursion
+    limit bounds its depth); assign it as `_search` on an AlphaTable
+    subclass to run the interval and circulant solvers on it."""
+    budget.charge(table)
+    if count == target:
+        return True
+    if count + table._beta(candidates) < target:
+        return False
+    rest = candidates
+    while rest:
+        v = rest.bit_length()
+        if count + bound[v] < target:
+            return False
+        rest ^= 1 << (v - 1)
+        chosen.append(v)
+        if recursive_search(table, count + 1, rest & ~nbr[v], target, nbr, bound, budget, chosen):
+            return True
+        chosen.pop()
+    return False
+
+
+class RecursiveAlphaTable(AlphaTable):
+    _search = recursive_search
+
+
+def scan_gap_state_masks(distances: DistanceSet, max_states: int) -> np.ndarray:
+    """The gap engine's state masks by scanning every candidate mask.
+
+    Tests all 2^(max(S)-1) masks with bit 0 set for S-independence, in
+    chunks of 2^18, keeping the passing ones until the count passes
+    max_states; then raises StateSpaceError with the exact count.
+    """
+    s = distances.max_element
+    inner = [d for d in distances if d < s]
+    candidates = 1 << (s - 1)
+    kept, count = [], 0
+    for lo in range(0, candidates, 1 << 18):
+        m = (np.arange(lo, min(candidates, lo + (1 << 18)), dtype=np.int64) << 1) | 1
+        ok = np.ones(len(m), dtype=bool)
+        for d in inner:
+            ok &= (m & (m >> d)) == 0
+        count += int(np.count_nonzero(ok))
+        if count <= max_states:
+            kept.append(m[ok])
+    if count > max_states:
+        raise stategraph.StateSpaceError(f"{count} states, over the cap of {max_states}", required=count)
+    return np.concatenate(kept)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""The numpy gap engine against a plain breadth-first oracle, its exact state
-count, and the byte-stable table it feeds."""
+"""The numpy gap engine against a plain breadth-first oracle, its grown states
+against the candidate-mask scan, its exact state count, and the byte-stable
+table it feeds."""
 
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -10,11 +12,15 @@ import pytest
 from dgratio import cli, meancycle
 from dgratio.core import DistanceSet
 from dgratio.stategraph import (
+    DEFAULT_CAPS,
     EngineCaps,
     StateSpaceError,
+    _gap_state_masks,
     _independence_gap_graph,
     independence_ratio_exact,
 )
+
+from oracles import scan_gap_state_masks
 
 REFERENCE_TABLE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "table_k1-10_i1-12.csv"
 
@@ -53,8 +59,19 @@ def python_gap_graph(distances: DistanceSet):
     return order, adjacency
 
 
-def _small_sets():
-    return [combo for size in (1, 2, 3) for combo in combinations(range(1, 13), size)]
+def _small_sets(top=12):
+    return [combo for size in (1, 2, 3) for combo in combinations(range(1, top + 1), size)]
+
+
+# the gap-large benchmark pool and the 90 cells of `table --k 1..10 --i 1..12`
+# that are not all odd (those are answered by a shortcut)
+GAP_LARGE_POOL = [
+    (11, 18), (8, 19), (2, 21), (10, 19), (4, 21), (1, 22), (7, 20), (13, 18),
+    (12, 19), (5, 22), (8, 21), (10, 21), (7, 22), (17, 18), (13, 20), (18, 19),
+]
+TABLE_SETS = [
+    (1, 1 + k, 1 + k + i) for k in range(1, 11) for i in range(1, 13) if k % 2 or i % 2
+]
 
 
 def test_builder_matches_the_python_oracle():
@@ -69,6 +86,49 @@ def test_builder_matches_the_python_oracle():
         assert dst.tolist() == want[1].tolist(), combo
         assert w.tolist() == want[2].tolist(), combo
         assert list(arcs) == want_adjacency, combo
+
+
+def test_grown_masks_equal_the_scan():
+    assert len(TABLE_SETS) == 90
+    for combo in _small_sets(14) + GAP_LARGE_POOL + TABLE_SETS:
+        distances = DistanceSet(combo)
+        got = _gap_state_masks(distances, 10**6)
+        want = scan_gap_state_masks(distances, 10**6)
+        assert got.dtype == want.dtype and np.array_equal(got, want), combo
+
+
+@pytest.mark.parametrize("combo, states", [((19, 22), 589_824), ((21, 22), 1_048_576), ((2, 5, 11), 52)])
+def test_required_is_exact_under_every_cap(combo, states):
+    distances = DistanceSet(combo)
+    for cap in (10, 1000, DEFAULT_CAPS.independence_max_states):
+        if states <= cap:
+            assert len(_gap_state_masks(distances, cap)) == states
+            continue
+        with pytest.raises(StateSpaceError) as info:
+            _gap_state_masks(distances, cap)
+        assert info.value.required == states, cap
+        with pytest.raises(StateSpaceError) as info:
+            scan_gap_state_masks(distances, cap)
+        assert info.value.required == states, cap
+
+
+def _peak_bytes_of_a_refusal(count_states, distances, cap):
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    with pytest.raises(StateSpaceError):
+        count_states(distances, cap)
+    return tracemalloc.get_traced_memory()[1] - base
+
+
+def test_a_refused_count_stays_within_the_scans_memory():
+    distances, cap = DistanceSet([21, 22]), DEFAULT_CAPS.independence_max_states
+    tracemalloc.start()
+    try:
+        grown = _peak_bytes_of_a_refusal(_gap_state_masks, distances, cap)
+        scanned = _peak_bytes_of_a_refusal(scan_gap_state_masks, distances, cap)
+    finally:
+        tracemalloc.stop()
+    assert 0 < grown <= scanned
 
 
 def test_cap_reports_the_exact_state_count():

@@ -1,6 +1,8 @@
 """Branch-and-bound solvers and the two-sided ratio schedule."""
 
+import inspect
 import random
+import sys
 from fractions import Fraction
 import pytest
 
@@ -9,12 +11,13 @@ from dgratio.search import (
     AlphaTable,
     BudgetExceeded,
     SearchBudget,
+    _alpha_circulant_solution,
     alpha_circulant,
     alpha_interval,
     compute_ratio,
 )
 
-from oracles import brute_force_alpha_interval
+from oracles import RecursiveAlphaTable, brute_force_alpha_interval
 
 
 def test_alpha_interval_examples():
@@ -50,6 +53,50 @@ def test_oracle_equivalence_sampled():
         n = rng.randint(1, 20)
         table = AlphaTable(s)
         assert alpha_interval(s, n, table) == brute_force_alpha_interval(s, n), (s, n)
+
+
+@pytest.mark.parametrize("combo", [(1,), (1, 2), (1, 3), (2, 3), (1, 4, 7), (5, 6, 9), (2, 5, 11), (3, 4, 10)])
+def test_search_keeps_the_recursive_node_order(combo):
+    distances = DistanceSet(combo)
+    n = 3 * distances.max_element + 12
+    runs = []
+    for table in (AlphaTable(distances), RecursiveAlphaTable(distances)):
+        budget = SearchBudget()
+        alpha_interval(distances, n, table, budget)
+        circulants = [
+            _alpha_circulant_solution(distances, m, table, budget)
+            for m in range(distances.max_element + 1, distances.max_element + 9)
+        ]
+        iv, chosen = table.interval_alpha, []
+        found = table._search(0, (1 << n) - 1, iv[n], table._nbr, iv, budget, chosen)
+        runs.append((iv, circulants, found, chosen, budget.nodes))
+    assert runs[0] == runs[1]
+    assert runs[0][2] and len(runs[0][3]) == runs[0][0][n]
+
+
+def test_search_runs_out_of_budget_where_the_recursion_did():
+    distances = DistanceSet([5, 6, 9])
+    tables = []
+    for table in (AlphaTable(distances), RecursiveAlphaTable(distances)):
+        budget = SearchBudget(max_nodes=777)
+        with pytest.raises(BudgetExceeded):
+            alpha_interval(distances, 200, table, budget)
+        tables.append((table.interval_alpha, budget.nodes))
+    assert tables[0] == tables[1]
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    distances = DistanceSet([1, 3])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        with pytest.raises(RecursionError):
+            alpha_interval(distances, 600, RecursiveAlphaTable(distances))
+        assert alpha_interval(distances, 600, AlphaTable(distances)) == 300
+    finally:
+        sys.setrecursionlimit(limit)
+    # thousands of vertices deep, past the default recursion limit
+    assert alpha_interval(distances, 2500, AlphaTable(distances)) == 1250
 
 
 def test_alpha_circulant_examples():
