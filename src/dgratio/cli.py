@@ -31,7 +31,7 @@ from .core import (
 )
 from .ratio import independence_ratio
 from .registry import get_family, list_families, verify_family, UnknownFamilyError
-from .search import RatioReport, SearchBudget, default_node_budget
+from .search import FALLBACK_NODE_BUDGET, RatioReport, SearchBudget, default_node_budget
 from .stategraph import (
     InexactResultError,
     StateSpaceError,
@@ -80,6 +80,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise UsageError(f"empty range {text!r}")
     return lo, hi
+
+
+def _node_count(text: str) -> int:
+    try:
+        nodes = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad budget {text!r}, expected a positive integer") from None
+    if nodes < 1:
+        raise argparse.ArgumentTypeError(f"budget {nodes} must be at least 1")
+    return nodes
 
 
 def _budget(args) -> SearchBudget:
@@ -215,14 +225,11 @@ def _cmd_verify(args, argv) -> int:
 def _cmd_table(args, argv) -> int:
     k_lo, k_hi = _parse_range(args.k)
     i_lo, i_hi = _parse_range(args.i)
-    budget_nodes = args.budget if args.budget is not None else default_node_budget()
     rows = []
     for k in range(k_lo, k_hi + 1):
         for i in range(i_lo, i_hi + 1):
             distances = DistanceSet([1, 1 + k, 1 + k + i])
-            report = independence_ratio(
-                distances, budget=SearchBudget(max_nodes=budget_nodes)
-            )
+            report = independence_ratio(distances, budget=_budget(args))
             if report.status == "exact":
                 status = "exact"
                 value = report.value
@@ -358,7 +365,8 @@ def build_parser() -> _Parser:
         p.add_argument("--set", required=True, help="comma-separated distances, e.g. 1,4,7")
 
     def add_budget(p):
-        p.add_argument("--budget", type=int, default=None, help="search node budget")
+        p.add_argument("--budget", type=_node_count, default=None,
+                       help=f"search node budget (default: DGRATIO_BUDGET, else {FALLBACK_NODE_BUDGET:,})")
 
     def add_json(p):
         p.add_argument("--json", action="store_true", help="emit a JSON record")

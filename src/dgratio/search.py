@@ -15,7 +15,6 @@ bound beta(B) of the remaining candidate set.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -27,45 +26,59 @@ FALLBACK_NODE_BUDGET = 3_000_000
 
 
 def default_node_budget() -> int:
+    """The node budget from DGRATIO_BUDGET, else FALLBACK_NODE_BUDGET.
+
+    Raises ValueError when the variable is set but is not a positive integer.
+    """
     raw = os.environ.get("DGRATIO_BUDGET")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return FALLBACK_NODE_BUDGET
+    if not raw:
+        return FALLBACK_NODE_BUDGET
+    try:
+        nodes = int(raw)
+    except ValueError:
+        raise ValueError(f"DGRATIO_BUDGET={raw!r} is not an integer") from None
+    if nodes < 1:
+        raise ValueError(f"DGRATIO_BUDGET={raw!r} must be at least 1")
+    return nodes
 
 
 class BudgetExceeded(Exception):
-    """Search budget ran out; carries the partially filled table."""
-
-    def __init__(self, message: str, table: Optional["AlphaTable"] = None):
-        super().__init__(message)
-        self.table = table
+    """The search node budget ran out."""
 
 
 @dataclass
 class SearchBudget:
-    """Work limits: search-tree nodes, plus an optional wall-clock cap.
+    """A limit on search-tree nodes, shared by every search it is passed to.
 
-    The wall-clock cap is off by default so identical inputs give identical
-    outputs regardless of machine speed.
+    A node count, not a time, so identical inputs give identical outputs
+    regardless of machine speed.  `nodes` is the count spent so far; the
+    node that runs the budget out is counted, so after BudgetExceeded it is
+    max_nodes + 1.
     """
 
     max_nodes: int = field(default_factory=default_node_budget)
-    max_seconds: Optional[float] = None
     nodes: int = 0
-    _started: Optional[float] = None
 
-    def charge(self, table: Optional["AlphaTable"] = None) -> None:
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise BudgetExceeded(f"node budget {self.max_nodes} exhausted", table)
-        if self.max_seconds is not None and self.nodes % 8192 == 0:
-            if self._started is None:
-                self._started = time.monotonic()
-            elif time.monotonic() - self._started > self.max_seconds:
-                raise BudgetExceeded(f"wall-clock budget {self.max_seconds}s exhausted", table)
+    def __post_init__(self):
+        if self.max_nodes < 1:
+            raise ValueError(f"node budget {self.max_nodes} must be at least 1")
+
+
+def _run_values(iv: list[int], width: int) -> tuple[list[int], list[int]]:
+    """Per-call tables of the search over candidate sets of `width` vertices.
+
+    iv is interval_alpha, whose top entry may be the sentinel of an interval
+    step.  f[r] is what a run of r consecutive candidates adds to beta:
+    iv[r] inside the table, else iv[top] + r - top.  Every f[r] is at most
+    r and at least alpha(r), and alpha is monotone and subadditive over
+    intervals, so a candidate set of p vertices has alpha(p) <= beta <= p.
+    floor[p] = iv[min(p, top - 1)] is a lower bound of alpha(p) that never
+    reads the sentinel.
+    """
+    top = len(iv) - 1
+    f = [iv[r] if r <= top else iv[top] + r - top for r in range(width + 1)]
+    floor = [iv[min(p, top - 1)] for p in range(width + 1)]
+    return f, floor
 
 
 class AlphaTable:
@@ -93,23 +106,6 @@ class AlphaTable:
                     m |= 1 << (v - d - 1)
             self._nbr.append(m)
 
-    def _beta(self, candidates: int) -> int:
-        """Sum of memoized alphas over the maximal runs of the candidate set."""
-        total = 0
-        iv = self.interval_alpha
-        top = len(iv) - 1
-        b = candidates
-        while b:
-            low = b & -b
-            merged = b + low
-            run = (b ^ merged).bit_count() - 1
-            if run <= top:
-                total += iv[run]
-            else:
-                total += iv[top] + (run - top)
-            b &= merged
-        return total
-
     def _search(
         self,
         count: int,
@@ -123,40 +119,72 @@ class AlphaTable:
         """Grow an independent set to `target` vertices, decreasing order.
 
         Depth first with an explicit stack, so the depth is not limited by
-        Python's recursion limit.  Each node is charged to the budget when
-        it is entered; a node with `count` chosen vertices and candidate set
-        B is cut when count + beta(B) < target, and it tries its candidates
-        v from the top while count + bound[v] can still reach the target.
-        On success `chosen` holds the vertices of the set, largest first.
+        Python's recursion limit.  Each node is counted against the budget
+        when it is entered; a node with `count` chosen vertices and
+        candidate set B is cut when count + beta(B) < target, where beta(B)
+        sums the memoized alphas over the maximal runs of B, and it tries
+        its candidates v from the top while count + bound[v] can still reach
+        the target.  On success `chosen` holds the vertices of the set,
+        largest first.
+
+        A child's runs are scanned only when its popcount p leaves the cut
+        open: floor[p] <= beta(B) <= p (see _run_values), so p < k rejects
+        and floor[p] >= k accepts exactly where the scan would.
         """
-        charge, beta = budget.charge, self._beta
-        charge(self)
-        need = target - count
-        if need == 0:
-            return True
-        if beta(candidates) < need:
-            return False
-        rest = candidates  # candidates this node has not tried yet
-        parents = []  # the same, for every node above it
-        while True:
-            v = rest.bit_length()
-            if v and bound[v] >= need:
-                rest ^= 1 << (v - 1)
-                charge(self)  # the child that takes v
-                if need == 1:
-                    chosen.append(v)
-                    return True
-                below = rest & ~nbr[v]
-                if beta(below) >= need - 1:
+        f, floor = _run_values(self.interval_alpha, candidates.bit_length())
+        nodes, limit = budget.nodes, budget.max_nodes
+        try:
+            nodes += 1
+            if nodes > limit:
+                raise BudgetExceeded(f"node budget {limit} exhausted")
+            need = target - count
+            if need == 0:
+                return True
+            total, b = 0, candidates
+            while b:
+                low = b & -b
+                merged = b + low
+                total += f[(b ^ merged).bit_count() - 1]
+                b &= merged
+            if total < need:
+                return False
+            rest = candidates  # candidates this node has not tried yet
+            parents = []  # the same, for every node above it
+            while True:
+                v = rest.bit_length()
+                if bound[v] >= need:  # no candidates left (v == 0) fails too: bound[0] == 0
+                    rest ^= 1 << (v - 1)
+                    nodes += 1  # the child that takes v
+                    if nodes > limit:
+                        raise BudgetExceeded(f"node budget {limit} exhausted")
+                    if need == 1:
+                        chosen.append(v)
+                        return True
+                    below = rest & ~nbr[v]
+                    k = need - 1
+                    pc = below.bit_count()
+                    if pc < k:
+                        continue
+                    if floor[pc] < k:
+                        total, b = 0, below
+                        while b:
+                            low = b & -b
+                            merged = b + low
+                            total += f[(b ^ merged).bit_count() - 1]
+                            b &= merged
+                        if total < k:
+                            continue
                     parents.append(rest)
                     chosen.append(v)
-                    rest, need = below, need - 1
-            elif parents:  # this node fails; back up to its parent
-                rest = parents.pop()
-                chosen.pop()
-                need += 1
-            else:
-                return False
+                    rest, need = below, k
+                elif parents:  # this node fails; back up to its parent
+                    rest = parents.pop()
+                    chosen.pop()
+                    need += 1
+                else:
+                    return False
+        finally:
+            budget.nodes = nodes
 
     def ensure_interval(self, n: int, budget: SearchBudget) -> None:
         self._extend_masks(n + 1)

@@ -4,8 +4,9 @@ against.  None of them is used by the package itself.
 - Karp's recurrence for extremal cycle means, with Tarjan's strongly
   connected components;
 - exhaustive alpha(G(S)[n]) over all 2^n subsets;
-- the recursive branch-and-bound search, one Python call per search node,
-  whose node order the package's explicit-stack search must keep;
+- the recursive branch-and-bound search, one Python call per search node
+  and a full run scan per candidate set, whose node order, node counts and
+  budget exhaustion the package's explicit-stack search must keep;
 - the scan of all 2^(max(S)-1) candidate masks for the gap engine's
   states, against which the grown masks and their count are checked;
 - the explicit window-subset graph for the independence ratio, whose
@@ -25,7 +26,7 @@ import numpy as np
 from dgratio import stategraph
 from dgratio.core import DistanceSet
 from dgratio.meancycle import NoCycleError
-from dgratio.search import AlphaTable
+from dgratio.search import AlphaTable, BudgetExceeded, SearchBudget
 from dgratio.stategraph import StateGraph
 
 BRUTE_FORCE_CAP = 26
@@ -194,14 +195,41 @@ def brute_force_alpha_interval(distances: DistanceSet, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def charge(budget: SearchBudget) -> None:
+    """Count one search node against the budget, raising BudgetExceeded at
+    the node past max_nodes (which is still counted)."""
+    budget.nodes += 1
+    if budget.nodes > budget.max_nodes:
+        raise BudgetExceeded(f"node budget {budget.max_nodes} exhausted")
+
+
+def beta(iv: list, candidates: int) -> int:
+    """Sum of the memoized alphas iv over the maximal runs of the candidate
+    set, one run at a time; a run past the table adds iv[top] + its excess."""
+    total = 0
+    top = len(iv) - 1
+    b = candidates
+    while b:
+        low = b & -b
+        merged = b + low
+        run = (b ^ merged).bit_count() - 1
+        if run <= top:
+            total += iv[run]
+        else:
+            total += iv[top] + (run - top)
+        b &= merged
+    return total
+
+
 def recursive_search(table: AlphaTable, count, candidates, target, nbr, bound, budget, chosen) -> bool:
     """AlphaTable._search as one recursive call per node (Python's recursion
-    limit bounds its depth); assign it as `_search` on an AlphaTable
-    subclass to run the interval and circulant solvers on it."""
-    budget.charge(table)
+    limit bounds its depth), scanning every run of every candidate set;
+    assign it as `_search` on an AlphaTable subclass to run the interval and
+    circulant solvers on it."""
+    charge(budget)
     if count == target:
         return True
-    if count + table._beta(candidates) < target:
+    if count + beta(table.interval_alpha, candidates) < target:
         return False
     rest = candidates
     while rest:

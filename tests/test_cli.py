@@ -5,8 +5,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import dgratio
 from dgratio.cli import run
+from dgratio.search import default_node_budget
 
 
 def _capture(capsys, argv):
@@ -190,6 +193,30 @@ def test_env_budget_override(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "12345"
+
+
+def test_budget_below_one_is_a_usage_error(capsys):
+    for bad in ("-5", "0", "abc"):
+        for argv in (
+            ["compute", "--set", "1,10,31", "--budget", bad],
+            ["chi-f", "--set", "2,9,25", "--budget", bad],
+        ):
+            code, out, err = _capture(capsys, argv)
+            assert code == 2, argv
+            assert out == "" and "--budget" in err
+
+
+@pytest.mark.parametrize("raw", ["-7", "0", "abc", "1.5"])
+def test_malformed_env_budget_is_refused(monkeypatch, capsys, raw):
+    monkeypatch.setenv("DGRATIO_BUDGET", raw)
+    with pytest.raises(ValueError, match="DGRATIO_BUDGET"):
+        default_node_budget()
+    code, out, err = _capture(capsys, ["compute", "--set", "1,10,31"])
+    assert code == 2
+    assert out == "" and "DGRATIO_BUDGET" in err and "Traceback" not in err
+    # an explicit budget does not read the variable
+    code, _, _ = _capture(capsys, ["compute", "--set", "1,10,31", "--budget", "50"])
+    assert code == 3
 
 
 def test_console_entry_point():

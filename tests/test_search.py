@@ -1,6 +1,7 @@
 """Branch-and-bound solvers and the two-sided ratio schedule."""
 
 import inspect
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -12,12 +13,13 @@ from dgratio.search import (
     BudgetExceeded,
     SearchBudget,
     _alpha_circulant_solution,
+    _run_values,
     alpha_circulant,
     alpha_interval,
     compute_ratio,
 )
 
-from oracles import RecursiveAlphaTable, brute_force_alpha_interval
+from oracles import RecursiveAlphaTable, beta, brute_force_alpha_interval
 
 
 def test_alpha_interval_examples():
@@ -83,6 +85,73 @@ def test_search_runs_out_of_budget_where_the_recursion_did():
             alpha_interval(distances, 200, table, budget)
         tables.append((table.interval_alpha, budget.nodes))
     assert tables[0] == tables[1]
+
+
+def _schedule_until_the_budget_runs_out(table, distances, budget):
+    # compute_ratio's order of interval and circulant searches, kept going
+    # past the point where its bounds would meet
+    s = distances.max_element
+    circulants = []
+    with pytest.raises(BudgetExceeded):
+        for n in itertools.count(1):
+            alpha_interval(distances, 2 * n, table, budget)
+            if n > s:
+                circulants.append(_alpha_circulant_solution(distances, n, table, budget))
+    return table.interval_alpha, table.prefix_alpha, circulants, budget.nodes
+
+
+@pytest.mark.parametrize("combo", [(1, 17, 36), (19, 22), (21, 22), (2, 5, 24)])
+def test_search_matches_the_recursion_on_heavy_sets(combo):
+    # sets from the search benchmark pool; the popcount cuts decide 36% to
+    # 77% of their children without a run scan
+    distances = DistanceSet(combo)
+    runs = [
+        _schedule_until_the_budget_runs_out(table, distances, SearchBudget(max_nodes=150_000))
+        for table in (AlphaTable(distances), RecursiveAlphaTable(distances))
+    ]
+    assert runs[0] == runs[1]
+    assert runs[0][3] == 150_001
+
+
+class _SnapshotTable(AlphaTable):
+    """Keeps a copy of interval_alpha at every search call."""
+
+    def __init__(self, distances):
+        super().__init__(distances)
+        self.snapshots = []
+
+    def _search(self, *args):
+        self.snapshots.append(list(self.interval_alpha))
+        return super()._search(*args)
+
+
+@pytest.mark.parametrize("combo", [(1,), (1, 3), (2, 3), (5, 6, 9), (2, 5, 11), (3, 4, 10)])
+def test_popcount_cuts_agree_with_the_run_scan(combo):
+    distances = DistanceSet(combo)
+    table = _SnapshotTable(distances)
+    alpha_interval(distances, 40, table)
+    # mid interval step: the top entry is the sentinel a(m-1) + 1, in some
+    # steps above the true alpha
+    tables = [iv for iv in table.snapshots if len(iv) > 2]
+    assert any(iv[-1] > brute_force_alpha_interval(distances, len(iv) - 1) for iv in tables[:20])
+    for n in range(distances.max_element + 1, distances.max_element + 6):
+        alpha_circulant(distances, n, table)
+        tables.append(list(table.interval_alpha))  # after a circulant step: no sentinel
+    rng = random.Random(sum(combo))
+    for iv in tables:
+        top = len(iv) - 1
+        width = top + 4  # candidate sets may run past the table
+        f, floor = _run_values(iv, width)
+        assert f == [beta(iv, (1 << r) - 1) for r in range(width + 1)]
+        for _ in range(40):
+            density = rng.uniform(0.3, 1.0)
+            b = sum(1 << i for i in range(width) if rng.random() < density)
+            pc, scanned = b.bit_count(), beta(iv, b)
+            for k in range(pc + 2):
+                if pc < k:  # the reject cut
+                    assert scanned < k, (iv, bin(b), k)
+                if floor[pc] >= k:  # the accept cut
+                    assert scanned >= k, (iv, bin(b), k)
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
@@ -184,14 +253,25 @@ def test_compute_ratio_budget_is_a_status_not_an_error():
     assert verify_periodic_independent(report.lower_witness, DistanceSet([2, 9, 13])).ok
 
 
-def test_budget_error_carries_partial_table():
+def test_budget_error_leaves_a_resumable_table():
+    # the caller's table keeps every completed entry and drops the open
+    # sentinel, so the same table resumes where the budget ran out
     s = DistanceSet([2, 9, 13])
     table = AlphaTable(s)
     budget = SearchBudget(max_nodes=25)
-    with pytest.raises(BudgetExceeded) as err:
+    with pytest.raises(BudgetExceeded):
         alpha_interval(s, 30, table, budget)
-    assert err.value.table is table
-    assert len(table.interval_alpha) >= 1
+    assert budget.nodes == 26
+    done = table.interval_alpha
+    assert len(done) >= 1
+    assert done == [brute_force_alpha_interval(s, n) for n in range(len(done))]
+    assert alpha_interval(s, 30, table) == alpha_interval(s, 30, AlphaTable(s))
+
+
+def test_budget_below_one_node_is_refused():
+    for nodes in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            SearchBudget(max_nodes=nodes)
 
 
 def test_subset_monotonicity_through_search():
