@@ -8,15 +8,13 @@ from .core import (
     ExpansionLimitError,
     IndependenceVerdict,
     NormalizedSet,
-    block_density,
-    expand_blocks,
     normalize,
     parse_block_notation,
     power_distance_set,
     structure_from_sizes,
     verify_periodic_independent,
 )
-from .ratio import independence_ratio
+from .ratio import InexactResultError, fractional_chromatic, independence_ratio
 from .registry import (
     Family,
     FormulaVerdict,
@@ -41,13 +39,11 @@ from .stategraph import (
     Domination,
     EngineCaps,
     IdentifyingCode,
-    InexactResultError,
     InfeasibleError,
     StateGraph,
     StateSpaceError,
     build_state_graph,
     extremal_mean_cycle,
-    fractional_chromatic,
     independence_ratio_exact,
     min_dominating_density,
     min_identifying_density,

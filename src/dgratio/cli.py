@@ -24,18 +24,14 @@ from .core import (
     BlockSyntaxError,
     DistanceSet,
     ExpansionLimitError,
-    block_density,
-    expand_blocks,
     parse_block_notation,
     verify_periodic_independent,
 )
-from .ratio import independence_ratio
+from .ratio import InexactResultError, fractional_chromatic, independence_ratio
 from .registry import get_family, list_families, verify_family, UnknownFamilyError
 from .search import FALLBACK_NODE_BUDGET, RatioReport, SearchBudget, default_node_budget
 from .stategraph import (
-    InexactResultError,
     StateSpaceError,
-    fractional_chromatic,
     min_dominating_density,
     min_identifying_density,
     periodic_coloring,
@@ -154,9 +150,9 @@ def _cmd_blocks(args, argv) -> int:
     started = time.monotonic()
     distances = DistanceSet.parse(args.set)
     structure = parse_block_notation(args.blocks)
-    blocks = expand_blocks(structure, cap=args.expansion_cap)
+    blocks = structure.expand(cap=args.expansion_cap)
     verdict = verify_periodic_independent(blocks, distances)
-    density = block_density(blocks)
+    density = blocks.density()
     if args.json:
         result = {
             "set": list(distances.distances),

@@ -300,10 +300,6 @@ def parse_block_notation(text: str) -> BlockStructure:
     return result
 
 
-def expand_blocks(structure: BlockStructure, cap: int = DEFAULT_EXPANSION_CAP) -> "BlockList":
-    return structure.expand(cap=cap)
-
-
 @dataclass(frozen=True)
 class BlockList:
     """Flat list of block sizes describing one period of a periodic set."""
@@ -355,11 +351,6 @@ class BlockList:
 
     def __str__(self) -> str:
         return self.notation()
-
-
-def block_density(blocks: BlockList) -> Fraction:
-    """Density of the periodic set described by `blocks`, in lowest terms."""
-    return blocks.density()
 
 
 @dataclass(frozen=True)

@@ -345,9 +345,3 @@ def _min_mean_cycle_descent(indptr, dst, w, src_per_edge):
         if lower >= mean:
             raise RuntimeError("negative-cycle descent did not lower the mean")
         mean = lower
-
-
-def max_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray):
-    """Maximum mean cycle via weight negation."""
-    mean, cyc, weights = min_mean_cycle_howard(indptr, dst, -np.asarray(w))
-    return -mean, cyc, [-x for x in weights]

@@ -20,6 +20,17 @@ from .stategraph import DEFAULT_CAPS, EngineCaps, StateSpaceError, independence_
 METHODS = ("auto", "search", "stategraph")
 
 
+class InexactResultError(RuntimeError):
+    """An exact value was required but only bounds are available."""
+
+    def __init__(self, report: RatioReport):
+        super().__init__(
+            f"exact ratio unavailable for {report.distances}: "
+            f"bounds [{report.lower}, {report.upper}]"
+        )
+        self.report = report
+
+
 def scale_block_witness(blocks: BlockList, divisor: int) -> BlockList:
     """Witness for d*S from a witness for S (same density).
 
@@ -87,3 +98,13 @@ def independence_ratio(
     if not verify_periodic_independent(witness, distances).ok:
         raise AssertionError(f"internal error: witness for {distances} failed verification")
     return replace(report, distances=distances, lower_witness=witness, note="; ".join(notes) or None)
+
+
+def fractional_chromatic(
+    distances: DistanceSet, budget: Optional[SearchBudget] = None, caps: EngineCaps = DEFAULT_CAPS
+) -> Fraction:
+    """Reciprocal of the independence ratio; demands an exact ratio."""
+    report = independence_ratio(distances, budget=budget, caps=caps)
+    if report.status != "exact":
+        raise InexactResultError(report)
+    return 1 / report.value

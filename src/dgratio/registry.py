@@ -25,7 +25,6 @@ from .core import (
     DistanceSet,
     Literal,
     Power,
-    block_density,
     verify_periodic_independent,
 )
 from .ratio import independence_ratio
@@ -1328,7 +1327,7 @@ def verify_family(
         structure = fam.witness(params)
         if structure is not None:
             blocks = structure.expand()
-            witness_density = block_density(blocks)
+            witness_density = blocks.density()
             ok = verify_periodic_independent(blocks, distances).ok
             target = fam.witness_value(params) if fam.witness_value else predicted
             witness_ok = ok and (target is None or witness_density == target)

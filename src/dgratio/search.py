@@ -296,6 +296,8 @@ def _gaps_of_circulant_solution(solution: list[int], n: int) -> BlockList:
 
 
 _WINDOW_CERTIFICATE_GRACE = 5
+# interval rounds compute_ratio runs before it reports the bounds it has
+_MAX_ROUNDS = 2000
 
 
 def _window_certificate_upper(distances: DistanceSet, caps: EngineCaps) -> Optional[Fraction]:
@@ -317,7 +319,6 @@ def _window_certificate_upper(distances: DistanceSet, caps: EngineCaps) -> Optio
 def compute_ratio(
     distances: DistanceSet,
     budget: Optional[SearchBudget] = None,
-    max_rounds: int = 2000,
     caps: Optional[EngineCaps] = DEFAULT_CAPS,
 ) -> RatioReport:
     """Interleaved two-sided search for the independence ratio of G(S).
@@ -344,7 +345,7 @@ def compute_ratio(
     note = None
     exact = False
     try:
-        for n in range(1, max_rounds + 1):
+        for n in range(1, _MAX_ROUNDS + 1):
             for m in (2 * n - 1, 2 * n):
                 a = alpha_interval(distances, m, table, budget)
                 r = Fraction(a, m)

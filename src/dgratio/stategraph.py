@@ -52,17 +52,6 @@ class InfeasibleError(ValueError):
     """The pruned state graph is empty (no bi-infinite object exists)."""
 
 
-class InexactResultError(RuntimeError):
-    """An exact value was required but only bounds are available."""
-
-    def __init__(self, report):
-        super().__init__(
-            f"exact ratio unavailable for {report.distances}: "
-            f"bounds [{report.lower}, {report.upper}]"
-        )
-        self.report = report
-
-
 @dataclass(frozen=True)
 class EngineCaps:
     """Resource limits for state-graph constructions (all configurable)."""
@@ -109,55 +98,34 @@ ProblemKind = Union[Domination, IdentifyingCode, Coloring]
 class StateGraph:
     """Digraph of admissible window states, pruned to bi-infinite walks.
 
-    states are integers in base 2 (subset kinds) or base `colors`
-    (Coloring); each arc adds `window` positions, spelled by the low
-    `window` digits of the state it enters, digit 0 first.  The automaton
-    of build_state_graph has window 1 and digit 0 the newest position.
-    weights[i] is the element count an arc into state i adds (0 for
-    Coloring).  arcs[i] lists successor state indices in increasing order.
+    states are the surviving window states in increasing order, integers in
+    base 2 (subset kinds) or base `colors` (Coloring) with digit 0 the
+    newest position.  arcs holds each state's out-arcs as CSR arrays, in
+    increasing target order; an arc's weight is the digit it appends for
+    the subset kinds and 0 for Coloring.
     """
 
-    window: int
     kind: ProblemKind
     states: tuple
-    arcs: tuple
-    weights: tuple
+    arcs: meancycle.CSRAdjacency
 
 
-def _prune(states: list, arcs: list) -> tuple[list, list]:
-    """Iteratively delete states without successors or predecessors."""
-    n = len(states)
-    alive = [True] * n
-    changed = True
-    while changed:
-        changed = False
-        indeg = [0] * n
-        for i in range(n):
-            if not alive[i]:
-                continue
-            out = 0
-            for j in arcs[i]:
-                if alive[j]:
-                    out += 1
-                    indeg[j] += 1
-            if out == 0:
-                alive[i] = False
-                changed = True
-        for i in range(n):
-            if alive[i] and indeg[i] == 0:
-                alive[i] = False
-                changed = True
-    remap = {}
-    new_states = []
-    for i in range(n):
-        if alive[i]:
-            remap[i] = len(new_states)
-            new_states.append(states[i])
-    new_arcs = []
-    for i in range(n):
-        if alive[i]:
-            new_arcs.append(tuple(sorted(remap[j] for j in arcs[i] if alive[j])))
-    return new_states, new_arcs
+def _prune(targets: np.ndarray) -> np.ndarray:
+    """States of a successor table that lie on bi-infinite walks.
+
+    targets[t] lists the states t has arcs into, -1 for no arc.  States
+    without a live successor or a live predecessor are dropped until none
+    is left; returns the survivors in increasing order.
+    """
+    has_arc = targets >= 0
+    dst = np.where(has_arc, targets, 0)
+    alive = np.ones(len(targets), dtype=bool)
+    while True:
+        live = has_arc & alive[dst] & alive[:, None]
+        kept = live.any(axis=1) & (np.bincount(dst[live], minlength=len(targets)) > 0)
+        if np.array_equal(kept, alive):
+            return np.flatnonzero(alive)
+        alive = kept
 
 
 def _ball(v: int, distances: DistanceSet) -> int:
@@ -216,10 +184,19 @@ def build_state_graph(distances: DistanceSet, kind: ProblemKind, caps: EngineCap
             for d in distances:  # digit d of the pattern is the color d back
                 ok &= pasted // base**d % base != x
         targets[:, x] = np.where(ok, pasted % size, -1)
-    arcs = [[j for j in row if j >= 0] for row in targets.tolist()]
-    states, arcs = _prune(list(range(size)), arcs)
-    weights = tuple(0 if isinstance(kind, Coloring) else t & 1 for t in states)
-    return StateGraph(window=1, kind=kind, states=tuple(states), arcs=tuple(arcs), weights=weights)
+    states = _prune(targets)
+    number = np.full(size, -1, dtype=np.int64)
+    number[states] = np.arange(len(states), dtype=np.int64)
+    # a row's targets rise with the appended digit, so CSR order is target order
+    succ = targets[states]
+    succ = np.where(succ >= 0, number[succ], -1)
+    live = succ >= 0
+    indptr = np.zeros(len(states) + 1, dtype=np.int64)
+    np.cumsum(live.sum(axis=1), out=indptr[1:])
+    digit = np.nonzero(live)[1]
+    weights = np.zeros_like(digit) if isinstance(kind, Coloring) else digit
+    arcs = meancycle.CSRAdjacency(indptr, succ[live], weights)
+    return StateGraph(kind=kind, states=tuple(states.tolist()), arcs=arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -238,49 +215,29 @@ class CycleWitness:
     colors: Optional[tuple] = None
 
 
-def _cycle_digits(graph: StateGraph, states: Sequence[int]) -> list[int]:
-    """One period of the object a cycle spells: the low `window` digits of
-    each state in turn, digit 0 first."""
-    base = graph.kind.colors if isinstance(graph.kind, Coloring) else 2
-    digits = []
-    for state in states:
-        for _ in range(graph.window):
-            state, digit = divmod(state, base)
-            digits.append(digit)
-    return digits
-
-
 def _cycle_witness(graph: StateGraph, cycle: Sequence[int], density: Fraction) -> CycleWitness:
+    """Decode a cycle: each arc appends digit 0 of the state it enters."""
     states = tuple(graph.states[i] for i in cycle)
-    digits = _cycle_digits(graph, states)
     if isinstance(graph.kind, Coloring):
-        return CycleWitness(states=states, density=density, period=len(digits), colors=tuple(digits))
-    positions = [p for p, digit in enumerate(digits) if digit]
+        colors = tuple(t % graph.kind.colors for t in states)
+        return CycleWitness(states=states, density=density, period=len(colors), colors=colors)
+    positions = [p for p, t in enumerate(states) if t & 1]
     blocks = None
     if positions:
         gaps = [b - a for a, b in zip(positions, positions[1:])]
-        gaps.append(len(digits) - positions[-1] + positions[0])
+        gaps.append(len(states) - positions[-1] + positions[0])
         blocks = BlockList(gaps)
-    return CycleWitness(states=states, density=density, period=len(digits), period_set=blocks)
+    return CycleWitness(states=states, density=density, period=len(states), period_set=blocks)
 
 
-def extremal_mean_cycle(graph: StateGraph, direction: str = "max") -> CycleWitness:
-    """Exact extremal mean state weight over simple cycles of the graph.
-
-    direction 'max' maximizes, 'min' minimizes.  The density reported is the
-    per-integer value (mean weight divided by the window length).
-    """
-    if direction not in ("max", "min"):
-        raise ValueError("direction must be 'max' or 'min'")
+def extremal_mean_cycle(graph: StateGraph) -> CycleWitness:
+    """Exact minimum mean arc weight over simple cycles of the graph, which
+    is the density of the sparsest periodic set the automaton spells."""
     if not graph.states:
         raise InfeasibleError("state graph is empty after pruning")
-    adjacency = [[(graph.weights[j], j) for j in out] for out in graph.arcs]
-    indptr, dst, w = meancycle.csr_from_adjacency(adjacency)
-    if direction == "max":
-        mean, cyc, _ = meancycle.max_mean_cycle_howard(indptr, dst, w)
-    else:
-        mean, cyc, _ = meancycle.min_mean_cycle_howard(indptr, dst, w)
-    return _cycle_witness(graph, cyc, mean / graph.window)
+    indptr, dst, w = meancycle.csr_from_adjacency(graph.arcs)
+    mean, cyc, _ = meancycle.min_mean_cycle_howard(indptr, dst, w)
+    return _cycle_witness(graph, cyc, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +447,7 @@ def min_dominating_density(
 ) -> tuple[Fraction, CycleWitness]:
     """Exact minimum density of a dominating set in G(S), with witness."""
     graph = build_state_graph(distances, Domination(), caps)
-    witness = extremal_mean_cycle(graph, "min")
+    witness = extremal_mean_cycle(graph)
     if witness.period_set is None or not verify_periodic_dominating(witness.period_set, distances):
         raise AssertionError(f"internal error: dominating witness failed for {distances}")
     return witness.density, witness
@@ -508,7 +465,7 @@ def min_identifying_density(
         raise ValueError("radius must be >= 1")
     effective = distances if radius == 1 else power_distance_set(distances, radius)
     graph = build_state_graph(effective, IdentifyingCode(), caps)
-    witness = extremal_mean_cycle(graph, "min")
+    witness = extremal_mean_cycle(graph)
     if witness.period_set is None or not verify_periodic_identifying(
         witness.period_set, distances, radius
     ):
@@ -525,22 +482,13 @@ def periodic_coloring(
     if not graph.states:
         return None
     # any cycle works; find one by walking first arcs until a repeat
+    first = graph.arcs.dst[graph.arcs.indptr[:-1]].tolist()
     seen: dict[int, int] = {}
     node = 0
     while node not in seen:
         seen[node] = len(seen)
-        node = graph.arcs[node][0]
+        node = first[node]
     witness = _cycle_witness(graph, list(seen)[seen[node]:], Fraction(0))
     if not verify_periodic_coloring(witness.colors, distances):
         raise AssertionError(f"internal error: coloring witness failed for {distances}")
     return witness
-
-
-def fractional_chromatic(distances: DistanceSet, budget=None, caps: EngineCaps = DEFAULT_CAPS) -> Fraction:
-    """Reciprocal of the independence ratio; demands an exact ratio."""
-    from .ratio import independence_ratio
-
-    report = independence_ratio(distances, budget=budget, caps=caps)
-    if report.status != "exact":
-        raise InexactResultError(report)
-    return 1 / report.value

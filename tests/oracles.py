@@ -2,18 +2,23 @@
 against.  None of them is used by the package itself.
 
 - Karp's recurrence for extremal cycle means, with Tarjan's strongly
-  connected components;
+  connected components, and Howard's maximum mean cycle by negation;
 - exhaustive alpha(G(S)[n]) over all 2^n subsets;
 - the recursive branch-and-bound search, one Python call per search node
   and a full run scan per candidate set, whose node order, node counts and
   budget exhaustion the package's explicit-stack search must keep;
 - the scan of all 2^(max(S)-1) candidate masks for the gap engine's
   states, against which the grown masks and their count are checked;
-- the explicit window-subset graph for the independence ratio, whose
-  maximum mean cycle the gap-state engine must match;
-- block-pair graphs for domination, identifying codes and colorings, whose
-  states are whole windows and whose arcs paste two of them, against which
-  the one-position sliding-window automaton is checked.
+- window graphs with list adjacency, pruned by a Python loop, whose arcs
+  may add several positions, with their extremal mean cycles in either
+  direction:
+  - the sliding-window automaton built on lists, whose states, arcs and
+    weights the package's numpy build must equal;
+  - the explicit window-subset graph for the independence ratio, whose
+    maximum mean cycle the gap-state engine must match;
+  - block-pair graphs for domination, identifying codes and colorings,
+    whose states are whole windows and whose arcs paste two of them,
+    against which the one-position sliding-window automaton is checked.
 """
 
 from __future__ import annotations
@@ -24,10 +29,10 @@ from fractions import Fraction
 import numpy as np
 
 from dgratio import stategraph
-from dgratio.core import DistanceSet
-from dgratio.meancycle import NoCycleError
+from dgratio.core import BlockList, DistanceSet
+from dgratio.meancycle import NoCycleError, csr_from_adjacency, min_mean_cycle_howard
 from dgratio.search import AlphaTable, BudgetExceeded, SearchBudget
-from dgratio.stategraph import StateGraph
+from dgratio.stategraph import Coloring, CycleWitness, InfeasibleError
 
 BRUTE_FORCE_CAP = 26
 
@@ -149,6 +154,12 @@ def max_mean_cycle_karp(num_nodes: int, edges: list) -> Fraction:
 
 def min_mean_cycle_karp(num_nodes: int, edges: list) -> Fraction:
     return -max_mean_cycle_karp(num_nodes, [(u, v, -w) for u, v, w in edges])
+
+
+def max_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray):
+    """Maximum mean cycle via weight negation."""
+    mean, cyc, weights = min_mean_cycle_howard(indptr, dst, -np.asarray(w))
+    return -mean, cyc, [-x for x in weights]
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +284,137 @@ def scan_gap_state_masks(distances: DistanceSet, max_states: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Window graphs on lists
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WindowGraph:
+    """Digraph of window states with list adjacency.
+
+    states are integers in base 2 (subset kinds) or base `colors`
+    (Coloring); each arc adds `window` positions, spelled by the low
+    `window` digits of the state it enters, digit 0 first.  weights[i] is
+    the element count an arc into state i adds (0 for Coloring).  arcs[i]
+    lists successor state indices in increasing order.
+    """
+
+    window: int
+    kind: object
+    states: tuple
+    arcs: tuple
+    weights: tuple
+
+
+def prune(states: list, arcs: list) -> tuple[list, list]:
+    """Iteratively delete states without successors or predecessors."""
+    n = len(states)
+    alive = [True] * n
+    changed = True
+    while changed:
+        changed = False
+        indeg = [0] * n
+        for i in range(n):
+            if not alive[i]:
+                continue
+            out = 0
+            for j in arcs[i]:
+                if alive[j]:
+                    out += 1
+                    indeg[j] += 1
+            if out == 0:
+                alive[i] = False
+                changed = True
+        for i in range(n):
+            if alive[i] and indeg[i] == 0:
+                alive[i] = False
+                changed = True
+    remap = {}
+    new_states = []
+    for i in range(n):
+        if alive[i]:
+            remap[i] = len(new_states)
+            new_states.append(states[i])
+    new_arcs = []
+    for i in range(n):
+        if alive[i]:
+            new_arcs.append(tuple(sorted(remap[j] for j in arcs[i] if alive[j])))
+    return new_states, new_arcs
+
+
+def window_csr(graph: WindowGraph) -> tuple:
+    """CSR arrays (indptr, dst, w) of a list window graph, arcs weighted by
+    the state they enter."""
+    return csr_from_adjacency([[(graph.weights[j], j) for j in out] for out in graph.arcs])
+
+
+def _cycle_witness(graph: WindowGraph, cycle: list, density: Fraction) -> CycleWitness:
+    """One period of the object a cycle spells: the low `window` digits of
+    each state in turn, digit 0 first."""
+    base = graph.kind.colors if isinstance(graph.kind, Coloring) else 2
+    states = tuple(graph.states[i] for i in cycle)
+    digits = []
+    for state in states:
+        for _ in range(graph.window):
+            state, digit = divmod(state, base)
+            digits.append(digit)
+    if isinstance(graph.kind, Coloring):
+        return CycleWitness(states=states, density=density, period=len(digits), colors=tuple(digits))
+    positions = [p for p, digit in enumerate(digits) if digit]
+    blocks = None
+    if positions:
+        gaps = [b - a for a, b in zip(positions, positions[1:])]
+        gaps.append(len(digits) - positions[-1] + positions[0])
+        blocks = BlockList(gaps)
+    return CycleWitness(states=states, density=density, period=len(digits), period_set=blocks)
+
+
+def extremal_mean_cycle(graph: WindowGraph, direction: str = "max") -> CycleWitness:
+    """Exact extremal mean state weight over simple cycles of the graph.
+
+    direction 'max' maximizes, 'min' minimizes.  The density reported is the
+    per-integer value (mean weight divided by the window length).
+    """
+    if direction not in ("max", "min"):
+        raise ValueError("direction must be 'max' or 'min'")
+    if not graph.states:
+        raise InfeasibleError("state graph is empty after pruning")
+    howard = max_mean_cycle_howard if direction == "max" else min_mean_cycle_howard
+    mean, cyc, _ = howard(*window_csr(graph))
+    return _cycle_witness(graph, cyc, mean / graph.window)
+
+
+def list_window_graph(distances: DistanceSet, kind, caps=stategraph.DEFAULT_CAPS) -> WindowGraph:
+    """The sliding-window automaton of build_state_graph, its successor lists
+    read off the numpy table and pruned by the Python loop above."""
+    s = distances.max_element
+    if isinstance(kind, Coloring):
+        base, length, masks = kind.colors, s, []
+    elif isinstance(kind, stategraph.Domination):
+        base, length, masks = 2, 2 * s, [stategraph._ball(s, distances)]
+    else:
+        base, length, masks = 2, 4 * s, stategraph._identifying_condition_masks(distances)
+    size = base**length
+    if size > caps.window_max_states:
+        raise stategraph.StateSpaceError("over the window cap", required=size)
+    state = np.arange(size, dtype=np.int64)
+    targets = np.empty((size, base), dtype=np.int64)
+    for x in range(base):
+        pasted = state * base + x
+        ok = np.ones(size, dtype=bool)
+        for m in masks:
+            ok &= (pasted & m) != 0
+        if isinstance(kind, Coloring):
+            for d in distances:
+                ok &= pasted // base**d % base != x
+        targets[:, x] = np.where(ok, pasted % size, -1)
+    arcs = [[j for j in row if j >= 0] for row in targets.tolist()]
+    states, arcs = prune(list(range(size)), arcs)
+    weights = tuple(0 if isinstance(kind, Coloring) else t & 1 for t in states)
+    return WindowGraph(window=1, kind=kind, states=tuple(states), arcs=tuple(arcs), weights=weights)
+
+
+# ---------------------------------------------------------------------------
 # Window-subset graph for the independence ratio
 # ---------------------------------------------------------------------------
 
@@ -295,7 +437,7 @@ def _independent_window_masks(length: int, distances: DistanceSet) -> list[int]:
     return masks
 
 
-def independence_window_graph(distances: DistanceSet) -> StateGraph:
+def independence_window_graph(distances: DistanceSet) -> WindowGraph:
     """Explicit window graph of the independence ratio.
 
     States are the S-independent subsets of a window of max(S) positions; an
@@ -326,9 +468,9 @@ def independence_window_graph(distances: DistanceSet) -> StateGraph:
                 break
             sub = (sub - 1) & allowed
         arcs.append(tuple(sorted(out)))
-    states, arcs2 = stategraph._prune(admissible, [list(a) for a in arcs])
+    states, arcs2 = prune(admissible, [list(a) for a in arcs])
     weights = tuple(m.bit_count() for m in states)
-    return StateGraph(window=s, kind=Independence(), states=tuple(states), arcs=tuple(arcs2), weights=weights)
+    return WindowGraph(window=s, kind=Independence(), states=tuple(states), arcs=tuple(arcs2), weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +490,7 @@ def _neighborhood_mask(v: int, distances: DistanceSet, span: int) -> int:
     return m
 
 
-def _pair_graph(ell: int, masks: list[int], kind) -> StateGraph:
+def _pair_graph(ell: int, masks: list[int], kind) -> WindowGraph:
     """Graph on all 2^ell windows, pruned to bi-infinite walks.
 
     Window t may be followed by window t' when the pasted pattern
@@ -372,12 +514,12 @@ def _pair_graph(ell: int, masks: list[int], kind) -> StateGraph:
             bad |= np.outer((t & lo) == 0, (t & hi) == 0)
     valid = (~bad) & valid_t[:, None] & valid_n[None, :]
     arcs = [np.flatnonzero(valid[i]).tolist() for i in range(size)]
-    states, arcs = stategraph._prune(list(range(size)), arcs)
+    states, arcs = prune(list(range(size)), arcs)
     weights = tuple(m.bit_count() for m in states)
-    return StateGraph(window=ell, kind=kind, states=tuple(states), arcs=tuple(arcs), weights=weights)
+    return WindowGraph(window=ell, kind=kind, states=tuple(states), arcs=tuple(arcs), weights=weights)
 
 
-def domination_pair_graph(distances: DistanceSet) -> StateGraph:
+def domination_pair_graph(distances: DistanceSet) -> WindowGraph:
     """Windows of 2 max(S) positions; every vertex in the middle 2 max(S)
     positions of a pasted pair is dominated."""
     s = distances.max_element
@@ -385,7 +527,7 @@ def domination_pair_graph(distances: DistanceSet) -> StateGraph:
     return _pair_graph(2 * s, masks, stategraph.Domination())
 
 
-def identifying_pair_graph(distances: DistanceSet) -> StateGraph:
+def identifying_pair_graph(distances: DistanceSet) -> WindowGraph:
     """Windows of 6 max(S) positions.  A pasted pair over [1, 12s] is
     admissible when every ball centred in [3s+1, 9s] is nonempty and differs
     from the balls within 2s of it."""
@@ -400,7 +542,7 @@ def identifying_pair_graph(distances: DistanceSet) -> StateGraph:
     return _pair_graph(6 * s, sorted(set(masks)), stategraph.IdentifyingCode())
 
 
-def coloring_window_graph(distances: DistanceSet, colors: int) -> StateGraph:
+def coloring_window_graph(distances: DistanceSet, colors: int) -> WindowGraph:
     """Properly colored windows of max(S) positions, a pair of windows an arc
     when the pasted pair is still proper.  A state is its window in base
     `colors`, digit j the color of position j+1."""
@@ -421,6 +563,5 @@ def coloring_window_graph(distances: DistanceSet, colors: int) -> StateGraph:
             j for j, c2 in enumerate(windows)
             if all(c[i] != c2[i + d - s] for d in distances for i in range(s - d, s))
         ])
-    states, arcs = stategraph._prune(states, arcs)
-    kind = stategraph.Coloring(colors)
-    return StateGraph(window=s, kind=kind, states=tuple(states), arcs=tuple(arcs), weights=(0,) * len(states))
+    states, arcs = prune(states, arcs)
+    return WindowGraph(window=s, kind=Coloring(colors), states=tuple(states), arcs=tuple(arcs), weights=(0,) * len(states))

@@ -11,8 +11,8 @@ from itertools import combinations
 
 from dgratio.appendix import TABLE, table_set
 from dgratio.cli import run as cli_run
-from dgratio.core import DistanceSet, block_density, verify_periodic_independent
-from dgratio.ratio import independence_ratio
+from dgratio.core import DistanceSet, verify_periodic_independent
+from dgratio.ratio import fractional_chromatic, independence_ratio
 from dgratio.registry import get_family, verify_family
 from dgratio.search import (
     AlphaTable,
@@ -21,7 +21,6 @@ from dgratio.search import (
     compute_ratio,
 )
 from dgratio.stategraph import (
-    fractional_chromatic,
     independence_ratio_exact,
     min_dominating_density,
     min_identifying_density,
@@ -178,7 +177,7 @@ def test_criterion_7_registry_witnesses():
             s = fam.build_set(params)
             if not verify_periodic_independent(blocks, s).ok:
                 bad.append((fid, params, "not independent"))
-            elif block_density(blocks) != fam.predicted(params):
+            elif blocks.density() != fam.predicted(params):
                 bad.append((fid, params, "density mismatch"))
     _verdict(
         7,

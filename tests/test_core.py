@@ -10,8 +10,6 @@ from dgratio.core import (
     BlockSyntaxError,
     DistanceSet,
     ExpansionLimitError,
-    block_density,
-    expand_blocks,
     normalize,
     parse_block_notation,
     power_distance_set,
@@ -82,15 +80,15 @@ def test_power_distance_set_properties():
 
 def test_parse_examples():
     bs = parse_block_notation("(2 3)^5 7 (3 4)^2")
-    bl = expand_blocks(bs)
+    bl = bs.expand()
     assert bl.count == 15
     assert bl.period == 46
 
     bs = parse_block_notation("3")
-    assert expand_blocks(bs).sizes == (3,)
+    assert bs.expand().sizes == (3,)
 
-    assert expand_blocks(parse_block_notation("2^3")).sizes == (2, 2, 2)
-    assert expand_blocks(parse_block_notation("(2)^3")).sizes == (2, 2, 2)
+    assert parse_block_notation("2^3").expand().sizes == (2, 2, 2)
+    assert parse_block_notation("(2)^3").expand().sizes == (2, 2, 2)
 
 
 @pytest.mark.parametrize(
@@ -106,17 +104,17 @@ def test_parse_errors_carry_offsets(text):
 def test_expansion_cap():
     bs = parse_block_notation("2^999999999")
     with pytest.raises(ExpansionLimitError):
-        expand_blocks(bs)
+        bs.expand()
     # but a configured cap admits larger expansions
-    bl = expand_blocks(parse_block_notation("2^2000000"), cap=3_000_000)
+    bl = parse_block_notation("2^2000000").expand(cap=3_000_000)
     assert bl.count == 2_000_000
 
 
 def test_block_density_examples():
-    assert block_density(BlockList([2, 2, 5])) == Fraction(1, 3)
-    assert block_density(BlockList([3])) == Fraction(1, 3)
-    bl = expand_blocks(parse_block_notation("(2 3)^5 7 (3 4)^2"))
-    assert block_density(bl) == Fraction(15, 46)
+    assert BlockList([2, 2, 5]).density() == Fraction(1, 3)
+    assert BlockList([3]).density() == Fraction(1, 3)
+    bl = parse_block_notation("(2 3)^5 7 (3 4)^2").expand()
+    assert bl.density() == Fraction(15, 46)
 
 
 def test_block_density_concatenation_invariant():
@@ -149,7 +147,7 @@ def test_render_parse_round_trip():
         bs = random_structure(2)
         text = bs.render()
         reparsed = parse_block_notation(text)
-        assert expand_blocks(reparsed).sizes == expand_blocks(bs).sizes
+        assert reparsed.expand().sizes == bs.expand().sizes
 
 
 def test_verify_examples():
@@ -178,7 +176,7 @@ def test_verify_violation_positions_are_real():
 
 def test_structure_from_sizes():
     bs = structure_from_sizes([2, 3, 2])
-    assert expand_blocks(bs).sizes == (2, 3, 2)
+    assert bs.expand().sizes == (2, 3, 2)
     with pytest.raises(ValueError):
         structure_from_sizes([0])
 
@@ -186,4 +184,4 @@ def test_structure_from_sizes():
 def test_blocklist_notation_round_trip():
     bl = BlockList([2, 2, 2, 5, 3, 3])
     assert bl.notation() == "2^3 5 3^2"
-    assert expand_blocks(parse_block_notation(bl.notation())).sizes == bl.sizes
+    assert parse_block_notation(bl.notation()).expand().sizes == bl.sizes

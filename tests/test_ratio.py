@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import dgratio
-from dgratio.core import DistanceSet, block_density, verify_periodic_independent
+from dgratio.core import DistanceSet, verify_periodic_independent
 from dgratio.ratio import independence_ratio, scale_block_witness
 from dgratio.search import SearchBudget
 from dgratio.stategraph import EngineCaps, StateSpaceError
@@ -27,7 +27,7 @@ def test_gcd_reduction_with_all_odd_core():
     report = independence_ratio(DistanceSet([2, 6]))
     assert report.value == Fraction(1, 2)
     assert verify_periodic_independent(report.lower_witness, DistanceSet([2, 6])).ok
-    assert block_density(report.lower_witness) == Fraction(1, 2)
+    assert report.lower_witness.density() == Fraction(1, 2)
 
 
 def test_shortcut_notes_on_forced_method():
@@ -40,7 +40,7 @@ def test_scaled_witness_structure():
     report = independence_ratio(DistanceSet([2, 8]))  # reduces to {1,4}
     assert report.value == Fraction(2, 5)
     assert verify_periodic_independent(report.lower_witness, DistanceSet([2, 8])).ok
-    assert block_density(report.lower_witness) == Fraction(2, 5)
+    assert report.lower_witness.density() == Fraction(2, 5)
 
 
 def test_scale_block_witness_density_preserved():
@@ -134,7 +134,7 @@ def test_verified_blocklist_density_never_exceeds_ratio():
             continue
         report = independence_ratio(s)
         assert report.status == "exact"
-        assert block_density(blocks) <= report.value, (s, sizes)
+        assert blocks.density() <= report.value, (s, sizes)
         checked += 1
 
 

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 import pytest
 
-from dgratio.core import DistanceSet, block_density, verify_periodic_independent
+from dgratio.core import DistanceSet, verify_periodic_independent
 from dgratio.search import (
     AlphaTable,
     BudgetExceeded,
@@ -240,7 +240,7 @@ def test_compute_ratio_report_invariants():
         report = compute_ratio(s)
         assert report.lower <= report.upper
         assert verify_periodic_independent(report.lower_witness, s).ok
-        assert block_density(report.lower_witness) == report.lower
+        assert report.lower_witness.density() == report.lower
         if report.status == "exact":
             assert report.value == report.lower == report.upper
 
@@ -302,7 +302,7 @@ def test_window_certificate_closes_interval_resistant_sets():
     assert report.counters["window_certificate"]
     assert report.note is not None and "gap-state" in report.note
     # the lower half was still certified independently by a circulant witness
-    assert block_density(report.lower_witness) == Fraction(4, 11)
+    assert report.lower_witness.density() == Fraction(4, 11)
     assert verify_periodic_independent(report.lower_witness, DistanceSet([5, 6, 9])).ok
 
 

@@ -6,20 +6,22 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dgratio.core import BlockList, DistanceSet, block_density, verify_periodic_independent
+from dgratio import meancycle
+from dgratio.core import BlockList, DistanceSet, verify_periodic_independent
+from dgratio.ratio import fractional_chromatic
 from dgratio.stategraph import (
     Coloring,
     Domination,
     EngineCaps,
     IdentifyingCode,
     InfeasibleError,
-    StateGraph,
     StateSpaceError,
+    _prune,
     build_state_graph,
     extremal_mean_cycle,
-    fractional_chromatic,
     independence_ratio_exact,
     min_dominating_density,
     min_identifying_density,
@@ -34,11 +36,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.corpus import COLORING_STRATA, WINDOWS_MEDIAN  # noqa: E402
 from oracles import (  # noqa: E402
     Independence,
+    WindowGraph,
     coloring_window_graph,
     domination_pair_graph,
     identifying_pair_graph,
     independence_window_graph,
+    list_window_graph,
+    prune,
+    window_csr,
 )
+from oracles import extremal_mean_cycle as oracle_mean_cycle  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +71,6 @@ def test_build_independence_two_generators():
 
 def test_build_domination_single_generator():
     g = build_state_graph(DistanceSet([1]), Domination())
-    assert g.window == 1
     assert len(g.states) == 4  # all states admissible and bi-extensible
 
 
@@ -80,36 +86,86 @@ def test_window_graph_sizes_are_pinned():
         assert (len(g.states), sum(map(len, g.arcs))) == (states, arcs), (members, kind)
 
 
+def _list_prune(targets):
+    states, _ = prune(list(range(len(targets))), [[j for j in row if j >= 0] for row in targets])
+    return states
+
+
+def test_prune_matches_the_list_oracle():
+    tables = [
+        [[1], [2], [-1]],  # a chain into a dead end: every state dies
+        [[-1, -1]] * 3,  # no arcs at all
+        [[0], [-1]],  # a self-loop survives; an isolated state does not
+        [[1, -1], [0, 2], [3, -1], [-1, -1]],  # a tail out of a cycle dies from its far end
+        [[1], [0], [1], [2]],  # a tail into a cycle dies from its source end
+        [[-1, -1], [2, -1], [3, -1], [2, 2]],  # the same into a doubled arc
+    ]
+    rng = random.Random(5)
+    for _ in range(400):
+        n, base = rng.randint(1, 30), rng.randint(1, 4)
+        tables.append([[rng.randrange(n) if rng.random() < 0.4 else -1 for _ in range(base)]
+                       for _ in range(n)])
+    survivors = 0
+    for table in tables:
+        got = _prune(np.array(table, dtype=np.int64))
+        assert got.tolist() == _list_prune(table), table
+        survivors += len(got)
+    assert _prune(np.array(tables[0])).size == 0 and _prune(np.array(tables[2])).tolist() == [0]
+    assert survivors > 0
+
+
+def test_build_matches_the_list_path():
+    # every S within {1..6} and every kind the window cap admits
+    cap = EngineCaps().window_max_states
+    built = 0
+    for size in range(1, 7):
+        for combo in combinations(range(1, 7), size):
+            s = DistanceSet(combo)
+            kinds = [Domination()] + [Coloring(k) for k in range(1, 9) if k ** s.max_element <= cap]
+            if s.max_element <= 3:
+                kinds.append(IdentifyingCode())
+            for kind in kinds:
+                graph, reference = build_state_graph(s, kind), list_window_graph(s, kind)
+                assert graph.states == reference.states, (combo, kind)
+                got = meancycle.csr_from_adjacency(graph.arcs)
+                for a, b in zip(got, window_csr(reference)):
+                    assert np.array_equal(a, b), (combo, kind)
+                if graph.states and not isinstance(kind, Coloring):
+                    assert extremal_mean_cycle(graph) == oracle_mean_cycle(reference, "min"), (combo, kind)
+                built += 1
+    assert built == 398
+
+
 def test_extremal_examples():
-    loop = StateGraph(window=2, kind=Independence(), states=(1,), arcs=((0,),), weights=(1,))
-    wit = extremal_mean_cycle(loop, "max")
+    loop = WindowGraph(window=2, kind=Independence(), states=(1,), arcs=((0,),), weights=(1,))
+    wit = oracle_mean_cycle(loop, "max")
     assert wit.density == Fraction(1, 2)
 
-    two = StateGraph(
+    two = WindowGraph(
         window=1, kind=Independence(), states=(0, 1), arcs=((1,), (0,)), weights=(0, 1)
     )
-    wit = extremal_mean_cycle(two, "max")
+    wit = oracle_mean_cycle(two, "max")
     assert wit.density == Fraction(1, 2)
 
     g = independence_window_graph(DistanceSet([1]))
-    wit = extremal_mean_cycle(g, "max")
+    wit = oracle_mean_cycle(g, "max")
     assert wit.density == Fraction(1, 2)
     assert wit.period_set is not None
-    assert block_density(wit.period_set) == Fraction(1, 2)
+    assert wit.period_set.density() == Fraction(1, 2)
 
 
 def test_negation_duality_on_window_graphs():
     for s in ([1], [1, 2], [1, 3], [2, 3], [1, 4]):
         g = independence_window_graph(DistanceSet(s))
-        mx = extremal_mean_cycle(g, "max").density
-        neg = StateGraph(
+        mx = oracle_mean_cycle(g, "max").density
+        neg = WindowGraph(
             window=g.window,
             kind=g.kind,
             states=g.states,
             arcs=g.arcs,
             weights=tuple(-w for w in g.weights),
         )
-        mn = extremal_mean_cycle(neg, "min").density
+        mn = oracle_mean_cycle(neg, "min").density
         assert mn == -mx
 
 
@@ -129,7 +185,7 @@ def test_witness_is_sound():
         s = DistanceSet(rng.sample(range(1, 11), rng.randint(1, 3)))
         value, witness = independence_ratio_exact(s)
         assert verify_periodic_independent(witness, s).ok
-        assert block_density(witness) == value
+        assert witness.density() == value
 
 
 def test_gap_engine_matches_window_graph():
@@ -137,7 +193,7 @@ def test_gap_engine_matches_window_graph():
         for combo in combinations(range(1, 10), size):
             s = DistanceSet(combo)
             value, _ = independence_ratio_exact(s)
-            wit = extremal_mean_cycle(independence_window_graph(s), "max")
+            wit = oracle_mean_cycle(independence_window_graph(s), "max")
             assert wit.density == value, combo
 
 
@@ -312,7 +368,7 @@ def test_identifying_past_the_old_window_cap():
         density, witness = min_identifying_density(s, 1)
         assert density <= _brute_min_identifying(s, 1, 11), members
         assert verify_periodic_identifying(witness.period_set, s, 1), members
-        assert block_density(witness.period_set) == density, members
+        assert witness.period_set.density() == density, members
 
 
 def test_domination_past_the_old_element_cap():
@@ -321,7 +377,7 @@ def test_domination_past_the_old_element_cap():
         density, witness = min_dominating_density(s)
         assert density <= _brute_min_dominating(s, 11), members
         assert verify_periodic_dominating(witness.period_set, s), members
-        assert block_density(witness.period_set) == density, members
+        assert witness.period_set.density() == density, members
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +389,14 @@ def test_domination_automaton_matches_pair_graph():
     for size in (1, 2, 3, 4):
         for combo in combinations(range(1, 5), size):
             s = DistanceSet(combo)
-            oracle = extremal_mean_cycle(domination_pair_graph(s), "min").density
+            oracle = oracle_mean_cycle(domination_pair_graph(s), "min").density
             assert min_dominating_density(s)[0] == oracle, combo
 
 
 def test_identifying_automaton_matches_pair_graph():
     for members in ([1], [1, 2]):
         s = DistanceSet(members)
-        oracle = extremal_mean_cycle(identifying_pair_graph(s), "min").density
+        oracle = oracle_mean_cycle(identifying_pair_graph(s), "min").density
         assert min_identifying_density(s, 1)[0] == oracle, members
 
 
@@ -360,7 +416,7 @@ def test_coloring_automaton_matches_window_graph():
         assert (witness is not None) == bool(oracle.states), (members, k)
         if witness is not None:
             assert verify_periodic_coloring(witness.colors, s), (members, k)
-            assert verify_periodic_coloring(extremal_mean_cycle(oracle).colors, s), (members, k)
+            assert verify_periodic_coloring(oracle_mean_cycle(oracle).colors, s), (members, k)
     assert refused == 4
 
 
@@ -392,7 +448,7 @@ def test_mean_cycle_on_empty_graph_is_infeasible():
     graph = build_state_graph(DistanceSet([1]), Coloring(1))
     assert not graph.states
     with pytest.raises(InfeasibleError):
-        extremal_mean_cycle(graph, "max")
+        extremal_mean_cycle(graph)
 
 
 def test_fractional_chromatic_examples():
