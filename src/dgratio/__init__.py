@@ -2,7 +2,6 @@
 
 from .core import (
     BlockList,
-    BlockStructure,
     BlockSyntaxError,
     DistanceSet,
     ExpansionLimitError,
@@ -11,7 +10,6 @@ from .core import (
     normalize,
     parse_block_notation,
     power_distance_set,
-    structure_from_sizes,
     verify_periodic_independent,
 )
 from .ratio import InexactResultError, fractional_chromatic, independence_ratio
@@ -29,7 +27,6 @@ from .search import (
     BudgetExceeded,
     RatioReport,
     SearchBudget,
-    alpha_circulant,
     alpha_interval,
     compute_ratio,
 )

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
+    DEFAULT_EXPANSION_CAP,
     BlockSyntaxError,
     DistanceSet,
     ExpansionLimitError,
@@ -78,14 +79,19 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _node_count(text: str) -> int:
-    try:
-        nodes = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad budget {text!r}, expected a positive integer") from None
-    if nodes < 1:
-        raise argparse.ArgumentTypeError(f"budget {nodes} must be at least 1")
-    return nodes
+def _positive(what: str):
+    """An argparse type accepting integers >= 1, naming `what` in its errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}, expected a positive integer") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{what} {value} must be at least 1")
+        return value
+
+    return parse
 
 
 def _budget(args) -> SearchBudget:
@@ -149,8 +155,7 @@ def _cmd_compute(args, argv) -> int:
 def _cmd_blocks(args, argv) -> int:
     started = time.monotonic()
     distances = DistanceSet.parse(args.set)
-    structure = parse_block_notation(args.blocks)
-    blocks = structure.expand(cap=args.expansion_cap)
+    blocks = parse_block_notation(args.blocks, cap=args.expansion_cap)
     verdict = verify_periodic_independent(blocks, distances)
     density = blocks.density()
     if args.json:
@@ -361,7 +366,7 @@ def build_parser() -> _Parser:
         p.add_argument("--set", required=True, help="comma-separated distances, e.g. 1,4,7")
 
     def add_budget(p):
-        p.add_argument("--budget", type=_node_count, default=None,
+        p.add_argument("--budget", type=_positive("budget"), default=None,
                        help=f"search node budget (default: DGRATIO_BUDGET, else {FALLBACK_NODE_BUDGET:,})")
 
     def add_json(p):
@@ -377,7 +382,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("blocks", help="check a block structure against a set")
     add_set(p)
     p.add_argument("--blocks", required=True, help="block notation, e.g. \"2^2 5\"")
-    p.add_argument("--expansion-cap", type=int, default=10**6,
+    p.add_argument("--expansion-cap", type=_positive("expansion cap"), default=DEFAULT_EXPANSION_CAP,
                    help="maximum number of blocks an expansion may produce")
     add_json(p)
     p.set_defaults(func=_cmd_blocks)

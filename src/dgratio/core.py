@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 DEFAULT_EXPANSION_CAP = 10**6
 
@@ -26,7 +26,7 @@ class BlockSyntaxError(ValueError):
 
 
 class ExpansionLimitError(RuntimeError):
-    """Raised when expanding a block structure would exceed the block cap."""
+    """Raised when block notation would expand past the block cap."""
 
     def __init__(self, needed: int, cap: int):
         super().__init__(f"expansion needs {needed} blocks, cap is {cap}")
@@ -142,77 +142,6 @@ def power_distance_set(distances: DistanceSet, r: int) -> DistanceSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Literal:
-    size: int
-
-
-@dataclass(frozen=True)
-class Power:
-    body: "BlockStructure"
-    exponent: int
-
-
-Node = Union[Literal, Power]
-
-
-@dataclass(frozen=True)
-class BlockStructure:
-    """AST for block notation; expansion gives the flat list of block sizes."""
-
-    items: tuple[Node, ...]
-
-    def block_count(self) -> int:
-        total = 0
-        for item in self.items:
-            if isinstance(item, Literal):
-                total += 1
-            else:
-                total += item.body.block_count() * item.exponent
-        return total
-
-    def expand(self, cap: int = DEFAULT_EXPANSION_CAP) -> "BlockList":
-        needed = self.block_count()
-        if needed > cap:
-            raise ExpansionLimitError(needed, cap)
-        sizes: list[int] = []
-        self._emit(sizes)
-        return BlockList(tuple(sizes))
-
-    def _emit(self, out: list[int]) -> None:
-        for item in self.items:
-            if isinstance(item, Literal):
-                out.append(item.size)
-            else:
-                for _ in range(item.exponent):
-                    item.body._emit(out)
-
-    def render(self) -> str:
-        return " ".join(_render_node(item) for item in self.items)
-
-    def __str__(self) -> str:
-        return self.render()
-
-
-def _render_node(node: Node) -> str:
-    if isinstance(node, Literal):
-        return str(node.size)
-    body = node.body
-    if len(body.items) == 1 and isinstance(body.items[0], Literal):
-        return f"{body.items[0].size}^{node.exponent}"
-    return f"({body.render()})^{node.exponent}"
-
-
-def structure_from_sizes(sizes: Iterable[int]) -> BlockStructure:
-    """Wrap a flat size list as a block structure (no grouping)."""
-    items = tuple(Literal(int(s)) for s in sizes)
-    bs = BlockStructure(items)
-    for item in items:
-        if item.size < 1:
-            raise ValueError("block sizes must be positive")
-    return bs
-
-
 def _tokenize(text: str):
     tokens = []
     i = 0
@@ -245,8 +174,15 @@ def _tokenize(text: str):
     return tokens
 
 
-def parse_block_notation(text: str) -> BlockStructure:
-    """Parse block notation such as '(2 3)^5 7 (3 4)^2'."""
+def parse_block_notation(text: str, cap: int = DEFAULT_EXPANSION_CAP) -> BlockList:
+    """Parse block notation such as '(2 3)^5 7 (3 4)^2' into its block list.
+
+    Every group counts its blocks before it builds them: a repeat multiplies
+    the count first and builds its blocks only when that count is within
+    `cap`.  Past the cap the parse goes on and only counts, so a syntax error
+    later in the text is still reported first; otherwise
+    ExpansionLimitError carries the full count.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise BlockSyntaxError("empty block notation", 0)
@@ -263,41 +199,51 @@ def parse_block_notation(text: str) -> BlockStructure:
         pos += 1
         return tok
 
-    def parse_structure(stop_at_rp: bool) -> BlockStructure:
-        items: list[Node] = []
-        while True:
-            tok = peek()
-            if tok[0] == "EOF" or (tok[0] == "RP" and stop_at_rp):
-                break
-            items.append(parse_term())
-        if not items:
-            raise BlockSyntaxError("empty group", peek()[2])
-        return BlockStructure(tuple(items))
+    def at_group_end(stop_at_rp: bool) -> bool:
+        kind = peek()[0]
+        return kind == "EOF" or (kind == "RP" and stop_at_rp)
 
-    def parse_term() -> Node:
+    # Each parser returns (count, blocks); blocks is complete only when
+    # count <= cap.
+    def parse_structure(stop_at_rp: bool) -> tuple[int, list[int]]:
+        if at_group_end(stop_at_rp):
+            raise BlockSyntaxError("empty group", peek()[2])
+        count = 0
+        blocks: list[int] = []
+        while not at_group_end(stop_at_rp):
+            n, part = parse_term()
+            count += n
+            if count <= cap:
+                blocks.extend(part)
+        return count, blocks
+
+    def parse_term() -> tuple[int, list[int]]:
         nonlocal pos
         tok = peek()
         if tok[0] == "INT":
             pos += 1
             if peek()[0] == "CARET":
                 pos += 1
-                (_, exp, off) = take("INT", "exponent")
-                return Power(BlockStructure((Literal(tok[1]),)), exp)
-            return Literal(tok[1])
+                exp = take("INT", "exponent")[1]
+                return exp, [tok[1]] * exp if exp <= cap else []
+            return 1, [tok[1]]
         if tok[0] == "LP":
             pos += 1
-            body = parse_structure(stop_at_rp=True)
+            count, body = parse_structure(stop_at_rp=True)
             take("RP", "')'")
             take("CARET", "'^' after ')'")
-            (_, exp, off) = take("INT", "exponent")
-            return Power(body, exp)
+            exp = take("INT", "exponent")[1]
+            count *= exp
+            return count, body * exp if count <= cap else []
         raise BlockSyntaxError("expected block size or '('", tok[2])
 
-    result = parse_structure(stop_at_rp=False)
+    count, sizes = parse_structure(stop_at_rp=False)
     tok = peek()
     if tok[0] != "EOF":
         raise BlockSyntaxError("unbalanced ')'", tok[2])
-    return result
+    if count > cap:
+        raise ExpansionLimitError(count, cap)
+    return BlockList(sizes)
 
 
 @dataclass(frozen=True)

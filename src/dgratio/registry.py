@@ -2,15 +2,15 @@
 
 Each family pairs a parameterized distance set with its known exact value,
 conjectured value, or proven bound, dispatched by residue classes where
-applicable, plus (where a periodic witness is known) a block structure whose
+applicable, plus (where a periodic witness is known) a block list whose
 density attains the stated value.  Kinds are tagged faithfully: conjectured
 formulas are never reported as theorems, and a verification mismatch is a
 failure only for proven statements.
 
 Residue tables are transcribed literally; the few places where a printed
 extremal structure disagrees with its own stated density use a corrected
-structure that is machine-verified against the value (the tests cross-check
-every witness by expansion, independence, and exact density).
+block list that is machine-verified against the value (the tests cross-check
+every witness by independence and exact density).
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional
 
-from .core import (
-    BlockStructure,
-    DistanceSet,
-    Literal,
-    Power,
-    verify_periodic_independent,
-)
+from .core import BlockList, DistanceSet, verify_periodic_independent
 from .ratio import independence_ratio
 from .search import RatioReport, SearchBudget
 
@@ -41,25 +35,20 @@ class UnknownFamilyError(KeyError):
     pass
 
 
-def _bs(*parts) -> BlockStructure:
-    """Assemble block notation from ints and ([sizes], exponent) groups.
+def _bs(*parts) -> BlockList:
+    """Assemble a block list from ints and ([sizes], exponent) groups.
 
-    Groups with exponent zero are dropped; an overall empty structure is an
+    Groups with exponent zero add nothing; an overall empty list is an
     error (callers guard their parameter ranges).
     """
-    items = []
+    sizes: list[int] = []
     for part in parts:
         if isinstance(part, int):
-            items.append(Literal(part))
+            sizes.append(part)
         else:
-            sizes, exp = part
-            if exp == 0:
-                continue
-            body = BlockStructure(tuple(Literal(s) for s in sizes))
-            items.append(Power(body, exp))
-    if not items:
-        raise ValueError("empty block structure")
-    return BlockStructure(tuple(items))
+            body, exp = part
+            sizes.extend(body * exp)
+    return BlockList(sizes)
 
 
 @dataclass(frozen=True)
@@ -73,7 +62,7 @@ class Family:
     set_builder: Callable[[dict], DistanceSet]
     domain: Callable[[dict], bool]
     value_rule: Optional[Callable[[dict], Fraction]] = None
-    witness_builder: Optional[Callable[[dict], Optional[BlockStructure]]] = None
+    witness_builder: Optional[Callable[[dict], Optional[BlockList]]] = None
     witness_value: Optional[Callable[[dict], Fraction]] = None
     matcher: Optional[Callable[[DistanceSet], Optional[dict]]] = None
     strict: bool = False  # bound families: paper states a strict inequality
@@ -92,7 +81,7 @@ class Family:
             return None
         return self.value_rule(params)
 
-    def witness(self, params: dict) -> Optional[BlockStructure]:
+    def witness(self, params: dict) -> Optional[BlockList]:
         if self.witness_builder is None:
             return None
         return self.witness_builder(params)
@@ -1304,14 +1293,12 @@ def verify_family(
     lo: int,
     hi: int,
     budget_nodes: Optional[int] = None,
-    method: str = "auto",
 ) -> list[FormulaVerdict]:
     """Check every in-domain parameter point of a family in [lo, hi].
 
     The engine value comes from the usual pipeline (state graph when the set
-    is small, two-sided search otherwise).  Witness structures, when present,
-    are expanded, verified independent, and compared against the stated
-    density.  budget_nodes caps the search nodes spent per parameter point.
+    is small, two-sided search otherwise).  Witness block lists, when present,
+    are verified independent and compared against the stated density.  budget_nodes caps the search nodes spent per parameter point.
     """
     fam = get_family(family_id)
     verdicts = []
@@ -1321,12 +1308,11 @@ def verify_family(
         point_budget = (
             SearchBudget() if budget_nodes is None else SearchBudget(max_nodes=budget_nodes)
         )
-        report = independence_ratio(distances, method=method, budget=point_budget)
+        report = independence_ratio(distances, budget=point_budget)
         witness_ok = None
         witness_density = None
-        structure = fam.witness(params)
-        if structure is not None:
-            blocks = structure.expand()
+        blocks = fam.witness(params)
+        if blocks is not None:
             witness_density = blocks.density()
             ok = verify_periodic_independent(blocks, distances).ok
             target = fam.witness_value(params) if fam.witness_value else predicted

@@ -258,14 +258,6 @@ def _alpha_circulant_solution(
     return prefix[n], solution
 
 
-def alpha_circulant(distances: DistanceSet, n: int, table: Optional[AlphaTable] = None, budget: Optional[SearchBudget] = None) -> int:
-    """alpha(G(n,S)) for the circulant graph on Z_n; requires n > max(S)."""
-    table = table or AlphaTable(distances)
-    budget = budget or SearchBudget()
-    size, _ = _alpha_circulant_solution(distances, n, table, budget)
-    return size
-
-
 @dataclass
 class RatioReport:
     """Outcome of a ratio computation: exact value or certified bounds."""

@@ -39,7 +39,7 @@ class StateSpaceError(RuntimeError):
 
     required is the size that was refused.  For the gap engine's state cap
     it is the exact number of reachable states; for its element cap it is
-    2^max(S).  For the window cap it is the number of window states before
+    max(S).  For the window cap it is the number of window states before
     pruning, alphabet^L (2^(2 max S), 2^(4 max S) or k^max(S)).
     """
 
@@ -381,7 +381,7 @@ def independence_ratio_exact(
         raise StateSpaceError(
             f"max(S) = {distances.max_element} exceeds the independence cap "
             f"{caps.independence_max_element}",
-            required=1 << distances.max_element,
+            required=distances.max_element,
         )
     _, adjacency = _independence_gap_graph(distances, caps.independence_max_states)
     indptr, dst, w = meancycle.csr_from_adjacency(adjacency)

@@ -206,6 +206,18 @@ def test_budget_below_one_is_a_usage_error(capsys):
             assert out == "" and "--budget" in err
 
 
+def test_expansion_cap_below_one_is_a_usage_error(capsys):
+    for bad in ("-5", "0", "abc"):
+        argv = ["blocks", "--set", "1,3,6", "--blocks", "2^2 5", "--expansion-cap", bad]
+        code, out, err = _capture(capsys, argv)
+        assert code == 2, bad
+        assert out == "" and "--expansion-cap" in err
+    code, out, _ = _capture(capsys, ["blocks", "--set", "1,3,6", "--blocks", "2^2 5", "--expansion-cap", "3"])
+    assert code == 0 and out.startswith("independent")
+    code, _, err = _capture(capsys, ["blocks", "--set", "1,3,6", "--blocks", "2^2 5", "--expansion-cap", "2"])
+    assert code == 4 and "expansion needs 3 blocks, cap is 2" in err
+
+
 @pytest.mark.parametrize("raw", ["-7", "0", "abc", "1.5"])
 def test_malformed_env_budget_is_refused(monkeypatch, capsys, raw):
     monkeypatch.setenv("DGRATIO_BUDGET", raw)

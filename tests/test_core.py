@@ -13,7 +13,6 @@ from dgratio.core import (
     normalize,
     parse_block_notation,
     power_distance_set,
-    structure_from_sizes,
     verify_periodic_independent,
 )
 
@@ -79,16 +78,13 @@ def test_power_distance_set_properties():
 
 
 def test_parse_examples():
-    bs = parse_block_notation("(2 3)^5 7 (3 4)^2")
-    bl = bs.expand()
+    bl = parse_block_notation("(2 3)^5 7 (3 4)^2")
     assert bl.count == 15
     assert bl.period == 46
 
-    bs = parse_block_notation("3")
-    assert bs.expand().sizes == (3,)
-
-    assert parse_block_notation("2^3").expand().sizes == (2, 2, 2)
-    assert parse_block_notation("(2)^3").expand().sizes == (2, 2, 2)
+    assert parse_block_notation("3").sizes == (3,)
+    assert parse_block_notation("2^3").sizes == (2, 2, 2)
+    assert parse_block_notation("(2)^3").sizes == (2, 2, 2)
 
 
 @pytest.mark.parametrize(
@@ -102,19 +98,43 @@ def test_parse_errors_carry_offsets(text):
 
 
 def test_expansion_cap():
-    bs = parse_block_notation("2^999999999")
-    with pytest.raises(ExpansionLimitError):
-        bs.expand()
+    with pytest.raises(ExpansionLimitError) as err:
+        parse_block_notation("2^999999999")
+    assert err.value.needed == 999_999_999
     # but a configured cap admits larger expansions
-    bl = parse_block_notation("2^2000000").expand(cap=3_000_000)
+    bl = parse_block_notation("2^2000000", cap=3_000_000)
     assert bl.count == 2_000_000
+
+
+@pytest.mark.parametrize(
+    "text, needed",
+    [("2^999999999 3", 1_000_000_000), ("((2 3)^4 5)^3", 27), ("(2^999999 3)^999999", 999_999_000_000)],
+)
+def test_expansion_limit_carries_the_full_count(text, needed):
+    # past the cap the parser keeps counting, through nesting and later terms
+    with pytest.raises(ExpansionLimitError) as err:
+        parse_block_notation(text, cap=10)
+    assert (err.value.needed, err.value.cap) == (needed, 10)
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [("2^999999999 (", 13), ("(2^999999 3)^999999 )", 20), ("(2)^999999999 2^", 16)],
+)
+def test_a_later_syntax_error_wins_over_the_cap(text, offset):
+    with pytest.raises(BlockSyntaxError) as err:
+        parse_block_notation(text)
+    assert err.value.offset == offset
 
 
 def test_block_density_examples():
     assert BlockList([2, 2, 5]).density() == Fraction(1, 3)
     assert BlockList([3]).density() == Fraction(1, 3)
-    bl = parse_block_notation("(2 3)^5 7 (3 4)^2").expand()
+    bl = parse_block_notation("(2 3)^5 7 (3 4)^2")
     assert bl.density() == Fraction(15, 46)
+    for bad in ([2, 0, 3], []):
+        with pytest.raises(ValueError):
+            BlockList(bad)
 
 
 def test_block_density_concatenation_invariant():
@@ -128,26 +148,37 @@ def test_block_density_concatenation_invariant():
         assert d.numerator == one.count // __import__("math").gcd(one.count, one.period)
 
 
-def test_render_parse_round_trip():
+def test_random_notation_expands_like_a_reference():
     rng = random.Random(13)
 
-    def random_structure(depth):
-        from dgratio.core import BlockStructure, Literal, Power
-
-        items = []
+    def random_text(depth):
+        # returns the notation and the sizes it stands for, built separately
+        parts, sizes = [], []
         for _ in range(rng.randint(1, 4)):
-            if depth > 0 and rng.random() < 0.4:
-                body = random_structure(depth - 1)
-                items.append(Power(body, rng.randint(1, 4)))
+            roll = rng.random()
+            if depth > 0 and roll < 0.35:
+                body_text, body = random_text(depth - 1)
+                exp = rng.randint(1, 4)
+                parts.append(f"({body_text})^{exp}")
+                sizes += body * exp
+            elif roll < 0.55:
+                size, exp = rng.randint(1, 12), rng.randint(1, 5)
+                parts.append(f"{size}^{exp}")
+                sizes += [size] * exp
             else:
-                items.append(Literal(rng.randint(1, 9)))
-        return BlockStructure(tuple(items))
+                size = rng.randint(1, 12)
+                parts.append(str(size))
+                sizes.append(size)
+        spaces = [rng.choice([" ", "  ", "\t", "\n "]) for _ in parts]
+        return "".join(s + p for s, p in zip(spaces, parts)).strip(), sizes
 
-    for _ in range(60):
-        bs = random_structure(2)
-        text = bs.render()
-        reparsed = parse_block_notation(text)
-        assert reparsed.expand().sizes == bs.expand().sizes
+    for _ in range(200):
+        text, sizes = random_text(3)
+        assert parse_block_notation(text).sizes == tuple(sizes), text
+        if len(sizes) > 1:
+            with pytest.raises(ExpansionLimitError) as err:
+                parse_block_notation(text, cap=len(sizes) - 1)
+            assert err.value.needed == len(sizes), text
 
 
 def test_verify_examples():
@@ -174,14 +205,7 @@ def test_verify_violation_positions_are_real():
             assert (y - x) in set(s.distances)
 
 
-def test_structure_from_sizes():
-    bs = structure_from_sizes([2, 3, 2])
-    assert bs.expand().sizes == (2, 3, 2)
-    with pytest.raises(ValueError):
-        structure_from_sizes([0])
-
-
 def test_blocklist_notation_round_trip():
     bl = BlockList([2, 2, 2, 5, 3, 3])
     assert bl.notation() == "2^3 5 3^2"
-    assert parse_block_notation(bl.notation()).expand().sizes == bl.sizes
+    assert parse_block_notation(bl.notation()).sizes == bl.sizes

@@ -140,6 +140,16 @@ def test_cap_reports_the_exact_state_count():
     assert info.value.required == 589_824
 
 
+def test_element_cap_reports_the_refused_element():
+    # the element cap refuses max(S) itself, before any state is counted
+    with pytest.raises(StateSpaceError) as info:
+        independence_ratio_exact(DistanceSet([1, 4, 30]))
+    assert info.value.required == 30
+    with pytest.raises(StateSpaceError) as info:
+        independence_ratio_exact(DistanceSet([1, 5]), EngineCaps(independence_max_element=4))
+    assert info.value.required == 5
+
+
 def test_cap_is_inclusive_and_counts_like_the_oracle():
     distances = DistanceSet([2, 5, 11])
     states = len(python_gap_graph(distances)[0])

@@ -14,12 +14,16 @@ from dgratio.search import (
     SearchBudget,
     _alpha_circulant_solution,
     _run_values,
-    alpha_circulant,
     alpha_interval,
     compute_ratio,
 )
 
 from oracles import RecursiveAlphaTable, beta, brute_force_alpha_interval
+
+
+def alpha_circulant(distances, n, table=None):
+    """alpha(G(n,S)) on Z_n, through the solver's circulant step."""
+    return _alpha_circulant_solution(distances, n, table or AlphaTable(distances), SearchBudget())[0]
 
 
 def test_alpha_interval_examples():
