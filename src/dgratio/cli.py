@@ -130,7 +130,7 @@ def _emit_json(command: list, result: dict, started: float) -> None:
 def _cmd_compute(args, argv) -> int:
     started = time.monotonic()
     distances = DistanceSet.parse(args.set)
-    report = independence_ratio(distances, method=args.method, budget=_budget(args))
+    report = independence_ratio(distances, budget=_budget(args))
     if args.json:
         _emit_json(argv, _report_json(report), started)
     else:
@@ -374,7 +374,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compute", help="independence ratio of G(S)")
     add_set(p)
-    p.add_argument("--method", choices=["auto", "search", "stategraph"], default="auto")
     add_budget(p)
     add_json(p)
     p.set_defaults(func=_cmd_compute)

@@ -181,66 +181,68 @@ def parse_block_notation(text: str, cap: int = DEFAULT_EXPANSION_CAP) -> BlockLi
     the count first and builds its blocks only when that count is within
     `cap`.  Past the cap the parse goes on and only counts, so a syntax error
     later in the text is still reported first; otherwise
-    ExpansionLimitError carries the full count.
+    ExpansionLimitError carries the full count.  Open groups live on an
+    explicit stack, so nesting depth is not limited by Python's recursion
+    limit.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise BlockSyntaxError("empty block notation", 0)
+    tokens.append(("EOF", None, len(text)))
     pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else ("EOF", None, len(text))
 
     def take(kind: str, what: str):
         nonlocal pos
-        tok = peek()
+        tok = tokens[pos]
         if tok[0] != kind:
             raise BlockSyntaxError(f"expected {what}", tok[2])
         pos += 1
-        return tok
+        return tok[1]
 
-    def at_group_end(stop_at_rp: bool) -> bool:
-        kind = peek()[0]
-        return kind == "EOF" or (kind == "RP" and stop_at_rp)
+    # one [count, blocks] per open group, the whole text at the bottom;
+    # blocks is complete only while count <= cap
+    groups: list[list] = [[0, []]]
 
-    # Each parser returns (count, blocks); blocks is complete only when
-    # count <= cap.
-    def parse_structure(stop_at_rp: bool) -> tuple[int, list[int]]:
-        if at_group_end(stop_at_rp):
-            raise BlockSyntaxError("empty group", peek()[2])
-        count = 0
-        blocks: list[int] = []
-        while not at_group_end(stop_at_rp):
-            n, part = parse_term()
-            count += n
-            if count <= cap:
-                blocks.extend(part)
-        return count, blocks
+    def add(count: int, blocks: list[int]) -> None:
+        group = groups[-1]
+        group[0] += count
+        if group[0] <= cap:
+            group[1].extend(blocks)
 
-    def parse_term() -> tuple[int, list[int]]:
-        nonlocal pos
-        tok = peek()
-        if tok[0] == "INT":
+    opened = False  # the current group has no term yet
+    while True:
+        kind, value, offset = tokens[pos]
+        nested = len(groups) > 1
+        if opened and kind in ("RP", "EOF"):
+            raise BlockSyntaxError("empty group", offset)
+        opened = False
+        if kind == "INT":
             pos += 1
-            if peek()[0] == "CARET":
+            if tokens[pos][0] == "CARET":
                 pos += 1
-                exp = take("INT", "exponent")[1]
-                return exp, [tok[1]] * exp if exp <= cap else []
-            return 1, [tok[1]]
-        if tok[0] == "LP":
+                exp = take("INT", "exponent")
+                add(exp, [value] * exp if exp <= cap else [])
+            else:
+                add(1, [value])
+        elif kind == "LP":
             pos += 1
-            count, body = parse_structure(stop_at_rp=True)
-            take("RP", "')'")
+            groups.append([0, []])
+            opened = True
+        elif kind == "RP" and nested:
+            pos += 1
             take("CARET", "'^' after ')'")
-            exp = take("INT", "exponent")[1]
+            exp = take("INT", "exponent")
+            count, body = groups.pop()
             count *= exp
-            return count, body * exp if count <= cap else []
-        raise BlockSyntaxError("expected block size or '('", tok[2])
+            add(count, body * exp if count <= cap else [])
+        elif kind == "EOF" and nested:
+            raise BlockSyntaxError("expected ')'", offset)
+        elif kind == "EOF":
+            break
+        else:
+            raise BlockSyntaxError("expected block size or '('", offset)
 
-    count, sizes = parse_structure(stop_at_rp=False)
-    tok = peek()
-    if tok[0] != "EOF":
-        raise BlockSyntaxError("unbalanced ')'", tok[2])
+    count, sizes = groups[0]
     if count > cap:
         raise ExpansionLimitError(count, cap)
     return BlockList(sizes)
@@ -271,14 +273,13 @@ class BlockList:
     def density(self) -> Fraction:
         return Fraction(self.count, self.period)
 
-    def positions(self, copies: int = 1) -> list[int]:
-        """Element positions of `copies` consecutive periods, anchored at 0."""
+    def positions(self) -> list[int]:
+        """Element positions of one period, anchored at 0."""
         out = []
         x = 0
-        for _ in range(copies):
-            for s in self.sizes:
-                out.append(x)
-                x += s
+        for s in self.sizes:
+            out.append(x)
+            x += s
         return out
 
     def notation(self) -> str:
@@ -317,20 +318,17 @@ class IndependenceVerdict:
 def verify_periodic_independent(blocks: BlockList, distances: DistanceSet) -> IndependenceVerdict:
     """Check that the periodic set given by `blocks` is independent in G(S).
 
-    Unrolls ceil(max(S)/period) + 2 periods and scans all element pairs at
-    distance <= max(S); any violating pair in the infinite set appears within
-    max(S) of some period boundary, so this window is sufficient.
+    The set is one period's positions repeated with that period, so it holds
+    u and u + d exactly when u and (u + d) mod period are both positions of
+    the first period.  The violation reported is the first such u, with its
+    smallest d in S, as the pair (u, u + d).  The work is |positions| * |S|
+    lookups, independent of max(S).
     """
-    s = distances.max_element
     period = blocks.period
-    copies = -(-s // period) + 2
-    pts = blocks.positions(copies)
-    in_s = set(distances.distances)
-    for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
-            d = y - x
-            if d > s:
-                break
-            if d in in_s:
-                return IndependenceVerdict(ok=False, violation=(x, y))
+    members = blocks.positions()
+    residues = set(members)
+    for u in members:
+        for d in distances.distances:
+            if (u + d) % period in residues:
+                return IndependenceVerdict(ok=False, violation=(u, u + d))
     return IndependenceVerdict(ok=True)

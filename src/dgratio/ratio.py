@@ -1,10 +1,12 @@
 """Top-level independence-ratio pipeline.
 
-Order of attack: factor out gcd(S); answer all-odd reduced sets with the
-even integers (ratio 1/2); solve small max(S) exactly on the state graph;
-fall back to the two-sided interval/circulant search.  Witnesses found for
-the reduced set are rescaled so the report's witness is always a verified
-periodic independent set for the set that was asked about.
+Every question takes one route: factor out gcd(S); answer all-odd reduced
+sets with the even integers (ratio 1/2); otherwise solve the reduced set
+exactly with the gap-state engine, and run the two-sided interval/circulant
+search only when that engine refuses the set, with a note that names the
+refusal.  Witnesses found for the reduced set are rescaled so the report's
+witness is always a verified periodic independent set for the set that was
+asked about.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from typing import Optional
 from .core import BlockList, DistanceSet, normalize, verify_periodic_independent
 from .search import RatioReport, SearchBudget, compute_ratio
 from .stategraph import DEFAULT_CAPS, EngineCaps, StateSpaceError, independence_ratio_exact
-
-METHODS = ("auto", "search", "stategraph")
 
 
 class InexactResultError(RuntimeError):
@@ -63,36 +63,27 @@ def _exact_report(distances: DistanceSet, value: Fraction, witness: BlockList, m
 
 def independence_ratio(
     distances: DistanceSet,
-    method: str = "auto",
     budget: Optional[SearchBudget] = None,
     caps: EngineCaps = DEFAULT_CAPS,
 ) -> RatioReport:
     """Independence ratio of G(S): exact where possible, else certified bounds."""
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
     ns = normalize(distances)
     reduced, divisor = ns.reduced, ns.divisor
 
     if ns.all_odd:
         # the even integers, scaled by the divisor below
         report = _exact_report(reduced, Fraction(1, 2), BlockList([2]), "shortcut")
-        notes = [] if method == "auto" else ["all-odd set answered by the parity shortcut; no search run"]
+        notes = []
     else:
         notes = [f"gcd {divisor} factored out; computed on {reduced}"] if divisor > 1 else []
-        report = None
-        if method != "search":
-            try:
-                value, witness = independence_ratio_exact(reduced, caps)
-            except StateSpaceError:
-                if method == "stategraph":
-                    raise
-            else:
-                report = _exact_report(reduced, value, witness, "stategraph")
-        if report is None:
-            # auto reaches here only when the gap engine refused the set
-            report = compute_ratio(reduced, budget=budget, caps=caps if method == "search" else None)
-            if report.note:
-                notes.append(report.note)
+        try:
+            value, witness = independence_ratio_exact(reduced, caps)
+        except StateSpaceError as exc:
+            # caps=None: the engine has just refused this set; the search must not ask again
+            report = compute_ratio(reduced, budget=budget, caps=None)
+            notes.append(f"gap-state engine refused: {exc}")
+        else:
+            report = _exact_report(reduced, value, witness, "stategraph")
 
     witness = scale_block_witness(report.lower_witness, divisor)
     if not verify_periodic_independent(witness, distances).ok:

@@ -1032,13 +1032,6 @@ def _zhu_mixed_domain(p) -> bool:
     return True
 
 
-def _zhu_mixed_matcher(S):
-    t = _sorted_tuple(S)
-    if len(t) == 3:
-        return {"a": t[0], "b": t[1], "c": t[2]}
-    return None
-
-
 def _family_zhu_mixed(side: str) -> Family:
     kind = LOWER if side == "lower" else UPPER
     value = Fraction(1, 3) if side == "lower" else Fraction(1, 2)
@@ -1051,7 +1044,6 @@ def _family_zhu_mixed(side: str) -> Family:
         set_builder=lambda p: DistanceSet([p["a"], p["b"], p["c"]]),
         domain=_zhu_mixed_domain,
         value_rule=lambda p: value,
-        matcher=_zhu_mixed_matcher,
         strict=(side == "upper"),
     )
 
@@ -1076,7 +1068,6 @@ def _family_zhu_generic(side: str) -> Family:
         set_builder=lambda p: DistanceSet([p["a"], p["b"], p["c"]]),
         domain=_zhu_generic_domain,
         value_rule=lambda p: value,
-        matcher=_zhu_mixed_matcher,
         strict=(side == "upper"),
         findings_only=True,
     )

@@ -108,7 +108,6 @@ class AlphaTable:
 
     def _search(
         self,
-        count: int,
         candidates: int,
         target: int,
         nbr: list[int],
@@ -120,12 +119,11 @@ class AlphaTable:
 
         Depth first with an explicit stack, so the depth is not limited by
         Python's recursion limit.  Each node is counted against the budget
-        when it is entered; a node with `count` chosen vertices and
-        candidate set B is cut when count + beta(B) < target, where beta(B)
-        sums the memoized alphas over the maximal runs of B, and it tries
-        its candidates v from the top while count + bound[v] can still reach
-        the target.  On success `chosen` holds the vertices of the set,
-        largest first.
+        when it is entered; a node that still needs `need` vertices, with
+        candidate set B, is cut when beta(B) < need, where beta(B) sums the
+        memoized alphas over the maximal runs of B, and it tries its
+        candidates v from the top while bound[v] >= need.  On success
+        `chosen` holds the vertices of the set, largest first.
 
         A child's runs are scanned only when its popcount p leaves the cut
         open: floor[p] <= beta(B) <= p (see _run_values), so p < k rejects
@@ -137,7 +135,7 @@ class AlphaTable:
             nodes += 1
             if nodes > limit:
                 raise BudgetExceeded(f"node budget {limit} exhausted")
-            need = target - count
+            need = target
             if need == 0:
                 return True
             total, b = 0, candidates
@@ -195,7 +193,7 @@ class AlphaTable:
             iv.append(target)  # sentinel: a(m) <= a(m-1) + 1 keeps prunes sound
             chosen: list[int] = []
             try:
-                found = self._search(0, (1 << m) - 1, target, self._nbr, iv, budget, chosen)
+                found = self._search((1 << m) - 1, target, self._nbr, iv, budget, chosen)
             except BudgetExceeded:
                 iv.pop()
                 raise
@@ -243,7 +241,7 @@ def _alpha_circulant_solution(
         target = prefix[i - 1] + 1
         prefix[i] = target  # sentinel upper bound while this entry is open
         chosen: list[int] = []
-        if table._search(0, (1 << i) - 1, target, nbr, prefix, budget, chosen):
+        if table._search((1 << i) - 1, target, nbr, prefix, budget, chosen):
             prefix[i] = target
             solution = list(chosen)
         else:
@@ -251,7 +249,7 @@ def _alpha_circulant_solution(
     if len(solution) != prefix[n]:
         # the optimum was inherited from the wrap-free prefix; recover a set
         chosen = []
-        if not table._search(0, (1 << n) - 1, prefix[n], nbr, prefix, budget, chosen):
+        if not table._search((1 << n) - 1, prefix[n], nbr, prefix, budget, chosen):
             raise AssertionError("internal error: failed to recover a maximum circulant independent set")
         solution = list(chosen)
     table.prefix_alpha = prefix  # replaced wholesale on the next n
@@ -320,10 +318,11 @@ def compute_ratio(
     best lower and upper bounds agree.  If the bounds have not met a few
     rounds past max(S) and the set fits the gap-state engine's caps, its
     exact ratio is folded into the upper bound (interval minima alone can
-    stay strictly above the ratio forever); caps=None skips that step, for
-    callers that have just seen the engine refuse the set.  Budget
-    exhaustion downgrades the result to certified bounds (status
-    'bounded'), never an error.
+    stay strictly above the ratio forever).  That rescue runs only when
+    compute_ratio is called directly: independence_ratio reaches the search
+    only after the engine refused the set, and passes caps=None, which
+    skips the step.  Budget exhaustion downgrades the result to certified
+    bounds (status 'bounded'), never an error.
     """
     budget = budget or SearchBudget()
     table = AlphaTable(distances)

@@ -4,6 +4,9 @@ against.  None of them is used by the package itself.
 - Karp's recurrence for extremal cycle means, with Tarjan's strongly
   connected components, and Howard's maximum mean cycle by negation;
 - exhaustive alpha(G(S)[n]) over all 2^n subsets;
+- the periodic independence check as a scan of element pairs over enough
+  unrolled periods, whose verdict and violation pair the package's residue
+  check must keep;
 - the recursive branch-and-bound search, one Python call per search node
   and a full run scan per candidate set, whose node order, node counts and
   budget exhaustion the package's explicit-stack search must keep;
@@ -23,13 +26,14 @@ against.  None of them is used by the package itself.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from dgratio import stategraph
-from dgratio.core import BlockList, DistanceSet
+from dgratio.core import BlockList, DistanceSet, IndependenceVerdict
 from dgratio.meancycle import NoCycleError, csr_from_adjacency, min_mean_cycle_howard
 from dgratio.search import AlphaTable, BudgetExceeded, SearchBudget
 from dgratio.stategraph import Coloring, CycleWitness, InfeasibleError
@@ -201,6 +205,28 @@ def brute_force_alpha_interval(distances: DistanceSet, n: int) -> int:
     return best
 
 
+def scan_periodic_independent(blocks: BlockList, distances: DistanceSet) -> IndependenceVerdict:
+    """The periodic independence check by scanning element pairs.
+
+    Unrolls ceil(max(S)/period) + 2 periods and scans all element pairs at
+    distance <= max(S); any violating pair in the infinite set appears within
+    max(S) of some period boundary, so this window is sufficient.  The first
+    violating pair in scan order is reported.
+    """
+    s = distances.max_element
+    copies = -(-s // blocks.period) + 2
+    pts = list(itertools.accumulate(blocks.sizes * copies, initial=0))[:-1]
+    in_s = set(distances.distances)
+    for i, x in enumerate(pts):
+        for y in pts[i + 1:]:
+            d = y - x
+            if d > s:
+                break
+            if d in in_s:
+                return IndependenceVerdict(ok=False, violation=(x, y))
+    return IndependenceVerdict(ok=True)
+
+
 # ---------------------------------------------------------------------------
 # The recursive search and the candidate-mask scan the package replaced
 # ---------------------------------------------------------------------------
@@ -235,8 +261,8 @@ def beta(iv: list, candidates: int) -> int:
 def recursive_search(table: AlphaTable, count, candidates, target, nbr, bound, budget, chosen) -> bool:
     """AlphaTable._search as one recursive call per node (Python's recursion
     limit bounds its depth), scanning every run of every candidate set;
-    assign it as `_search` on an AlphaTable subclass to run the interval and
-    circulant solvers on it."""
+    `count` is the number of vertices chosen so far.  RecursiveAlphaTable
+    runs the interval and circulant solvers on it."""
     charge(budget)
     if count == target:
         return True
@@ -256,7 +282,8 @@ def recursive_search(table: AlphaTable, count, candidates, target, nbr, bound, b
 
 
 class RecursiveAlphaTable(AlphaTable):
-    _search = recursive_search
+    def _search(self, candidates, target, nbr, bound, budget, chosen) -> bool:
+        return recursive_search(self, 0, candidates, target, nbr, bound, budget, chosen)
 
 
 def scan_gap_state_masks(distances: DistanceSet, max_states: int) -> np.ndarray:

@@ -52,6 +52,19 @@ def test_blocks_verdicts(capsys):
     assert "distance 2" in out
 
 
+def test_compute_notes_why_it_searched(capsys):
+    code, out, _ = _capture(capsys, ["compute", "--set", "1,4,25"])
+    assert code == 0
+    assert "method: search" in out
+    assert "note: gap-state engine refused: max(S) = 25 exceeds the independence cap 22\n" in out
+
+
+def test_deeply_nested_blocks(capsys):
+    text = "(" * 600 + "2" + ")^1" * 600
+    code, out, err = _capture(capsys, ["blocks", "--set", "1,3", "--blocks", text])
+    assert (code, out, err) == (0, "independent; density 1/2\n", "")
+
+
 def test_chi_f(capsys):
     code, out, _ = _capture(capsys, ["chi-f", "--set", "1,2,3"])
     assert code == 0
@@ -105,6 +118,7 @@ def test_verify_exit_codes(capsys):
 def test_usage_errors_exit_2(capsys):
     assert run(["compute"]) == 2
     assert run(["compute", "--set", "0,3"]) == 2
+    assert run(["compute", "--set", "1,4,7", "--method", "search"]) == 2
     assert run(["verify", "--family", "nope", "--range", "1..3"]) == 2
     assert run(["verify", "--family", "1-4-k", "--range", "9..5"]) == 2
     assert run(["blocks", "--set", "1,2", "--blocks", "(2 3"]) == 2
@@ -120,9 +134,8 @@ def test_budget_exhaustion_exit_3(capsys):
 
 
 def test_resource_cap_exit_4(capsys):
-    code, _, err = _capture(
-        capsys, ["compute", "--set", "1,4,30", "--method", "stategraph"]
-    )
+    # the window automaton for {7} needs 2^14 states, over the cap of 4096
+    code, _, err = _capture(capsys, ["domination", "--set", "7"])
     assert code == 4
     assert "cap" in err
 

@@ -15,6 +15,7 @@ from dgratio.core import (
     power_distance_set,
     verify_periodic_independent,
 )
+from oracles import scan_periodic_independent
 
 
 def test_distance_set_validation():
@@ -203,6 +204,42 @@ def test_verify_violation_positions_are_real():
         if not verdict.ok:
             x, y = verdict.violation
             assert (y - x) in set(s.distances)
+
+
+def test_verify_matches_the_pair_scan():
+    # same verdict and same violation pair as scanning unrolled periods
+    rng = random.Random(29)
+    violations = 0
+    for _ in range(3000):
+        blocks = BlockList([rng.randint(1, 12) for _ in range(rng.randint(1, 7))])
+        s = DistanceSet(rng.sample(range(1, rng.choice([10, 30, 100])), rng.randint(1, 4)))
+        verdict = verify_periodic_independent(blocks, s)
+        expected = scan_periodic_independent(blocks, s)
+        assert (verdict.ok, verdict.violation) == (expected.ok, expected.violation), (blocks, s)
+        violations += not verdict.ok
+    assert 0 < violations < 3000
+
+
+def test_verify_stays_cheap_on_huge_inputs():
+    # a pair scan over unrolled periods takes minutes on each of these
+    assert verify_periodic_independent(BlockList([2, 6] * 100_000), DistanceSet([1, 3, 5])).ok
+    big = DistanceSet([1, 3, 10**12 + 1])
+    assert verify_periodic_independent(BlockList([2]), big).ok
+    # 10**12 is a multiple of the period 5; 2 is not
+    verdict = verify_periodic_independent(BlockList([5]), DistanceSet([2, 10**12]))
+    assert verdict.violation == (0, 10**12)
+
+
+@pytest.mark.parametrize("depth", [600, 10_000])
+def test_deep_nesting_parses_without_recursion(depth):
+    assert parse_block_notation("(" * depth + "2" + ")^1" * depth).sizes == (2,)
+    with pytest.raises(ExpansionLimitError) as err:
+        parse_block_notation("(" * depth + "2" + ")^2" * depth)
+    assert err.value.needed == 2**depth
+    with pytest.raises(BlockSyntaxError) as err:
+        parse_block_notation("(" * depth + "2" + ")^2" * (depth - 1))
+    assert "expected ')'" in str(err.value)
+    assert err.value.offset == 1 + depth + 3 * (depth - 1)
 
 
 def test_blocklist_notation_round_trip():

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ import pytest
 import dgratio
 from dgratio.core import DistanceSet, verify_periodic_independent
 from dgratio.ratio import independence_ratio, scale_block_witness
-from dgratio.search import SearchBudget
-from dgratio.stategraph import EngineCaps, StateSpaceError
+from dgratio.search import SearchBudget, compute_ratio
+from dgratio.stategraph import EngineCaps, StateSpaceError, independence_ratio_exact
 
 
 def test_all_odd_shortcut():
@@ -28,12 +29,6 @@ def test_gcd_reduction_with_all_odd_core():
     assert report.value == Fraction(1, 2)
     assert verify_periodic_independent(report.lower_witness, DistanceSet([2, 6])).ok
     assert report.lower_witness.density() == Fraction(1, 2)
-
-
-def test_shortcut_notes_on_forced_method():
-    report = independence_ratio(DistanceSet([3, 5]), method="search")
-    assert report.method == "shortcut"
-    assert report.note is not None
 
 
 def test_scaled_witness_structure():
@@ -58,29 +53,59 @@ def test_scale_block_witness_density_preserved():
 def test_method_routing():
     small = independence_ratio(DistanceSet([1, 4, 7]))
     assert small.method == "stategraph"
-    forced = independence_ratio(DistanceSet([1, 4, 7]), method="search")
+    forced = compute_ratio(DistanceSet([1, 4, 7]))
     assert forced.method == "search"
     assert forced.value == small.value
 
 
 def test_search_method_keeps_the_search_note():
+    # compute_ratio called directly runs its gap-state rescue and says so
     certified = "upper bound certified by the exact gap-state engine"
-    report = independence_ratio(DistanceSet([5, 6, 9]), method="search")
+    report = compute_ratio(DistanceSet([5, 6, 9]))
     assert report.note == certified
-    report = independence_ratio(DistanceSet([10, 12, 18]), method="search")
+    report = compute_ratio(DistanceSet([10, 12, 18]))
     assert report.value == Fraction(4, 11)
-    assert report.note == "gcd 2 factored out; computed on {5,6,9}; " + certified
+    assert report.note == certified
 
 
 def test_stategraph_cap_raises_when_forced():
     with pytest.raises(StateSpaceError):
-        independence_ratio(DistanceSet([1, 4, 30]), method="stategraph")
+        independence_ratio_exact(DistanceSet([1, 4, 30]))
 
 
 def test_auto_falls_back_to_search_beyond_cap():
     report = independence_ratio(DistanceSet([1, 4, 25]))
     assert report.method == "search"
     assert report.value == Fraction(5, 13)
+    assert report.note == "gap-state engine refused: max(S) = 25 exceeds the independence cap 22"
+
+
+def test_fallback_note_names_the_refusal_after_the_gcd_note():
+    report = independence_ratio(DistanceSet([2, 8, 50]))
+    assert report.method == "search"
+    assert report.value == Fraction(5, 13)
+    assert report.note == (
+        "gcd 2 factored out; computed on {1,4,25}; "
+        "gap-state engine refused: max(S) = 25 exceeds the independence cap 22"
+    )
+    report = independence_ratio(DistanceSet([19, 22]))
+    assert report.method == "search"
+    assert report.note == (
+        "gap-state engine refused: independence state space for {19,22} has 589824 states, "
+        "over the cap of 400000"
+    )
+    # answers that need no fallback carry no refusal
+    assert independence_ratio(DistanceSet([1, 4, 7])).note is None
+    assert independence_ratio(DistanceSet([2, 8, 14])).note == "gcd 2 factored out; computed on {1,4,7}"
+    assert independence_ratio(DistanceSet([3, 5])).note is None
+
+
+def test_parity_shortcut_does_not_grow_with_max_s():
+    started = time.process_time()
+    report = independence_ratio(DistanceSet([1, 3, 1000001]))
+    assert time.process_time() - started < 0.5
+    assert report.method == "shortcut"
+    assert report.value == Fraction(1, 2)
 
 
 def test_caps_reach_the_search_rescue(monkeypatch):
@@ -98,15 +123,16 @@ def test_caps_reach_the_search_rescue(monkeypatch):
     assert counted == [10]
     assert report.status == "bounded"
     assert report.counters["window_certificate"] is False
+    assert report.note.startswith("gap-state engine refused: independence state space for {5,6,9} has ")
     # search: the rescue runs under the caller's caps, which refuse the set
     counted.clear()
-    report = independence_ratio(s, method="search", budget=SearchBudget(max_nodes=5000), caps=small)
+    report = compute_ratio(s, budget=SearchBudget(max_nodes=5000), caps=small)
     assert counted == [10]
     assert report.status == "bounded"
     assert report.counters["window_certificate"] is False
     # the same budget suffices under the default caps
     counted.clear()
-    report = independence_ratio(s, method="search", budget=SearchBudget(max_nodes=5000))
+    report = compute_ratio(s, budget=SearchBudget(max_nodes=5000))
     assert counted == [400_000]
     assert report.value == Fraction(4, 11)
     assert report.counters["window_certificate"] is True

@@ -1,5 +1,6 @@
 """Closed-form catalog: matching, predictions, witnesses, verification."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,31 @@ def test_closed_form_examples():
     assert pred.value == Fraction(1, 2)
 
     assert closed_form(DistanceSet([2, 3, 7])) is None
+
+
+def _round_trip_families():
+    # all-odd's matcher accepts every all-odd set on purpose
+    return [fam for fam in list_families() if fam.matcher is not None and fam.id != "all-odd"]
+
+
+def test_bound_and_limit_families_have_no_matcher():
+    # closed_form consults theorem and conjecture families only
+    for fam in list_families():
+        if fam.kind not in (THEOREM, CONJECTURE):
+            assert fam.matcher is None, fam.id
+
+
+@pytest.mark.parametrize("fam", _round_trip_families(), ids=lambda fam: fam.id)
+def test_matcher_round_trips(fam):
+    hi = 30 if len(fam.parameters) < 3 else 12
+    for params in fam.sweep(0, hi):
+        assert fam.match(fam.build_set(params)) == params
+    for size in range(1, 5):
+        for members in itertools.combinations(range(1, 16), size):
+            distances = DistanceSet(members)
+            params = fam.match(distances)
+            if params is not None:
+                assert fam.build_set(params) == distances, params
 
 
 def test_list_family_value_examples():

@@ -74,7 +74,7 @@ def test_search_keeps_the_recursive_node_order(combo):
             for m in range(distances.max_element + 1, distances.max_element + 9)
         ]
         iv, chosen = table.interval_alpha, []
-        found = table._search(0, (1 << n) - 1, iv[n], table._nbr, iv, budget, chosen)
+        found = table._search((1 << n) - 1, iv[n], table._nbr, iv, budget, chosen)
         runs.append((iv, circulants, found, chosen, budget.nodes))
     assert runs[0] == runs[1]
     assert runs[0][2] and len(runs[0][3]) == runs[0][0][n]
