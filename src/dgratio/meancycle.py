@@ -12,8 +12,16 @@ Each policy is a functional graph, and it is evaluated in numpy passes by
 pointer jumping (Cochet-Terrasson et al. 1998; Dasdan 2004): repeated
 squaring of the successor map finds the cycle nodes, and doubling sums give
 every node's weight and length along its path to its cycle's smallest node.
-Biases stay in int64; an evaluation whose biases could leave the safe range
-hands over to the descent rescue below instead of wrapping.
+
+Memory goes per node, not per arc.  The arc arrays are used in whatever
+integer dtype they come in (the gap engine passes int32 targets and int8
+gaps) and are never widened as a whole: only per-node arrays (the policy's
+successors and weights, gains and biases) are int64, and each policy
+improvement pass reads the arcs in blocks of whole rows with at most
+_ARC_BLOCK arcs, so the int64 candidate values of one block are all the
+per-arc scratch there is.  A small graph is a single block.  Biases stay in
+int64; an evaluation whose biases could leave the safe range hands over to
+the descent rescue below instead of wrapping.
 
 Termination needs care when several policy cycles share a gain, because
 biases are only defined up to a constant per cycle.  Two measures handle
@@ -41,13 +49,39 @@ _INF = np.int64(2**62)
 # every bias and every candidate bias stays below this in magnitude, so int64
 # arithmetic on them is exact and the _INF sentinel still compares above them
 _SAFE = 2**62
+# above every value a policy improvement pass compares, _INF included
+_NEVER = np.int64(np.iinfo(np.int64).max)
+# the most arcs a policy improvement pass, or a walk over CSRAdjacency rows,
+# turns into per-arc scratch at a time
+_ARC_BLOCK = 1 << 16
+
+
+def _row_blocks(indptr: np.ndarray) -> list:
+    """The rows in blocks of at most _ARC_BLOCK arcs, a row with more arcs
+    making a block of its own, as tuples (a, b, lo, hi, starts, deg): rows
+    a..b-1 with arcs lo..hi-1, and per row the offset of its first arc
+    from lo and its arc count."""
+    n = len(indptr) - 1
+    blocks = []
+    a = 0
+    while a < n:
+        lo = int(indptr[a])
+        b = int(np.searchsorted(indptr, lo + _ARC_BLOCK, side="right")) - 1
+        b = min(n, max(b, a + 1))
+        offsets = indptr[a:b + 1] - lo
+        blocks.append((a, b, lo, int(indptr[b]), offsets[:-1], np.diff(offsets)))
+        a = b
+    return blocks
 
 
 class CSRAdjacency(Sequence):
     """Per-node out-arc lists [(weight, dst), ...] held as CSR arrays.
 
     Reads like the list-of-lists adjacency that csr_from_adjacency packs,
-    but csr_from_adjacency hands its arrays back without copying.
+    but csr_from_adjacency hands its arrays back without copying.  The
+    arrays keep the dtypes they were made with (the gap engine's are int64
+    indptr, int32 dst and int8 w); rows read as lists of Python ints, and
+    iterating converts one block of rows at a time.
     """
 
     __slots__ = ("indptr", "dst", "w")
@@ -64,10 +98,11 @@ class CSRAdjacency(Sequence):
         return list(zip(self.w[lo:hi].tolist(), self.dst[lo:hi].tolist()))
 
     def __iter__(self):
-        arcs = list(zip(self.w.tolist(), self.dst.tolist()))
-        bounds = self.indptr.tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            yield arcs[lo:hi]
+        for a, b, lo, hi, _, _ in _row_blocks(self.indptr):
+            arcs = list(zip(self.w[lo:hi].tolist(), self.dst[lo:hi].tolist()))
+            bounds = (self.indptr[a:b + 1] - lo).tolist()
+            for start, end in zip(bounds, bounds[1:]):
+                yield arcs[start:end]
 
 
 def csr_from_adjacency(adjacency: Sequence) -> tuple:
@@ -90,8 +125,10 @@ def _policy_cycles(succ: np.ndarray, wsel: np.ndarray):
     Returns per node: the smallest node of the cycle it reaches (its handle),
     whether it lies on a cycle, the weight and the arc count of its path to
     the handle (going round the cycle for cycle nodes), and the reduced mean
-    (num, den) of its cycle.
+    (num, den) of its cycle.  Any integer dtypes are taken; sums are int64.
     """
+    succ = succ.astype(np.int64, copy=False)
+    wsel = wsel.astype(np.int64, copy=False)
     n = len(succ)
     nodes = np.arange(n, dtype=np.int64)
     ahead = succ
@@ -180,37 +217,46 @@ def _best_cycle(succ: np.ndarray, wsel: np.ndarray, rank: np.ndarray,
     return cyc, wsel[cyc].tolist()
 
 
-def _initial_policy(indptr: np.ndarray, w: np.ndarray, src_per_edge: np.ndarray) -> np.ndarray:
-    """Per node, the first outgoing edge of minimum weight."""
-    seg_min = np.minimum.reduceat(w, indptr[:-1])
-    edges = np.arange(len(w), dtype=np.int64)
-    return np.minimum.reduceat(np.where(w == seg_min[src_per_edge], edges, len(w)), indptr[:-1])
-
-
-def _segment_argmin_switch(values: np.ndarray, src_per_edge: np.ndarray,
-                           indptr: np.ndarray, current: np.ndarray,
-                           pol: np.ndarray) -> bool:
+def _segment_argmin_switch(blocks: list, values_of,
+                           current: np.ndarray, pol: np.ndarray) -> bool:
     """Switch each node to its first best edge where values beat `current`.
 
-    values is per-edge (int64, +_INF to exclude); current per-node.  Returns
-    whether any switch happened.  Deterministic: first minimal edge in CSR
-    order wins.
+    values_of(a, b, lo, hi, deg) gives the values of edges lo..hi-1, the
+    out-edges of nodes a..b-1 (below _NEVER; +_INF to exclude), one block
+    of _row_blocks at a time; current is per-node.  Returns whether any switch
+    happened.  Deterministic: first minimal edge in CSR order wins.
     """
-    seg_min = np.minimum.reduceat(values, indptr[:-1])
-    improved = seg_min < current
-    if not improved.any():
-        return False
-    at_min = (values == seg_min[src_per_edge]) & improved[src_per_edge]
-    idx = np.flatnonzero(at_min)
-    segs = src_per_edge[idx]
-    uniq, first = np.unique(segs, return_index=True)
-    pol[uniq] = idx[first]
-    return True
+    switched = False
+    for a, b, lo, hi, starts, deg in blocks:
+        values = values_of(a, b, lo, hi, deg)
+        seg_min = np.minimum.reduceat(values, starts)
+        better = seg_min < current[a:b]
+        if not better.any():
+            continue
+        # the edges at their row's minimum in the rows that improve; the
+        # first of them from a row's start on is that row's first best edge
+        goal = np.where(better, seg_min, _NEVER)
+        hits = np.flatnonzero(values == np.repeat(goal, deg))
+        rows = np.flatnonzero(better)
+        pol[a + rows] = lo + hits[np.searchsorted(hits, starts[rows])]
+        switched = True
+    return switched
+
+
+def _initial_policy(num_nodes: int, w: np.ndarray, blocks: list) -> np.ndarray:
+    """Per node, the first outgoing edge of minimum weight."""
+    pol = np.empty(num_nodes, dtype=np.int64)
+    for a, b, lo, hi, starts, deg in blocks:
+        values = w[lo:hi]
+        hits = np.flatnonzero(values == np.repeat(np.minimum.reduceat(values, starts), deg))
+        pol[a:b] = lo + hits[np.searchsorted(hits, starts)]
+    return pol
 
 
 def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray):
     """Minimum mean cycle of a digraph in CSR form; every node needs an out-edge.
 
+    The arrays may have any integer dtypes; they are read, never widened.
     Returns (mean: Fraction, cycle_nodes: list[int], cycle_weights: list[int])
     where cycle_nodes[j] -> cycle_nodes[(j+1) % L] is the j-th cycle edge and
     cycle_weights[j] its weight.  Deterministic for a fixed CSR layout.
@@ -218,14 +264,10 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray):
     num_nodes = len(indptr) - 1
     if num_nodes == 0:
         raise NoCycleError("empty graph")
-    deg = np.diff(indptr)
-    if (deg <= 0).any():
+    if (np.diff(indptr) <= 0).any():
         raise ValueError("every node must have at least one outgoing edge")
-    indptr = indptr.astype(np.int64, copy=False)
-    dst = dst.astype(np.int64, copy=False)
-    w = w.astype(np.int64, copy=False)
-    src_per_edge = np.repeat(np.arange(num_nodes, dtype=np.int64), deg)
-    pol = _initial_policy(indptr, w, src_per_edge)
+    blocks = _row_blocks(indptr)
+    pol = _initial_policy(num_nodes, w, blocks)
     max_w = max(int(w.max()), -int(w.min()))
     prev_bias = np.zeros(num_nodes, dtype=np.int64)
 
@@ -238,20 +280,32 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray):
         lam_num, lam_den, bias, handle, on_cycle = evaluated
         prev_bias = bias
         rank = _gain_rank(lam_num, lam_den, handle)
-        if rank.any():
-            rank_dst = rank[dst]
-            if _segment_argmin_switch(rank_dst, src_per_edge, indptr, rank, pol):
-                continue
-            equal = rank_dst == rank[src_per_edge]
-            cand = np.where(equal, w * lam_den[src_per_edge] - lam_num[src_per_edge] + bias[dst], _INF)
-        else:  # one gain everywhere: no edge improves it, every edge may improve a bias
-            cand = w * lam_den[0] - lam_num[0] + bias[dst]
-        if _segment_argmin_switch(cand, src_per_edge, indptr, bias, pol):
+        ranked = bool(rank.any())  # else one gain everywhere: no edge improves it
+
+        # a block's targets are widened before they index anything, since
+        # numpy would convert a narrow index array on every gather
+        def rank_of_targets(a, b, lo, hi, deg):
+            return rank[dst[lo:hi].astype(np.int64)]
+
+        def candidate_bias(a, b, lo, hi, deg):
+            """w*den + bias[target] per edge, with the source's gain; with
+            several gains, only edges into a cycle of the same gain.  A
+            node's num is added to its bias instead of taken off here."""
+            tgt = dst[lo:hi].astype(np.int64)
+            den = np.repeat(lam_den[a:b], deg) if ranked else lam_den[0]
+            cand = w[lo:hi].astype(np.int64) * den + bias[tgt]
+            if ranked:
+                cand[rank[tgt] != np.repeat(rank[a:b], deg)] = _INF
+            return cand
+
+        if ranked and _segment_argmin_switch(blocks, rank_of_targets, rank, pol):
+            continue
+        if _segment_argmin_switch(blocks, candidate_bias, bias + lam_num, pol):
             continue
         # Bellman optimality reached: the best policy cycle is extremal.
         cyc, weights = _best_cycle(succ, wsel, rank, on_cycle)
         return Fraction(int(lam_num[cyc[0]]), int(lam_den[cyc[0]])), cyc, weights
-    return _min_mean_cycle_descent(indptr, dst, w, src_per_edge)
+    return _min_mean_cycle_descent(indptr, dst, w)
 
 
 def _cycle_from_parents(parent_edge: list, dst_l: list, src_l: list, start: int,
@@ -278,16 +332,20 @@ def _cycle_from_parents(parent_edge: list, dst_l: list, src_l: list, start: int,
     return nodes, cycle_edges
 
 
-def _min_mean_cycle_descent(indptr, dst, w, src_per_edge):
+def _min_mean_cycle_descent(indptr, dst, w):
     """Rescue path: strict descent over cycle means via negative-cycle tests.
 
     Starting from any policy cycle, test with Bellman-Ford whether a cycle of
     mean strictly below the candidate exists (reduced weights w*q - p); each
     hit strictly lowers the candidate mean, and cycle means form a finite
     set, so this terminates regardless of tie structure.  Reduced weights and
-    distances are Python integers when int64 could not hold them.
+    distances are Python integers when int64 could not hold them.  It is
+    only a rescue, so it widens the arcs to int64 and keeps a source per arc.
     """
     num_nodes = len(indptr) - 1
+    dst = dst.astype(np.int64)
+    w = w.astype(np.int64)
+    src_per_edge = np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(indptr))
     order = np.argsort(dst, kind="stable")
     dst_sorted = dst[order]
     boundaries = np.flatnonzero(np.diff(dst_sorted)) + 1
@@ -298,7 +356,7 @@ def _min_mean_cycle_descent(indptr, dst, w, src_per_edge):
     w_l = w.tolist()
     max_w = max(int(w.max()), -int(w.min()))
 
-    pol = _initial_policy(indptr, w, src_per_edge)
+    pol = _initial_policy(num_nodes, w, _row_blocks(indptr))
     succ, wsel = dst[pol], w[pol]
     handle, on_cycle, _, _, lam_num, lam_den = _policy_cycles(succ, wsel)
     cyc, weights = _best_cycle(succ, wsel, _gain_rank(lam_num, lam_den, handle), on_cycle)

@@ -313,59 +313,60 @@ def _independence_gap_graph(distances: DistanceSet, max_states: int):
     (bit 0 = the element itself); an edge labelled g appends an element g
     positions later.  Gaps beyond max(S)+1 never help, so labels stop there.
 
-    Returns (order, arcs): the state masks in breadth-first discovery order
-    from mask 1, and per state its arcs [(g, j), ...] in increasing g, as a
-    meancycle.CSRAdjacency.  The graph is built in numpy passes: every arc
-    of every state at once, with targets looked up in the sorted masks, then
-    a frontier BFS that numbers the states as a queue over arcs in gap order
-    would.
+    Returns (order, arcs): the state masks (int64) in breadth-first
+    discovery order from mask 1, and per state its arcs [(g, j), ...] in
+    increasing g, as a meancycle.CSRAdjacency with int64 indptr, int32
+    targets and int8 gaps.  The graph is built in numpy passes by a BFS
+    that takes the queued states in blocks of at most meancycle._ARC_BLOCK
+    arcs: a block's arcs are computed, their targets looked up in the
+    sorted masks, the new targets numbered in order of first appearance
+    (as a queue over arcs in gap order would) and the block's part of the
+    CSR emitted, so no int64 scratch spans more than a block.
     """
     masks = _gap_state_masks(distances, max_states)
     s = distances.max_element
     n = len(masks)
     gaps = np.arange(1, s + 2, dtype=np.int64)
     sbits = sum(1 << d for d in distances)
-    # gap g is free when no occupied offset sits at d - g for a d in S; the
-    # arcs come out grouped by state, in increasing gap within a state
-    src, col = np.nonzero((masks[:, None] & (sbits >> gaps)) == 0)
-    gap = gaps[col]
-    keys = ((masks[src] << gap) & ((1 << s) - 1)) | 1
-    # binary search runs far faster over keys in near-sorted order, so look
-    # them up in the order of a (linear-time) stable sort by their top 16 bits
-    by_top = np.argsort((keys >> max(0, s - 16)).astype(np.uint16), kind="stable")
-    tgt = np.empty_like(keys)
-    tgt[by_top] = np.searchsorted(masks, keys[by_top])
-    deg = np.bincount(src, minlength=n)
-    first = np.zeros(n, dtype=np.int64)
-    np.cumsum(deg[:-1], out=first[1:])
-
-    def arcs_of(states):
-        """Indices of the arcs of `states`, state by state, each in gap order."""
-        counts = deg[states]
-        ends = np.cumsum(counts)
-        return np.repeat(first[states] - ends + counts, counts) + np.arange(ends[-1])
-
+    # gap g is free when no occupied offset sits at d - g for a d in S
+    blocked = sbits >> gaps
+    window = (1 << s) - 1
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     # mask 1 is the smallest mask, so the start state is index 0
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    levels = [np.zeros(1, dtype=np.int64)]
-    while len(levels[-1]):
-        reached = tgt[arcs_of(levels[-1])]
-        reached = reached[~seen[reached]]
+    queue = np.zeros(n, dtype=np.int64)
+    number = np.full(n, -1, dtype=index)
+    number[0] = 0
+    queued, done = 1, 0
+    per_block = max(1, meancycle._ARC_BLOCK // len(gaps))
+    deg, dst, gap_of = [], [], []
+    while done < queued:
+        states = queue[done:min(queued, done + per_block)]
+        done += len(states)
+        head = masks[states]
+        # the block's arcs, grouped by state, in increasing gap within a state
+        src, col = np.nonzero((head[:, None] & blocked) == 0)
+        gap = gaps[col]
+        keys = ((head[src] << gap) & window) | 1
+        # binary search runs far faster over keys in near-sorted order, so
+        # look them up in the order of a (linear-time) stable sort by their
+        # top 16 bits
+        by_top = np.argsort((keys >> max(0, s - 16)).astype(np.uint16), kind="stable")
+        tgt = np.empty_like(keys)
+        tgt[by_top] = np.searchsorted(masks, keys[by_top])
+        reached = tgt[number[tgt] < 0]
         _, earliest = np.unique(reached, return_index=True)
-        frontier = reached[np.sort(earliest)]
-        seen[frontier] = True
-        levels.append(frontier)
-    found = np.concatenate(levels)
-    if len(found) != n:
+        fresh = reached[np.sort(earliest)]
+        number[fresh] = np.arange(queued, queued + len(fresh), dtype=index)
+        queue[queued:queued + len(fresh)] = fresh
+        queued += len(fresh)
+        deg.append(np.bincount(src, minlength=len(states)))
+        dst.append(number[tgt])
+        gap_of.append(gap.astype(np.int8))
+    if queued != n:
         raise AssertionError(f"internal error: gap states of {distances} not all reachable")
-    number = np.empty(n, dtype=np.int64)
-    number[found] = np.arange(n, dtype=np.int64)
-
-    arcs = arcs_of(found)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg[found], out=indptr[1:])
-    return masks[found], meancycle.CSRAdjacency(indptr, number[tgt[arcs]], gap[arcs])
+    np.cumsum(np.concatenate(deg), out=indptr[1:])
+    return masks[queue], meancycle.CSRAdjacency(indptr, np.concatenate(dst), np.concatenate(gap_of))
 
 
 def independence_ratio_exact(

@@ -12,6 +12,10 @@ against.  None of them is used by the package itself.
   budget exhaustion the package's explicit-stack search must keep;
 - the scan of all 2^(max(S)-1) candidate masks for the gap engine's
   states, against which the grown masks and their count are checked;
+- the wide gap engine: the gap graph built with int64 arrays spanning
+  every arc, and Howard with int64 targets, weights and sources on every
+  arc and all arcs in each improvement pass, whose CSR arrays, results
+  and evaluation counts the lean engine must keep;
 - window graphs with list adjacency, pruned by a Python loop, whose arcs
   may add several positions, with their extremal mean cycles in either
   direction:
@@ -32,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dgratio import stategraph
+from dgratio import meancycle, stategraph
 from dgratio.core import BlockList, DistanceSet, IndependenceVerdict
 from dgratio.meancycle import NoCycleError, csr_from_adjacency, min_mean_cycle_howard
 from dgratio.search import AlphaTable, BudgetExceeded, SearchBudget
@@ -162,7 +166,7 @@ def min_mean_cycle_karp(num_nodes: int, edges: list) -> Fraction:
 
 def max_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray):
     """Maximum mean cycle via weight negation."""
-    mean, cyc, weights = min_mean_cycle_howard(indptr, dst, -np.asarray(w))
+    mean, cyc, weights = min_mean_cycle_howard(indptr, dst, -np.asarray(w).astype(np.int64))
     return -mean, cyc, [-x for x in weights]
 
 
@@ -308,6 +312,115 @@ def scan_gap_state_masks(distances: DistanceSet, max_states: int) -> np.ndarray:
     if count > max_states:
         raise stategraph.StateSpaceError(f"{count} states, over the cap of {max_states}", required=count)
     return np.concatenate(kept)
+
+
+# ---------------------------------------------------------------------------
+# The wide gap engine: int64 on every arc, all arcs at once
+# ---------------------------------------------------------------------------
+
+
+def wide_gap_graph(distances: DistanceSet, max_states: int) -> tuple:
+    """The gap graph with int64 arrays spanning every arc.
+
+    Every arc of every state is computed at once, its target looked up in
+    the sorted masks, and a level-by-level BFS from mask 1 numbers the
+    states in discovery order.  Returns (order, indptr, dst, w) as int64,
+    the layout the package's lean build must reproduce.
+    """
+    masks = stategraph._gap_state_masks(distances, max_states)
+    s = distances.max_element
+    n = len(masks)
+    gaps = np.arange(1, s + 2, dtype=np.int64)
+    sbits = sum(1 << d for d in distances)
+    src, col = np.nonzero((masks[:, None] & (sbits >> gaps)) == 0)
+    gap = gaps[col]
+    keys = ((masks[src] << gap) & ((1 << s) - 1)) | 1
+    tgt = np.searchsorted(masks, keys)
+    deg = np.bincount(src, minlength=n)
+    first = np.zeros(n, dtype=np.int64)
+    np.cumsum(deg[:-1], out=first[1:])
+
+    def arcs_of(states):
+        counts = deg[states]
+        ends = np.cumsum(counts)
+        return np.repeat(first[states] - ends + counts, counts) + np.arange(ends[-1])
+
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    levels = [np.zeros(1, dtype=np.int64)]
+    while len(levels[-1]):
+        reached = tgt[arcs_of(levels[-1])]
+        reached = reached[~seen[reached]]
+        _, earliest = np.unique(reached, return_index=True)
+        frontier = reached[np.sort(earliest)]
+        seen[frontier] = True
+        levels.append(frontier)
+    found = np.concatenate(levels)
+    assert len(found) == n
+    number = np.empty(n, dtype=np.int64)
+    number[found] = np.arange(n, dtype=np.int64)
+    arcs = arcs_of(found)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg[found], out=indptr[1:])
+    return masks[found], indptr, number[tgt[arcs]], gap[arcs]
+
+
+def _wide_switch(values, src_per_edge, indptr, current, pol) -> bool:
+    seg_min = np.minimum.reduceat(values, indptr[:-1])
+    improved = seg_min < current
+    if not improved.any():
+        return False
+    at_min = (values == seg_min[src_per_edge]) & improved[src_per_edge]
+    idx = np.flatnonzero(at_min)
+    uniq, first = np.unique(src_per_edge[idx], return_index=True)
+    pol[uniq] = idx[first]
+    return True
+
+
+def wide_min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray) -> tuple:
+    """Howard's minimum mean cycle with int64 dst, w and source on every arc.
+
+    Returns (mean, cycle, weights, evaluations): the package's result and
+    the number of policy evaluations it made, including one that hands
+    over to the descent rescue.
+    """
+    num_nodes = len(indptr) - 1
+    indptr = np.asarray(indptr).astype(np.int64)
+    dst = np.asarray(dst).astype(np.int64)
+    w = np.asarray(w).astype(np.int64)
+    deg = np.diff(indptr)
+    src_per_edge = np.repeat(np.arange(num_nodes, dtype=np.int64), deg)
+    seg_min = np.minimum.reduceat(w, indptr[:-1])
+    edges = np.arange(len(w), dtype=np.int64)
+    pol = np.minimum.reduceat(np.where(w == seg_min[src_per_edge], edges, len(w)), indptr[:-1])
+    max_w = max(int(w.max()), -int(w.min()))
+    prev_bias = np.zeros(num_nodes, dtype=np.int64)
+    evaluations = 0
+    for _ in range(meancycle._MAX_ITERATIONS):
+        succ = dst[pol]
+        wsel = w[pol]
+        evaluations += 1
+        handle, on_cycle, dist_w, dist_n, lam_num, lam_den = meancycle._policy_cycles(succ, wsel)
+        reach = int(np.abs(prev_bias).max()) + 2 * (num_nodes + 1) * int(lam_den.max()) * max_w
+        if reach >= meancycle._SAFE:
+            break
+        bias = prev_bias[handle] + lam_den * dist_w - lam_num * dist_n
+        prev_bias = bias
+        rank = meancycle._gain_rank(lam_num, lam_den, handle)
+        if rank.any():
+            rank_dst = rank[dst]
+            if _wide_switch(rank_dst, src_per_edge, indptr, rank, pol):
+                continue
+            equal = rank_dst == rank[src_per_edge]
+            cand = np.where(equal, w * lam_den[src_per_edge] - lam_num[src_per_edge] + bias[dst],
+                            meancycle._INF)
+        else:
+            cand = w * lam_den[0] - lam_num[0] + bias[dst]
+        if _wide_switch(cand, src_per_edge, indptr, bias, pol):
+            continue
+        cyc, weights = meancycle._best_cycle(succ, wsel, rank, on_cycle)
+        return Fraction(int(lam_num[cyc[0]]), int(lam_den[cyc[0]])), cyc, weights, evaluations
+    return (*meancycle._min_mean_cycle_descent(indptr, dst, w), evaluations)
 
 
 # ---------------------------------------------------------------------------

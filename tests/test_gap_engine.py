@@ -1,8 +1,9 @@
-"""The numpy gap engine against a plain breadth-first oracle, its grown states
-against the candidate-mask scan, its exact state count, and the byte-stable
-table it feeds."""
+"""The numpy gap engine against a plain breadth-first oracle and the wide
+int64 engine it replaced, its grown states against the candidate-mask scan,
+its exact state count, its memory, and the byte-stable table it feeds."""
 
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from dgratio.stategraph import (
     independence_ratio_exact,
 )
 
-from oracles import scan_gap_state_masks
+from oracles import scan_gap_state_masks, wide_gap_graph, wide_min_mean_cycle_howard
 
 REFERENCE_TABLE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "table_k1-10_i1-12.csv"
 
@@ -88,6 +89,33 @@ def test_builder_matches_the_python_oracle():
         assert list(arcs) == want_adjacency, combo
 
 
+def test_builder_in_blocks_of_one_state_matches_the_python_oracle(monkeypatch):
+    # the BFS then takes one queued state per block
+    monkeypatch.setattr(meancycle, "_ARC_BLOCK", 1)
+    for combo in [(1,), (2, 3), (1, 4, 7), (2, 5, 11), (3, 8, 12)]:
+        order, arcs = _independence_gap_graph(DistanceSet(combo), 10**6)
+        want_order, want_adjacency = python_gap_graph(DistanceSet(combo))
+        assert order.tolist() == want_order, combo
+        assert list(arcs) == want_adjacency, combo
+
+
+def test_lean_engine_matches_the_wide_oracle(evaluate_calls):
+    sets = _small_sets() + TABLE_SETS + GAP_LARGE_POOL
+    assert len(sets) == 404
+    for combo in sets:
+        distances = DistanceSet(combo)
+        order, arcs = _independence_gap_graph(distances, 10**6)
+        want = wide_gap_graph(distances, 10**6)
+        assert arcs.dst.dtype == np.int32 and arcs.w.dtype == np.int8, combo
+        for got, expected in zip((order, arcs.indptr, arcs.dst, arcs.w), want):
+            assert np.array_equal(got.astype(np.int64), expected), combo
+        evaluate_calls.clear()
+        got = meancycle.min_mean_cycle_howard(arcs.indptr, arcs.dst, arcs.w)
+        *expected, evaluations = wide_min_mean_cycle_howard(*want[1:])
+        assert got == tuple(expected), combo
+        assert len(evaluate_calls) == evaluations, combo
+
+
 def test_grown_masks_equal_the_scan():
     assert len(TABLE_SETS) == 90
     for combo in _small_sets(14) + GAP_LARGE_POOL + TABLE_SETS:
@@ -129,6 +157,26 @@ def test_a_refused_count_stays_within_the_scans_memory():
     finally:
         tracemalloc.stop()
     assert 0 < grown <= scanned
+
+
+def test_the_gap_engine_holds_memory_per_state():
+    # {18,19}: 131,072 states and 720,896 arcs.  With int64 arrays spanning
+    # every arc, the whole call peaked at about 60 MB traced; the narrow CSR
+    # and block-bounded scratch keep it near 30 MB.
+    distances = DistanceSet([18, 19])
+    _, arcs = _independence_gap_graph(distances, DEFAULT_CAPS.independence_max_states)
+    assert arcs.dst.dtype == np.int32
+    assert arcs.w.dtype.kind == "i" and arcs.w.dtype.itemsize == 1
+    del arcs
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value, _ = independence_ratio_exact(distances)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert value == Fraction(18, 37)
+    assert peak < 35 * 10**6
 
 
 def test_cap_reports_the_exact_state_count():

@@ -8,7 +8,12 @@ import pytest
 
 from dgratio import meancycle
 
-from oracles import max_mean_cycle_howard, max_mean_cycle_karp, min_mean_cycle_karp
+from oracles import (
+    max_mean_cycle_howard,
+    max_mean_cycle_karp,
+    min_mean_cycle_karp,
+    wide_min_mean_cycle_howard,
+)
 
 
 def _csr(adjacency):
@@ -80,6 +85,51 @@ def test_howard_matches_karp_on_random_graphs():
         assert Fraction(sum(weights), L) == got
 
 
+def _narrow(indptr, dst, w):
+    return indptr, dst.astype(np.int32), w.astype(np.int8)
+
+
+@pytest.mark.parametrize("arc_block", [meancycle._ARC_BLOCK, 3])
+def test_lean_howard_matches_the_wide_oracle(monkeypatch, evaluate_calls, arc_block):
+    # arc_block 3 splits every graph into blocks of rows, and rows with more
+    # arcs than a block into blocks of their own
+    monkeypatch.setattr(meancycle, "_ARC_BLOCK", arc_block)
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        adjacency, _ = _random_graph(rng, n)
+        csr = _csr(adjacency)
+        *want, evaluations = wide_min_mean_cycle_howard(*csr)
+        for arrays in (csr, _narrow(*csr)):
+            evaluate_calls.clear()
+            assert meancycle.min_mean_cycle_howard(*arrays) == tuple(want)
+            assert len(evaluate_calls) == evaluations
+
+
+def test_int8_weights_near_their_limits_against_karp(evaluate_calls):
+    # a ring through every node, plus chords, all weighted near +-127: the
+    # policy cycles are longer than 2, so any int8 sum along them would wrap.
+    # Wrapped gains can still end in the right mean by way of the descent
+    # rescue, so the policy iteration must also match the wide oracle's.
+    rng = random.Random(127)
+    for _ in range(120):
+        n = rng.randint(3, 10)
+        adjacency = [[] for _ in range(n)]
+        for u in range(n):
+            adjacency[u].append((rng.choice((127 - rng.randint(0, 3), -128 + rng.randint(0, 3))), (u + 1) % n))
+            for v in rng.sample(range(n), rng.randint(0, 2)):
+                adjacency[u].append((rng.choice((127, 126, -127, -128)), v))
+        edges = [(u, v, wt) for u, row in enumerate(adjacency) for wt, v in row]
+        indptr, dst, w = _narrow(*_csr(adjacency))
+        evaluate_calls.clear()
+        mean, cyc, weights = meancycle.min_mean_cycle_howard(indptr, dst, w)
+        *want, evaluations = wide_min_mean_cycle_howard(indptr, dst, w)
+        assert (mean, cyc, weights) == tuple(want) and len(evaluate_calls) == evaluations
+        assert mean == min_mean_cycle_karp(n, edges)
+        assert Fraction(sum(weights), len(weights)) == mean
+        assert max_mean_cycle_howard(indptr, dst, w)[0] == max_mean_cycle_karp(n, edges)
+
+
 def test_descent_rescue_agrees():
     # exercise the unconditional fallback directly on tie-heavy graphs
     rng = random.Random(9)
@@ -87,9 +137,7 @@ def test_descent_rescue_agrees():
         n = rng.randint(2, 10)
         adjacency, edges = _random_graph(rng, n)
         indptr, dst, w = _csr(adjacency)
-        deg = np.diff(indptr)
-        src = np.repeat(np.arange(n, dtype=np.int64), deg)
-        mean, cyc, weights = meancycle._min_mean_cycle_descent(indptr, dst, w, src)
+        mean, cyc, weights = meancycle._min_mean_cycle_descent(indptr, dst, w)
         assert mean == min_mean_cycle_karp(n, edges)
         assert Fraction(sum(weights), len(weights)) == mean
 
@@ -105,11 +153,13 @@ def test_negation_duality():
         assert mn == -mx
 
 
-def test_csr_adjacency_reads_as_its_lists():
+def test_csr_adjacency_reads_as_its_lists(monkeypatch):
     adjacency = [[(5, 0), (2, 1)], [(3, 2)], [(4, 0), (-1, 1)]]
     indptr, dst, w = _csr(adjacency)
     rows = meancycle.CSRAdjacency(indptr, dst, w)
     assert len(rows) == 3
+    assert list(rows) == adjacency
+    monkeypatch.setattr(meancycle, "_ARC_BLOCK", 1)  # a block per row, rows past a block
     assert list(rows) == adjacency
     assert rows[2] == adjacency[2] and rows[-1] == adjacency[-1]
     with pytest.raises(IndexError):
