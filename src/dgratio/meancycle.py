@@ -66,10 +66,10 @@ def _row_blocks(indptr: np.ndarray) -> list:
     a = 0
     while a < n:
         lo = int(indptr[a])
-        b = int(np.searchsorted(indptr, lo + _ARC_BLOCK, side="right")) - 1
+        b = int(indptr.searchsorted(lo + _ARC_BLOCK, side="right")) - 1
         b = min(n, max(b, a + 1))
         offsets = indptr[a:b + 1] - lo
-        blocks.append((a, b, lo, int(indptr[b]), offsets[:-1], np.diff(offsets)))
+        blocks.append((a, b, lo, int(indptr[b]), offsets[:-1], offsets[1:] - offsets[:-1]))
         a = b
     return blocks
 
@@ -136,7 +136,7 @@ def _policy_cycles(succ: np.ndarray, wsel: np.ndarray):
         ahead = ahead[ahead]  # succ^(2^k) with 2^k >= n lands on the cycle
     on_cycle = np.zeros(n, dtype=bool)
     on_cycle[ahead] = True
-    ring = np.flatnonzero(on_cycle)  # sorted, so local order is node order
+    ring = on_cycle.nonzero()[0]  # sorted, so local order is node order
     local = np.empty(n, dtype=np.int64)
     local[ring] = np.arange(len(ring), dtype=np.int64)
     low = np.arange(len(ring), dtype=np.int64)
@@ -152,12 +152,12 @@ def _policy_cycles(succ: np.ndarray, wsel: np.ndarray):
     dist_n = (~root).astype(np.int64)
     while True:
         further = jump[jump]
-        if np.array_equal(further, jump):
+        if (further == jump).all():
             break
         dist_w = dist_w + dist_w[jump]
         dist_n = dist_n + dist_n[jump]
         jump = further
-    heads = np.flatnonzero(root)
+    heads = root.nonzero()[0]
     total = dist_w[succ[heads]] + wsel[heads]
     length = dist_n[succ[heads]] + 1
     g = np.gcd(total, length)
@@ -189,7 +189,9 @@ def _evaluate(succ: np.ndarray, wsel: np.ndarray, prev_bias: np.ndarray, max_w: 
 
 def _gain_rank(lam_num: np.ndarray, lam_den: np.ndarray, handle: np.ndarray) -> np.ndarray:
     """Per node, the rank of its cycle's mean among the policy's distinct means."""
-    heads = np.flatnonzero(handle == np.arange(len(handle)))
+    if (lam_num == lam_num[0]).all() and (lam_den == lam_den[0]).all():
+        return np.zeros(len(handle), dtype=np.int64)  # one gain: nothing to sort
+    heads = (handle == np.arange(len(handle))).nonzero()[0]
     pairs = list(zip(lam_num[heads].tolist(), lam_den[heads].tolist()))
     distinct = sorted(set(pairs), key=lambda t: Fraction(t[0], t[1]))
     rank_of = {t: i for i, t in enumerate(distinct)}
@@ -206,7 +208,7 @@ def _best_cycle(succ: np.ndarray, wsel: np.ndarray, rank: np.ndarray,
     cycle from there: the order in which a walk over the nodes in increasing
     order meets the cycles and their nodes.
     """
-    v = int(np.argmin(rank))  # rank 0 is the least mean; argmin takes the smallest node
+    v = int(rank.argmin())  # rank 0 is the least mean; argmin takes the smallest node
     while not on_cycle[v]:
         v = int(succ[v])
     cyc = [v]
@@ -236,9 +238,9 @@ def _segment_argmin_switch(blocks: list, values_of,
         # the edges at their row's minimum in the rows that improve; the
         # first of them from a row's start on is that row's first best edge
         goal = np.where(better, seg_min, _NEVER)
-        hits = np.flatnonzero(values == np.repeat(goal, deg))
-        rows = np.flatnonzero(better)
-        pol[a + rows] = lo + hits[np.searchsorted(hits, starts[rows])]
+        hits = (values == goal.repeat(deg)).nonzero()[0]
+        rows = better.nonzero()[0]
+        pol[a + rows] = lo + hits[hits.searchsorted(starts[rows])]
         switched = True
     return switched
 
@@ -248,8 +250,8 @@ def _initial_policy(num_nodes: int, w: np.ndarray, blocks: list) -> np.ndarray:
     pol = np.empty(num_nodes, dtype=np.int64)
     for a, b, lo, hi, starts, deg in blocks:
         values = w[lo:hi]
-        hits = np.flatnonzero(values == np.repeat(np.minimum.reduceat(values, starts), deg))
-        pol[a:b] = lo + hits[np.searchsorted(hits, starts)]
+        hits = (values == np.minimum.reduceat(values, starts).repeat(deg)).nonzero()[0]
+        pol[a:b] = lo + hits[hits.searchsorted(starts)]
     return pol
 
 
@@ -264,7 +266,7 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray):
     num_nodes = len(indptr) - 1
     if num_nodes == 0:
         raise NoCycleError("empty graph")
-    if (np.diff(indptr) <= 0).any():
+    if (indptr[1:] <= indptr[:-1]).any():
         raise ValueError("every node must have at least one outgoing edge")
     blocks = _row_blocks(indptr)
     pol = _initial_policy(num_nodes, w, blocks)
@@ -292,10 +294,10 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray):
             several gains, only edges into a cycle of the same gain.  A
             node's num is added to its bias instead of taken off here."""
             tgt = dst[lo:hi].astype(np.int64)
-            den = np.repeat(lam_den[a:b], deg) if ranked else lam_den[0]
+            den = lam_den[a:b].repeat(deg) if ranked else lam_den[0]
             cand = w[lo:hi].astype(np.int64) * den + bias[tgt]
             if ranked:
-                cand[rank[tgt] != np.repeat(rank[a:b], deg)] = _INF
+                cand[rank[tgt] != rank[a:b].repeat(deg)] = _INF
             return cand
 
         if ranked and _segment_argmin_switch(blocks, rank_of_targets, rank, pol):
@@ -348,7 +350,7 @@ def _min_mean_cycle_descent(indptr, dst, w):
     src_per_edge = np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(indptr))
     order = np.argsort(dst, kind="stable")
     dst_sorted = dst[order]
-    boundaries = np.flatnonzero(np.diff(dst_sorted)) + 1
+    boundaries = np.diff(dst_sorted).nonzero()[0] + 1
     starts = np.concatenate(([0], boundaries))
     present = dst_sorted[starts]
     src_l = src_per_edge.tolist()
@@ -382,7 +384,7 @@ def _min_mean_cycle_descent(indptr, dst, w):
                 break
             at_min = (vals_sorted == seg_min[np.searchsorted(present, dst_sorted)]) \
                 & improved[np.searchsorted(present, dst_sorted)]
-            idx = order[np.flatnonzero(at_min)]
+            idx = order[at_min.nonzero()[0]]
             # keep the first improving edge per destination, CSR order
             seen = {}
             for e in idx.tolist():

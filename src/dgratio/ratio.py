@@ -15,7 +15,14 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
-from .core import BlockList, DistanceSet, normalize, verify_periodic_independent
+from .core import (
+    DEFAULT_EXPANSION_CAP,
+    BlockList,
+    DistanceSet,
+    ExpansionLimitError,
+    normalize,
+    verify_periodic_independent,
+)
 from .search import RatioReport, SearchBudget, compute_ratio
 from .stategraph import DEFAULT_CAPS, EngineCaps, StateSpaceError, independence_ratio_exact
 
@@ -36,10 +43,15 @@ def scale_block_witness(blocks: BlockList, divisor: int) -> BlockList:
 
     Each element x of the period becomes the cluster d*x, d*x+1, ...,
     d*x+d-1; cluster-internal gaps are 1 and each original gap g becomes
-    d*g - (d-1) across clusters.
+    d*g - (d-1) across clusters.  That is d times as many blocks, refused
+    with ExpansionLimitError before any is built when more than
+    DEFAULT_EXPANSION_CAP.
     """
     if divisor == 1:
         return blocks
+    needed = divisor * blocks.count
+    if needed > DEFAULT_EXPANSION_CAP:
+        raise ExpansionLimitError(needed, DEFAULT_EXPANSION_CAP)
     sizes = []
     for g in blocks.sizes:
         sizes.extend([1] * (divisor - 1))

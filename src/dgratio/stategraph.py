@@ -40,7 +40,9 @@ class StateSpaceError(RuntimeError):
     required is the size that was refused.  For the gap engine's state cap
     it is the exact number of reachable states; for its element cap it is
     max(S).  For the window cap it is the number of window states before
-    pruning, alphabet^L (2^(2 max S), 2^(4 max S) or k^max(S)).
+    pruning, alphabet^L (2^(2 max S), 2^(4 max S) or k^max(S)), or None when
+    that number is 2^64 or more: such an automaton is refused under any cap,
+    and its size is not computed.
     """
 
     def __init__(self, message: str, required: int | None = None):
@@ -123,8 +125,8 @@ def _prune(targets: np.ndarray) -> np.ndarray:
     while True:
         live = has_arc & alive[dst] & alive[:, None]
         kept = live.any(axis=1) & (np.bincount(dst[live], minlength=len(targets)) > 0)
-        if np.array_equal(kept, alive):
-            return np.flatnonzero(alive)
+        if (kept == alive).all():
+            return alive.nonzero()[0]
         alive = kept
 
 
@@ -146,6 +148,23 @@ def _identifying_condition_masks(distances: DistanceSet) -> list[int]:
     return [own] + [own ^ _ball(s + j, distances) for j in range(1, 2 * s + 1)]
 
 
+def _window_states(base: int, length: int, caps: EngineCaps, distances: DistanceSet, radius: int = 1) -> int:
+    """base^L, the window automaton's states before pruning, refused with
+    StateSpaceError when over caps.window_max_states.  Decided from base
+    and L alone, so a refused automaton costs nothing to refuse however
+    large L is; from 2^64 on the power is not computed and is refused
+    under any cap."""
+    size = base ** min(length, 64)  # base^64 < 2^64 only for base 1, whose powers are all 1
+    if size >= 1 << 64 or size > caps.window_max_states:
+        where = distances if radius == 1 else f"{distances} at radius {radius}"
+        raise StateSpaceError(
+            f"window automaton for {where} needs {base}^{length} states, "
+            f"over the cap of {caps.window_max_states}",
+            required=size if size < 1 << 64 else None,
+        )
+    return size
+
+
 def build_state_graph(distances: DistanceSet, kind: ProblemKind, caps: EngineCaps = DEFAULT_CAPS) -> StateGraph:
     """Sliding-window automaton for the given property, pruned to bi-infinite walks.
 
@@ -153,26 +172,22 @@ def build_state_graph(distances: DistanceSet, kind: ProblemKind, caps: EngineCap
     base k (colors), digit 0 the newest.  Appending x to state t gives the
     pasted pattern t*base + x over L+1 positions, and the arc leads to that
     pattern without its oldest digit when the pattern passes the kind's
-    local test.  Refused when base^L exceeds caps.window_max_states.
+    local test.  Refused when base^L exceeds caps.window_max_states, before
+    anything is built.
     """
     s = distances.max_element
     if isinstance(kind, Coloring):
         if kind.colors < 1:
             raise ValueError("need at least one color")
-        base, length, masks = kind.colors, s, []
+        base, length, masks_of = kind.colors, s, lambda: []
     elif isinstance(kind, Domination):
-        base, length, masks = 2, 2 * s, [_ball(s, distances)]
+        base, length, masks_of = 2, 2 * s, lambda: [_ball(s, distances)]
     elif isinstance(kind, IdentifyingCode):
-        base, length, masks = 2, 4 * s, _identifying_condition_masks(distances)
+        base, length, masks_of = 2, 4 * s, lambda: _identifying_condition_masks(distances)
     else:
         raise TypeError(f"unknown problem kind: {kind!r}")
-    size = base**length
-    if size > caps.window_max_states:
-        raise StateSpaceError(
-            f"window automaton for {distances} needs {base}^{length} states, "
-            f"over the cap of {caps.window_max_states}",
-            required=size,
-        )
+    size = _window_states(base, length, caps, distances)
+    masks = masks_of()
     state = np.arange(size, dtype=np.int64)
     targets = np.empty((size, base), dtype=np.int64)
     for x in range(base):
@@ -344,15 +359,15 @@ def _independence_gap_graph(distances: DistanceSet, max_states: int):
         done += len(states)
         head = masks[states]
         # the block's arcs, grouped by state, in increasing gap within a state
-        src, col = np.nonzero((head[:, None] & blocked) == 0)
+        src, col = ((head[:, None] & blocked) == 0).nonzero()
         gap = gaps[col]
         keys = ((head[src] << gap) & window) | 1
         # binary search runs far faster over keys in near-sorted order, so
         # look them up in the order of a (linear-time) stable sort by their
         # top 16 bits
-        by_top = np.argsort((keys >> max(0, s - 16)).astype(np.uint16), kind="stable")
+        by_top = (keys >> max(0, s - 16)).astype(np.uint16).argsort(kind="stable")
         tgt = np.empty_like(keys)
-        tgt[by_top] = np.searchsorted(masks, keys[by_top])
+        tgt[by_top] = masks.searchsorted(keys[by_top])
         reached = tgt[number[tgt] < 0]
         _, earliest = np.unique(reached, return_index=True)
         fresh = reached[np.sort(earliest)]
@@ -464,7 +479,12 @@ def min_identifying_density(
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    effective = distances if radius == 1 else power_distance_set(distances, radius)
+    if radius == 1:
+        effective = distances
+    else:
+        # the power's largest distance is radius * max(S): refuse before building it
+        _window_states(2, 4 * radius * distances.max_element, caps, distances, radius)
+        effective = power_distance_set(distances, radius)
     graph = build_state_graph(effective, IdentifyingCode(), caps)
     witness = extremal_mean_cycle(graph)
     if witness.period_set is None or not verify_periodic_identifying(

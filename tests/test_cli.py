@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import dgratio
-from dgratio.cli import run
+import dgratio.cli
+from dgratio.cli import build_parser, run
 from dgratio.search import default_node_budget
 
 
@@ -254,3 +255,112 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert "2/5" in proc.stdout
+
+
+def test_parser_is_built_once_per_process(capsys):
+    build_parser.cache_clear()
+    for argv in (["families"], ["compute", "--set", "1,4"], ["nonsense"]):
+        run(argv)
+    capsys.readouterr()
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one run; JSON output without its timing."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # --help exits from inside argparse
+        code = exc.code
+    out, err = capsys.readouterr()
+    if "--json" in argv:
+        out = json.loads(out)
+        out.pop("timing_seconds")
+    return code, out, err
+
+
+def test_a_kept_parser_answers_as_a_fresh_one(tmp_path, capsys):
+    table = tmp_path / "grid.csv"
+    sequence = [
+        ["compute", "--set", "1,4,7", "--method", "search"],
+        ["verify", "--family", "1-4-k"],
+        ["compute", "--set", "1,4,7", "--json"],
+        ["verify", "--family", "1-3-2i", "--range", "2..4"],
+        ["table", "--k", "1..2", "--i", "1..3", "--out", str(table)],
+        ["--help"],
+    ]
+    fresh = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        fresh.append((_outcome(capsys, argv), table.read_bytes() if table.exists() else None))
+    table.unlink()
+    build_parser.cache_clear()
+    kept = [(_outcome(capsys, argv), table.read_bytes() if table.exists() else None) for argv in sequence]
+    assert build_parser.cache_info().misses == 1
+    assert kept == fresh
+    assert [outcome[0] for outcome, _ in kept] == [2, 2, 0, 0, 0, 0]
+
+
+def test_table_opens_its_output_before_the_first_cell(tmp_path, monkeypatch, capsys):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a cell was computed")
+
+    monkeypatch.setattr(dgratio.cli, "independence_ratio", unexpected)
+    missing = tmp_path / "no such directory" / "grid.csv"
+    code, out, err = _capture(capsys, ["table", "--k", "1..10", "--i", "1..12", "--out", str(missing)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
+def test_table_that_stops_partway_keeps_the_old_output(tmp_path, monkeypatch, capsys):
+    kept = tmp_path / "kept.csv"
+    kept.write_text("kept\n")
+    argv = ["table", "--k", "1..2", "--i", "1..2", "--out", str(kept)]
+    # a malformed budget is refused at the first cell
+    monkeypatch.setenv("DGRATIO_BUDGET", "0")
+    code, _, err = _capture(capsys, argv)
+    assert code == 2 and "DGRATIO_BUDGET" in err
+    assert kept.read_text() == "kept\n"
+    monkeypatch.delenv("DGRATIO_BUDGET")
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(dgratio.cli, "independence_ratio", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(argv)
+    assert kept.read_text() == "kept\n"
+    monkeypatch.undo()
+    code, out, _ = _capture(capsys, argv)
+    assert code == 0 and out.startswith("wrote 4 rows")
+    assert kept.read_text().startswith("k,i,set,") and len(kept.read_text().splitlines()) == 5
+
+
+def test_sizes_past_every_cap_are_refused_at_once():
+    # each case used to hang, raise OverflowError from a mask or a scaled
+    # witness, or take seconds and hundreds of MB; each is refused from
+    # its counts before anything is built
+    cases = [
+        ["coloring", "--set", "100000000000000000000", "--k", "3"],
+        ["domination", "--set", "99999999999999999999"],
+        ["idcode", "--set", "1", "--r", "1000000"],
+        ["compute", "--set", "99999999999999999999"],
+        ["chi-f", "--set", "99999999999999999999"],
+        ["compute", "--set", "10000000"],
+    ]
+    script = (
+        "import sys, time; from dgratio.cli import run\n"
+        f"for argv in {cases!r}:\n"
+        "    start = time.process_time(); code = run(argv)\n"
+        "    print(code, time.process_time() - start)\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(dgratio.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.count("resource cap: ") == len(cases)
+    for argv, line in zip(cases, proc.stdout.splitlines()):
+        code, seconds = line.split()
+        assert code == "4" and float(seconds) < 1.0, (argv, line)

@@ -50,6 +50,22 @@ def test_scale_block_witness_density_preserved():
             assert scaled.density() == blocks.density()
 
 
+def test_scaled_witness_is_capped_before_it_is_built():
+    from dgratio.core import BlockList, ExpansionLimitError
+
+    # each block becomes d blocks, refused by their count past 10^6
+    with pytest.raises(ExpansionLimitError) as info:
+        scale_block_witness(BlockList([3]), 10**6 + 1)
+    assert (info.value.needed, info.value.cap) == (10**6 + 1, 10**6)
+    # a divisor past any list that fits in memory is refused by its count
+    huge = 10**20 - 1
+    with pytest.raises(ExpansionLimitError) as info:
+        independence_ratio(DistanceSet([huge]))
+    assert info.value.needed == huge
+    report = independence_ratio(DistanceSet([10**6]))
+    assert report.value == Fraction(1, 2) and report.lower_witness.count == 10**6
+
+
 def test_method_routing():
     small = independence_ratio(DistanceSet([1, 4, 7]))
     assert small.method == "stategraph"

@@ -358,6 +358,31 @@ def test_window_cap_counts_window_states():
         build_state_graph(DistanceSet([1]), Domination(), EngineCaps(window_max_states=3))
 
 
+def test_window_cap_is_decided_before_the_automaton_is_built():
+    # required is base^L below 2^64 and None from there on, whatever the cap
+    wide = EngineCaps(window_max_states=1 << 70)
+    for kind, members, required in (
+        (Coloring(2), [63], 1 << 63),
+        (Coloring(2), [64], None),
+        (Coloring(3), [40], 3**40),
+        (Coloring(3), [41], None),
+        (Coloring(3), [50], None),
+        (Domination(), [32], None),
+        (IdentifyingCode(), [10**20], None),
+    ):
+        with pytest.raises(StateSpaceError) as info:
+            build_state_graph(DistanceSet(members), kind, EngineCaps(window_max_states=1))
+        assert info.value.required == required, (kind, members)
+        if required is None:
+            with pytest.raises(StateSpaceError):
+                build_state_graph(DistanceSet(members), kind, wide)
+    # the power's largest distance is radius * max(S); the power is never built
+    with pytest.raises(StateSpaceError) as info:
+        min_identifying_density(DistanceSet([1]), 10**6)
+    assert info.value.required is None
+    assert "{1} at radius 1000000 needs 2^4000000 states" in str(info.value)
+
+
 def test_identifying_past_the_old_window_cap():
     # sets the 6 max(S) block-pair windows could not hold
     density, witness = min_identifying_density(DistanceSet([1, 3]), 1)
