@@ -458,6 +458,8 @@ def run(argv: Optional[list] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args, argv)
+    except SystemExit as exc:  # --help prints its text and exits from inside argparse
+        return exc.code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,6 +20,10 @@ a state is the last L positions, an arc appends one position, and an arc is
 admissible when the L+1 positions pasted together pass the local test for
 the position the arc completes.  Every position of a cycle is tested once,
 when it is completed, so every cycle spells a valid periodic object.
+Colorings use that automaton's quotient under renaming the colors: a state
+is a proper window of max(S) colors relabelled in order of first use, so one
+state stands for up to k! windows, and a cycle is lifted back to real colors
+when it is read.
 """
 
 from __future__ import annotations
@@ -40,9 +44,11 @@ class StateSpaceError(RuntimeError):
     required is the size that was refused.  For the gap engine's state cap
     it is the exact number of reachable states; for its element cap it is
     max(S).  For the window cap it is the number of window states before
-    pruning, alphabet^L (2^(2 max S), 2^(4 max S) or k^max(S)), or None when
-    that number is 2^64 or more: such an automaton is refused under any cap,
-    and its size is not computed.
+    pruning, 2^L (2^(2 max S) or 2^(4 max S)), or None when that number is
+    2^64 or more: such an automaton is refused under any cap, and its size
+    is not computed.  A coloring is refused with None: its canonical
+    windows are refused as soon as one growth layer, or max(S) alone, is
+    over the cap, and the rest are never counted.
     """
 
     def __init__(self, message: str, required: int | None = None):
@@ -86,9 +92,11 @@ class IdentifyingCode:
 
 @dataclass(frozen=True)
 class Coloring:
-    """Proper colorings with `colors` colors.  States hold the colors of the
-    last max(S) positions; an arc is admissible when the new color differs
-    from the color d back for every d in S."""
+    """Proper colorings with `colors` colors.  States are the proper windows
+    of the last max(S) colors, relabelled in order of first use from the
+    oldest position; an arc appends a color already in the window, or a
+    fresh one while fewer than `colors` are used, that differs from the
+    color d back for every d in S."""
 
     colors: int
 
@@ -100,11 +108,12 @@ ProblemKind = Union[Domination, IdentifyingCode, Coloring]
 class StateGraph:
     """Digraph of admissible window states, pruned to bi-infinite walks.
 
-    states are the surviving window states in increasing order, integers in
-    base 2 (subset kinds) or base `colors` (Coloring) with digit 0 the
-    newest position.  arcs holds each state's out-arcs as CSR arrays, in
-    increasing target order; an arc's weight is the digit it appends for
-    the subset kinds and 0 for Coloring.
+    states are the surviving window states in increasing order: for the
+    subset kinds integers in base 2 with digit 0 the newest position, for
+    Coloring canonical windows, tuples of labels from the oldest position
+    on, in lexicographic order.  arcs holds each state's out-arcs as CSR
+    arrays, in increasing target order; an arc's weight is the digit it
+    appends for the subset kinds and 0 for Coloring.
     """
 
     kind: ProblemKind
@@ -148,69 +157,161 @@ def _identifying_condition_masks(distances: DistanceSet) -> list[int]:
     return [own] + [own ^ _ball(s + j, distances) for j in range(1, 2 * s + 1)]
 
 
-def _window_states(base: int, length: int, caps: EngineCaps, distances: DistanceSet, radius: int = 1) -> int:
-    """base^L, the window automaton's states before pruning, refused with
-    StateSpaceError when over caps.window_max_states.  Decided from base
-    and L alone, so a refused automaton costs nothing to refuse however
-    large L is; from 2^64 on the power is not computed and is refused
-    under any cap."""
-    size = base ** min(length, 64)  # base^64 < 2^64 only for base 1, whose powers are all 1
-    if size >= 1 << 64 or size > caps.window_max_states:
+def _window_states(length: int, caps: EngineCaps, distances: DistanceSet, radius: int = 1) -> int:
+    """2^L, the subset window automaton's states before pruning, refused
+    with StateSpaceError when over caps.window_max_states.  Decided from L
+    alone, so a refused automaton costs nothing to refuse however large L
+    is; from 2^64 on the power is not computed and is refused under any
+    cap."""
+    if length >= 64 or 1 << length > caps.window_max_states:
         where = distances if radius == 1 else f"{distances} at radius {radius}"
         raise StateSpaceError(
-            f"window automaton for {where} needs {base}^{length} states, "
+            f"window automaton for {where} needs 2^{length} states, "
             f"over the cap of {caps.window_max_states}",
-            required=size if size < 1 << 64 else None,
+            required=1 << length if length < 64 else None,
         )
-    return size
+    return 1 << length
 
 
-def build_state_graph(distances: DistanceSet, kind: ProblemKind, caps: EngineCaps = DEFAULT_CAPS) -> StateGraph:
-    """Sliding-window automaton for the given property, pruned to bi-infinite walks.
-
-    A state is the last L positions as an integer in base 2 (subsets) or
-    base k (colors), digit 0 the newest.  Appending x to state t gives the
-    pasted pattern t*base + x over L+1 positions, and the arc leads to that
-    pattern without its oldest digit when the pattern passes the kind's
-    local test.  Refused when base^L exceeds caps.window_max_states, before
-    anything is built.
-    """
-    s = distances.max_element
-    if isinstance(kind, Coloring):
-        if kind.colors < 1:
-            raise ValueError("need at least one color")
-        base, length, masks_of = kind.colors, s, lambda: []
-    elif isinstance(kind, Domination):
-        base, length, masks_of = 2, 2 * s, lambda: [_ball(s, distances)]
-    elif isinstance(kind, IdentifyingCode):
-        base, length, masks_of = 2, 4 * s, lambda: _identifying_condition_masks(distances)
-    else:
-        raise TypeError(f"unknown problem kind: {kind!r}")
-    size = _window_states(base, length, caps, distances)
-    masks = masks_of()
-    state = np.arange(size, dtype=np.int64)
-    targets = np.empty((size, base), dtype=np.int64)
-    for x in range(base):
-        pasted = state * base + x
-        ok = np.ones(size, dtype=bool)
-        for m in masks:
-            ok &= (pasted & m) != 0
-        if isinstance(kind, Coloring):
-            for d in distances:  # digit d of the pattern is the color d back
-                ok &= pasted // base**d % base != x
-        targets[:, x] = np.where(ok, pasted % size, -1)
+def _pruned_graph(kind: ProblemKind, targets: np.ndarray) -> tuple[np.ndarray, meancycle.CSRAdjacency]:
+    """The rows of a successor table that lie on bi-infinite walks, and
+    their arcs renumbered into CSR arrays.  targets[t, x] is the state that
+    arc x of state t enters, or -1; a row's targets must rise with x, so
+    CSR order is target order.  An arc weighs x, the digit it appends, for
+    the subset kinds and 0 for Coloring."""
     states = _prune(targets)
-    number = np.full(size, -1, dtype=np.int64)
+    number = np.full(len(targets), -1, dtype=np.int64)
     number[states] = np.arange(len(states), dtype=np.int64)
-    # a row's targets rise with the appended digit, so CSR order is target order
     succ = targets[states]
     succ = np.where(succ >= 0, number[succ], -1)
     live = succ >= 0
     indptr = np.zeros(len(states) + 1, dtype=np.int64)
     np.cumsum(live.sum(axis=1), out=indptr[1:])
-    digit = np.nonzero(live)[1]
-    weights = np.zeros_like(digit) if isinstance(kind, Coloring) else digit
-    arcs = meancycle.CSRAdjacency(indptr, succ[live], weights)
+    symbol = np.nonzero(live)[1]
+    weights = np.zeros_like(symbol) if isinstance(kind, Coloring) else symbol
+    return states, meancycle.CSRAdjacency(indptr, succ[live], weights)
+
+
+def _coloring_refused(distances: DistanceSet, colors: int, caps: EngineCaps) -> StateSpaceError:
+    return StateSpaceError(
+        f"coloring automaton for {distances} with {colors} colors needs more than "
+        f"{caps.window_max_states} canonical windows",
+        required=None,
+    )
+
+
+def _next_labels(windows: np.ndarray, used: np.ndarray, p: int, distances: DistanceSet, colors: int) -> np.ndarray:
+    """allowed[i, c]: whether label c may stand at position p after the
+    canonical prefix windows[i], which uses labels 0..used[i]-1.  c is one
+    of those labels, or the fresh label used[i] while fewer than `colors`
+    are used, and differs from the label d back for every d in S."""
+    allowed = np.arange(min(colors, p + 1)) <= used[:, None]
+    back = [p - d for d in distances if d <= p]
+    allowed[np.arange(len(windows))[:, None], windows[:, back]] = False
+    return allowed
+
+
+def _canonical_windows(distances: DistanceSet, colors: int, caps: EngineCaps) -> tuple[np.ndarray, np.ndarray]:
+    """The proper windows of max(S) colors, each relabelled in order of first
+    use from its oldest position, as rows of labels oldest first in
+    lexicographic order, with the number of labels each row uses.
+
+    They are grown from [0] one position at a time, as _gap_state_masks
+    grows the gap states, so only proper windows are ever made: a prefix
+    takes each label _next_labels allows, and the grown rows follow the
+    order of their prefixes and then of the new label, so the rows stay
+    sorted.  Refused when one layer holds more than caps.window_max_states
+    windows, and at once when max(S) alone is over that cap, since every
+    non-empty layer holds at least one window.
+    """
+    s = distances.max_element
+    if s > caps.window_max_states:
+        raise _coloring_refused(distances, colors, caps)
+    # _row_keys compares rows byte by byte, so labels are big-endian
+    labels = min(colors, s)
+    dtype = np.dtype(f">u{1 if labels <= 1 << 8 else 2 if labels <= 1 << 16 else 4}")
+    windows, used = np.zeros((1, 1), dtype=dtype), np.ones(1, dtype=np.int64)
+    for p in range(1, s):
+        row, label = _next_labels(windows, used, p, distances, colors).nonzero()
+        if len(row) > caps.window_max_states:
+            raise _coloring_refused(distances, colors, caps)
+        windows = np.concatenate((windows[row], label.astype(dtype)[:, None]), axis=1)
+        used = np.maximum(used[row], label + 1)
+    return windows, used
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row, ordered as the rows are lexicographically."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+def _coloring_targets(windows: np.ndarray, used: np.ndarray, distances: DistanceSet, colors: int) -> np.ndarray:
+    """Successor table of the canonical windows: targets[i, l] is the row
+    that window i enters when it appends a color and drops its oldest
+    position, relabelled, ends in label l.
+
+    Dropping the oldest position relabels the rest by first use: rank[i, c]
+    is the label that label c of window i takes there.  The only label the
+    rest can lack and still be appended is the fresh one (label 0 lies
+    max(S) back, which S forbids), and it becomes the first label the rest
+    does not use.  Distinct appended labels end in distinct labels, so a
+    row's targets share their prefix and rise with l.
+    """
+    n, s = windows.shape
+    row, label = _next_labels(windows, used, s, distances, colors).nonzero()
+    labels = min(colors, s + 1)
+    rest = windows[:, 1:].astype(np.intp)
+    first = np.full((n, labels), s, dtype=np.int64)
+    index = np.arange(n)
+    for j in range(s - 2, -1, -1):
+        first[index, rest[:, j]] = j
+    rank = np.empty((n, labels), dtype=np.int64)
+    np.put_along_axis(rank, first.argsort(axis=1, kind="stable"),
+                      np.broadcast_to(np.arange(labels), (n, labels)), axis=1)
+    in_rest = (first < s).sum(axis=1)
+    newest = np.minimum(rank[row, label], in_rest[row])
+    entered = np.concatenate((np.take_along_axis(rank, rest, axis=1)[row], newest[:, None]), axis=1)
+    targets = np.full((n, labels), -1, dtype=np.int64)
+    targets[row, newest] = _row_keys(windows).searchsorted(_row_keys(entered.astype(windows.dtype)))
+    return targets
+
+
+def build_state_graph(distances: DistanceSet, kind: ProblemKind, caps: EngineCaps = DEFAULT_CAPS) -> StateGraph:
+    """Sliding-window automaton for the given property, pruned to bi-infinite walks.
+
+    For the subset kinds a state is the last L positions as an integer in
+    base 2, digit 0 the newest.  Appending x to state t gives the pasted
+    pattern 2t + x over L+1 positions, and the arc leads to that pattern
+    without its oldest digit when the pattern passes the kind's local test.
+    Refused when 2^L exceeds caps.window_max_states, before anything is
+    built.  For Coloring a state is a canonical window (_canonical_windows)
+    and an arc appends one allowed label (_coloring_targets).
+    """
+    s = distances.max_element
+    if isinstance(kind, Coloring):
+        if kind.colors < 1:
+            raise ValueError("need at least one color")
+        windows, used = _canonical_windows(distances, kind.colors, caps)
+        states, arcs = _pruned_graph(kind, _coloring_targets(windows, used, distances, kind.colors))
+        return StateGraph(kind=kind, states=tuple(map(tuple, windows[states].tolist())), arcs=arcs)
+    if isinstance(kind, Domination):
+        length, masks_of = 2 * s, lambda: [_ball(s, distances)]
+    elif isinstance(kind, IdentifyingCode):
+        length, masks_of = 4 * s, lambda: _identifying_condition_masks(distances)
+    else:
+        raise TypeError(f"unknown problem kind: {kind!r}")
+    size = _window_states(length, caps, distances)
+    masks = masks_of()
+    state = np.arange(size, dtype=np.int64)
+    targets = np.empty((size, 2), dtype=np.int64)
+    for x in range(2):
+        pasted = state * 2 + x
+        ok = np.ones(size, dtype=bool)
+        for m in masks:
+            ok &= (pasted & m) != 0
+        targets[:, x] = np.where(ok, pasted % size, -1)
+    states, arcs = _pruned_graph(kind, targets)
     return StateGraph(kind=kind, states=tuple(states.tolist()), arcs=arcs)
 
 
@@ -230,11 +331,43 @@ class CycleWitness:
     colors: Optional[tuple] = None
 
 
+def _lift_coloring(cycle: Sequence[tuple]) -> tuple:
+    """One period of a proper coloring that walks a cycle of canonical windows.
+
+    The first window's labels are its colors.  Each arc appends the color
+    that the newest label of the window it enters names: the color of a
+    position of the rest with that label, or, for a fresh label, the
+    smallest color the whole window lacks.  A fresh label is appended only
+    while fewer than k colors are used, so every color stays below k.  A
+    pass round the cycle comes back to the same canonical window, but
+    perhaps renamed, so passes repeat until a window of real colors recurs:
+    finitely many real windows have one canonical form.  The colors
+    appended since its first appearance are one period.
+    """
+    window = list(cycle[0])
+    seen = {tuple(window): 0}
+    colors: list[int] = []
+    while True:
+        for state in (*cycle[1:], cycle[0]):
+            rest, newest = state[:-1], state[-1]
+            if newest in rest:
+                color = window[1 + rest.index(newest)]
+            else:
+                color = min(set(range(len(window) + 1)).difference(window))
+            window = window[1:] + [color]
+            colors.append(color)
+        start = seen.setdefault(tuple(window), len(colors))
+        if start < len(colors):
+            return tuple(colors[start:])
+
+
 def _cycle_witness(graph: StateGraph, cycle: Sequence[int], density: Fraction) -> CycleWitness:
-    """Decode a cycle: each arc appends digit 0 of the state it enters."""
+    """Decode a cycle.  For the subset kinds each arc appends digit 0 of the
+    state it enters; a coloring cycle is lifted to real colors
+    (_lift_coloring), and its period is a multiple of the cycle's length."""
     states = tuple(graph.states[i] for i in cycle)
     if isinstance(graph.kind, Coloring):
-        colors = tuple(t % graph.kind.colors for t in states)
+        colors = _lift_coloring(states)
         return CycleWitness(states=states, density=density, period=len(colors), colors=colors)
     positions = [p for p, t in enumerate(states) if t & 1]
     blocks = None
@@ -483,7 +616,7 @@ def min_identifying_density(
         effective = distances
     else:
         # the power's largest distance is radius * max(S): refuse before building it
-        _window_states(2, 4 * radius * distances.max_element, caps, distances, radius)
+        _window_states(4 * radius * distances.max_element, caps, distances, radius)
         effective = power_distance_set(distances, radius)
     graph = build_state_graph(effective, IdentifyingCode(), caps)
     witness = extremal_mean_cycle(graph)
@@ -498,7 +631,7 @@ def periodic_coloring(
     distances: DistanceSet, colors: int, caps: EngineCaps = DEFAULT_CAPS
 ) -> Optional[CycleWitness]:
     """A periodic proper coloring with `colors` colors, or None if the pruned
-    state graph is empty (no such coloring exists)."""
+    automaton of canonical windows is empty (no such coloring exists)."""
     graph = build_state_graph(distances, Coloring(colors), caps)
     if not graph.states:
         return None
@@ -510,6 +643,6 @@ def periodic_coloring(
         seen[node] = len(seen)
         node = first[node]
     witness = _cycle_witness(graph, list(seen)[seen[node]:], Fraction(0))
-    if not verify_periodic_coloring(witness.colors, distances):
+    if max(witness.colors) >= colors or not verify_periodic_coloring(witness.colors, distances):
         raise AssertionError(f"internal error: coloring witness failed for {distances}")
     return witness

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -124,6 +125,7 @@ def test_usage_errors_exit_2(capsys):
     assert run(["verify", "--family", "1-4-k", "--range", "9..5"]) == 2
     assert run(["blocks", "--set", "1,2", "--blocks", "(2 3"]) == 2
     assert run(["nonsense"]) == 2
+    assert run(["coloring", "--set", "1,2", "--k", "0"]) == 2
 
 
 def test_budget_exhaustion_exit_3(capsys):
@@ -257,6 +259,18 @@ def test_console_entry_point():
     assert "2/5" in proc.stdout
 
 
+def test_help_returns_zero(capsys):
+    # argparse prints the help and exits from inside the parse; run
+    # returns that exit code like every other outcome
+    for argv, usage, option in (
+        (["--help"], "usage: dgratio", "compute"),
+        (["coloring", "--help"], "usage: dgratio coloring", "--k K"),
+    ):
+        assert run(argv) == 0, argv
+        out, _ = capsys.readouterr()
+        assert out.startswith(usage) and option in out, argv
+
+
 def test_parser_is_built_once_per_process(capsys):
     build_parser.cache_clear()
     for argv in (["families"], ["compute", "--set", "1,4"], ["nonsense"]):
@@ -268,10 +282,7 @@ def test_parser_is_built_once_per_process(capsys):
 
 def _outcome(capsys, argv):
     """(exit code, stdout, stderr) of one run; JSON output without its timing."""
-    try:
-        code = run(argv)
-    except SystemExit as exc:  # --help exits from inside argparse
-        code = exc.code
+    code = run(argv)
     out, err = capsys.readouterr()
     if "--json" in argv:
         out = json.loads(out)
@@ -342,6 +353,7 @@ def test_sizes_past_every_cap_are_refused_at_once():
     # its counts before anything is built
     cases = [
         ["coloring", "--set", "100000000000000000000", "--k", "3"],
+        ["coloring", "--set", "1,2,100000000000000000000", "--k", "3"],
         ["domination", "--set", "99999999999999999999"],
         ["idcode", "--set", "1", "--r", "1000000"],
         ["compute", "--set", "99999999999999999999"],
@@ -364,3 +376,12 @@ def test_sizes_past_every_cap_are_refused_at_once():
     for argv, line in zip(cases, proc.stdout.splitlines()):
         code, seconds = line.split()
         assert code == "4" and float(seconds) < 1.0, (argv, line)
+
+
+def test_a_coloring_at_the_window_cap_answers_at_once(capsys):
+    # {1,14} with 3 colors has exactly 4,096 canonical windows
+    start = time.process_time()
+    code = run(["coloring", "--set", "1,14", "--k", "3"])
+    seconds = time.process_time() - start
+    out, _ = capsys.readouterr()
+    assert code == 0 and out.startswith("periodic proper 3-coloring") and seconds < 0.1, (out, seconds)

@@ -13,6 +13,7 @@ from dgratio import meancycle
 from dgratio.core import BlockList, DistanceSet, verify_periodic_independent
 from dgratio.ratio import fractional_chromatic
 from dgratio.stategraph import (
+    DEFAULT_CAPS,
     Coloring,
     Domination,
     EngineCaps,
@@ -114,25 +115,52 @@ def test_prune_matches_the_list_oracle():
     assert survivors > 0
 
 
+def _canonical(window: int, colors: int, length: int) -> tuple:
+    """A raw coloring window (base `colors`, digit 0 the newest) relabelled
+    in order of first use from its oldest position."""
+    names: dict = {}
+    return tuple(names.setdefault(window // colors**j % colors, len(names)) for j in reversed(range(length)))
+
+
+def _coloring_matches_the_raw_automaton(s: DistanceSet, k: int) -> None:
+    """The canonical automaton is the raw one's quotient under renaming the
+    colors: its states and arcs are the canonical forms of the raw pruned
+    ones, the two agree on existence, and a witness is proper in colors
+    below k."""
+    graph, raw = build_state_graph(s, Coloring(k)), list_window_graph(s, Coloring(k))
+    m = s.max_element
+    canon = [_canonical(t, k, m) for t in raw.states]
+    assert graph.states == tuple(sorted(set(canon))), (s, k)
+    arcs = {(graph.states[i], graph.states[j]) for i, row in enumerate(graph.arcs) for _, j in row}
+    assert arcs == {(canon[i], canon[j]) for i, row in enumerate(raw.arcs) for j in row}, (s, k)
+    witness = periodic_coloring(s, k)
+    assert (witness is not None) == bool(raw.states), (s, k)
+    if witness is not None:
+        assert verify_periodic_coloring(witness.colors, s) and max(witness.colors) < k, (s, k)
+
+
 def test_build_matches_the_list_path():
-    # every S within {1..6} and every kind the window cap admits
+    # every S within {1..6}, every subset kind the window cap admits, and
+    # every coloring with k <= 8 whose raw automaton fits the cap
     cap = EngineCaps().window_max_states
     built = 0
     for size in range(1, 7):
         for combo in combinations(range(1, 7), size):
             s = DistanceSet(combo)
-            kinds = [Domination()] + [Coloring(k) for k in range(1, 9) if k ** s.max_element <= cap]
-            if s.max_element <= 3:
-                kinds.append(IdentifyingCode())
+            kinds = [Domination()] + ([IdentifyingCode()] if s.max_element <= 3 else [])
             for kind in kinds:
                 graph, reference = build_state_graph(s, kind), list_window_graph(s, kind)
                 assert graph.states == reference.states, (combo, kind)
                 got = meancycle.csr_from_adjacency(graph.arcs)
                 for a, b in zip(got, window_csr(reference)):
                     assert np.array_equal(a, b), (combo, kind)
-                if graph.states and not isinstance(kind, Coloring):
+                if graph.states:
                     assert extremal_mean_cycle(graph) == oracle_mean_cycle(reference, "min"), (combo, kind)
                 built += 1
+            for k in range(1, 9):
+                if k ** s.max_element <= cap:
+                    _coloring_matches_the_raw_automaton(s, k)
+                    built += 1
     assert built == 398
 
 
@@ -346,28 +374,30 @@ def test_identifying_cap():
 
 
 def test_window_cap_counts_window_states():
-    # 2^(2 max S) and k^max(S) window states against the cap of 4096
-    for refused, required in (
-        (lambda: min_dominating_density(DistanceSet([7])), 1 << 14),
-        (lambda: periodic_coloring(DistanceSet([1, 2, 3, 4, 5]), 6), 6**5),
-    ):
-        with pytest.raises(StateSpaceError) as info:
-            refused()
-        assert info.value.required == required
+    # 2^(2 max S) window states, and one layer of canonical coloring
+    # windows, against the cap of 4096
+    with pytest.raises(StateSpaceError) as info:
+        min_dominating_density(DistanceSet([7]))
+    assert info.value.required == 1 << 14
     with pytest.raises(StateSpaceError):
         build_state_graph(DistanceSet([1]), Domination(), EngineCaps(window_max_states=3))
+    # proper 3-colorings of a path of 14 positions: 2^12 canonical windows
+    # sit at the cap, and 15 positions take a layer past it
+    assert len(build_state_graph(DistanceSet([1, 14]), Coloring(3)).states) == 4096
+    with pytest.raises(StateSpaceError) as info:
+        periodic_coloring(DistanceSet([1, 15]), 3)
+    assert info.value.required is None
+    assert "needs more than 4096 canonical windows" in str(info.value)
 
 
 def test_window_cap_is_decided_before_the_automaton_is_built():
-    # required is base^L below 2^64 and None from there on, whatever the cap
+    # required is 2^L below 2^64 and None from there on, whatever the cap
     wide = EngineCaps(window_max_states=1 << 70)
     for kind, members, required in (
-        (Coloring(2), [63], 1 << 63),
-        (Coloring(2), [64], None),
-        (Coloring(3), [40], 3**40),
-        (Coloring(3), [41], None),
-        (Coloring(3), [50], None),
+        (Domination(), [31], 1 << 62),
         (Domination(), [32], None),
+        (IdentifyingCode(), [15], 1 << 60),
+        (IdentifyingCode(), [16], None),
         (IdentifyingCode(), [10**20], None),
     ):
         with pytest.raises(StateSpaceError) as info:
@@ -376,6 +406,13 @@ def test_window_cap_is_decided_before_the_automaton_is_built():
         if required is None:
             with pytest.raises(StateSpaceError):
                 build_state_graph(DistanceSet(members), kind, wide)
+    # a coloring whose max(S) alone is over the cap is refused before the
+    # first layer is grown
+    for members, caps in (([2], EngineCaps(window_max_states=1)), ([1, 2, 10**20], DEFAULT_CAPS),
+                          ([10**22], wide)):
+        with pytest.raises(StateSpaceError) as info:
+            build_state_graph(DistanceSet(members), Coloring(3), caps)
+        assert info.value.required is None, members
     # the power's largest distance is radius * max(S); the power is never built
     with pytest.raises(StateSpaceError) as info:
         min_identifying_density(DistanceSet([1]), 10**6)
@@ -426,23 +463,78 @@ def test_identifying_automaton_matches_pair_graph():
 
 
 def test_coloring_automaton_matches_window_graph():
+    # the corpus colorings: existence as the block-pair oracle says where the
+    # raw k^max(S) automaton fits the cap; past it, the four the raw cap
+    # used to refuse answer with proper colorings
     pool = [q for _, alternatives in COLORING_STRATA for q in alternatives] + [WINDOWS_MEDIAN]
-    refused = 0
+    past_raw_cap = []
     for members, k in pool:
         s = DistanceSet(members)
+        witness = periodic_coloring(s, k)
+        if witness is not None:
+            assert verify_periodic_coloring(witness.colors, s) and max(witness.colors) < k, (members, k)
         if k ** s.max_element > EngineCaps().window_max_states:
-            with pytest.raises(StateSpaceError) as info:
-                periodic_coloring(s, k)
-            assert info.value.required == k ** s.max_element
-            refused += 1
+            past_raw_cap.append((members, k))
+            assert witness is not None, (members, k)
             continue
         oracle = coloring_window_graph(s, k)
-        witness = periodic_coloring(s, k)
         assert (witness is not None) == bool(oracle.states), (members, k)
         if witness is not None:
-            assert verify_periodic_coloring(witness.colors, s), (members, k)
             assert verify_periodic_coloring(oracle_mean_cycle(oracle).colors, s), (members, k)
-    assert refused == 4
+    assert sorted(past_raw_cap) == [((1, 2, 3, 4, 5), 6), ((1, 2, 3, 4, 5), 7),
+                                    ((1, 2, 3, 4, 5, 6), 7), ((1, 2, 3, 4, 5, 6), 8)]
+    assert periodic_coloring(DistanceSet([1, 2, 3, 4, 5]), 5) is None
+
+
+def _short_periodic_coloring(distances: DistanceSet, colors: int, max_period: int):
+    """A proper coloring of the cycle Z_P for some P <= max_period, found by
+    backtracking with colors taken in order of first use, or None."""
+    for period in range(1, max_period + 1):
+        if any(d % period == 0 for d in distances):
+            continue
+        # position u must differ from these earlier positions
+        earlier = [{v for d in distances for v in ((u - d) % period, (u + d) % period) if v < u}
+                   for u in range(period)]
+        coloring: list = []
+
+        def extend() -> bool:
+            u = len(coloring)
+            if u == period:
+                return True
+            for c in range(min(colors, max(coloring, default=-1) + 2)):
+                if all(coloring[v] != c for v in earlier[u]):
+                    coloring.append(c)
+                    if extend():
+                        return True
+                    coloring.pop()
+            return False
+
+        if extend():
+            return coloring
+    return None
+
+
+def test_coloring_past_the_raw_cap_finds_every_short_period():
+    # S within {1..7} and k <= 6 whose raw automaton is past the cap: a
+    # wherever a coloring of period at most 12 exists, the engine finds one
+    cap = EngineCaps().window_max_states
+    checked = found = 0
+    for size in range(1, 8):
+        for combo in combinations(range(1, 8), size):
+            s = DistanceSet(combo)
+            for k in range(1, 7):
+                if k ** s.max_element <= cap:
+                    continue
+                witness = periodic_coloring(s, k)
+                short = _short_periodic_coloring(s, k, 12)
+                if short is not None:
+                    assert verify_periodic_coloring(short, s), (combo, k)
+                    assert witness is not None, (combo, k)
+                    found += 1
+                if witness is not None:
+                    assert verify_periodic_coloring(witness.colors, s) and max(witness.colors) < k, (combo, k)
+                checked += 1
+    assert (checked, found) == (272, 252)
 
 
 # ---------------------------------------------------------------------------
