@@ -91,8 +91,7 @@ def independence_ratio(
         try:
             value, witness = independence_ratio_exact(reduced, caps)
         except StateSpaceError as exc:
-            # caps=None: the engine has just refused this set; the search must not ask again
-            report = compute_ratio(reduced, budget=budget, caps=None)
+            report = compute_ratio(reduced, budget=budget)
             notes.append(f"gap-state engine refused: {exc}")
         else:
             report = _exact_report(reduced, value, witness, "stategraph")

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import BlockList, DistanceSet, verify_periodic_independent
-from .stategraph import DEFAULT_CAPS, EngineCaps, StateSpaceError, independence_ratio_exact
 
 FALLBACK_NODE_BUDGET = 3_000_000
 
@@ -64,21 +63,32 @@ class SearchBudget:
             raise ValueError(f"node budget {self.max_nodes} must be at least 1")
 
 
-def _run_values(iv: list[int], width: int) -> tuple[list[int], list[int]]:
-    """Per-call tables of the search over candidate sets of `width` vertices.
+def _beta(f: list[int], candidates: int) -> int:
+    """Sum of f over the maximal runs of the candidate set."""
+    total, b = 0, candidates
+    while b:
+        low = b & -b
+        merged = b + low
+        total += f[(b ^ merged).bit_count() - 1]
+        b &= merged
+    return total
 
-    iv is interval_alpha, whose top entry may be the sentinel of an interval
-    step.  f[r] is what a run of r consecutive candidates adds to beta:
-    iv[r] inside the table, else iv[top] + r - top.  Every f[r] is at most
-    r and at least alpha(r), and alpha is monotone and subadditive over
-    intervals, so a candidate set of p vertices has alpha(p) <= beta <= p.
-    floor[p] = iv[min(p, top - 1)] is a lower bound of alpha(p) that never
-    reads the sentinel.
-    """
-    top = len(iv) - 1
-    f = [iv[r] if r <= top else iv[top] + r - top for r in range(width + 1)]
-    floor = [iv[min(p, top - 1)] for p in range(width + 1)]
-    return f, floor
+
+def _split_runs(f: list[int], beta: int, candidates: int, removed: int) -> int:
+    """_beta(f, candidates ^ removed) from beta = _beta(f, candidates), for
+    removed a subset of the candidates: each removed vertex u, top down,
+    splits its run into the `down` vertices below u and the up - 1 above."""
+    b = candidates
+    while removed:
+        u = removed.bit_length() - 1
+        bit = 1 << u
+        removed ^= bit
+        y = b >> u
+        up = (y ^ (y + 1)).bit_length() - 1  # u and the run above it
+        down = u - (~b & (bit - 1)).bit_length()  # the run below u
+        beta += f[down] + f[up - 1] - f[up + down]
+        b ^= bit
+    return beta
 
 
 class AlphaTable:
@@ -121,15 +131,30 @@ class AlphaTable:
         Python's recursion limit.  Each node is counted against the budget
         when it is entered; a node that still needs `need` vertices, with
         candidate set B, is cut when beta(B) < need, where beta(B) sums the
-        memoized alphas over the maximal runs of B, and it tries its
-        candidates v from the top while bound[v] >= need.  On success
-        `chosen` holds the vertices of the set, largest first.
+        memoized alphas f = interval_alpha over the maximal runs of B, and
+        it tries its candidates v from the top while bound[v] >= need.  On
+        success `chosen` holds the vertices of the set, largest first.
 
-        A child's runs are scanned only when its popcount p leaves the cut
-        open: floor[p] <= beta(B) <= p (see _run_values), so p < k rejects
-        and floor[p] >= k accepts exactly where the scan would.
+        A child's beta is cut against only when its popcount p leaves the
+        cut open.  Every run of r candidates adds f[r], which lies between
+        alpha(r) and r, and alpha is subadditive over intervals, so
+        f[p] <= beta(B) <= p: p < k rejects and f[p] >= k accepts exactly
+        where the beta test would.  A child holds fewer candidates than the
+        table's top index, so f[p] never reads the sentinel of an interval
+        step.
+
+        Each stack frame carries beta of its untried candidates `rest`, or
+        None while it is unknown: the root scans its runs, and a child the
+        popcount cuts accepted starts unknown.  While known, taking the top
+        candidate shortens only the top run.  An open child scans `rest` at
+        most once (it then stays known for the remaining siblings), and
+        _split_runs builds the child's beta from it: each neighbour of v
+        the child loses splits one run in two.  The cuts, and so the node
+        order and counts, are those of a full scan of every child.
         """
-        f, floor = _run_values(self.interval_alpha, candidates.bit_length())
+        f = self.interval_alpha
+        if candidates.bit_length() >= len(f):
+            raise ValueError(f"{candidates.bit_length()} candidates exceed the table's {len(f) - 1} intervals")
         nodes, limit = budget.nodes, budget.max_nodes
         try:
             nodes += 1
@@ -138,45 +163,44 @@ class AlphaTable:
             need = target
             if need == 0:
                 return True
-            total, b = 0, candidates
-            while b:
-                low = b & -b
-                merged = b + low
-                total += f[(b ^ merged).bit_count() - 1]
-                b &= merged
-            if total < need:
-                return False
             rest = candidates  # candidates this node has not tried yet
-            parents = []  # the same, for every node above it
+            beta = _beta(f, rest)  # beta(rest), or None while unknown
+            if beta < need:
+                return False
+            parents = []  # (rest, beta) of every node above this one
             while True:
                 v = rest.bit_length()
                 if bound[v] >= need:  # no candidates left (v == 0) fails too: bound[0] == 0
-                    rest ^= 1 << (v - 1)
+                    top = 1 << (v - 1)
+                    if beta is not None:  # the top run loses its top vertex
+                        r = v - (~rest & (top - 1)).bit_length()
+                        beta += f[r - 1] - f[r]
+                    rest ^= top
                     nodes += 1  # the child that takes v
                     if nodes > limit:
                         raise BudgetExceeded(f"node budget {limit} exhausted")
                     if need == 1:
                         chosen.append(v)
                         return True
-                    below = rest & ~nbr[v]
+                    hits = rest & nbr[v]  # the neighbours of v the child loses
+                    below = rest ^ hits
                     k = need - 1
                     pc = below.bit_count()
                     if pc < k:
                         continue
-                    if floor[pc] < k:
-                        total, b = 0, below
-                        while b:
-                            low = b & -b
-                            merged = b + low
-                            total += f[(b ^ merged).bit_count() - 1]
-                            b &= merged
-                        if total < k:
+                    if f[pc] < k:
+                        if beta is None:
+                            beta = _beta(f, rest)
+                        child = _split_runs(f, beta, rest, hits)
+                        if child < k:
                             continue
-                    parents.append(rest)
+                    else:
+                        child = None
+                    parents.append((rest, beta))
                     chosen.append(v)
-                    rest, need = below, k
+                    rest, beta, need = below, child, k
                 elif parents:  # this node fails; back up to its parent
-                    rest = parents.pop()
+                    rest, beta = parents.pop()
                     chosen.pop()
                     need += 1
                 else:
@@ -285,44 +309,20 @@ def _gaps_of_circulant_solution(solution: list[int], n: int) -> BlockList:
     return BlockList(gaps)
 
 
-_WINDOW_CERTIFICATE_GRACE = 5
 # interval rounds compute_ratio runs before it reports the bounds it has
 _MAX_ROUNDS = 2000
 
 
-def _window_certificate_upper(distances: DistanceSet, caps: EngineCaps) -> Optional[Fraction]:
-    """Exact ratio from the gap-state engine, used as an upper bound.
-
-    The minimum of alpha(G(S)[m])/m over m need not be attained at any
-    finite m (for {5,6,9} it stays one element above 4m/11 at every multiple
-    of 11), so a stalled schedule consults the gap-state engine, whose
-    extremal cycle mean equals the ratio exactly.  Returns None when the
-    engine's caps refuse the set; value only, witnesses still come from
-    circulants.
-    """
-    try:
-        return independence_ratio_exact(distances, caps)[0]
-    except StateSpaceError:
-        return None
-
-
-def compute_ratio(
-    distances: DistanceSet,
-    budget: Optional[SearchBudget] = None,
-    caps: Optional[EngineCaps] = DEFAULT_CAPS,
-) -> RatioReport:
+def compute_ratio(distances: DistanceSet, budget: Optional[SearchBudget] = None) -> RatioReport:
     """Interleaved two-sided search for the independence ratio of G(S).
 
     Schedule: at round n compute alpha of the intervals [2n-1] and [2n], and
     once n exceeds max(S) also alpha of the circulant on Z_n; stop when the
-    best lower and upper bounds agree.  If the bounds have not met a few
-    rounds past max(S) and the set fits the gap-state engine's caps, its
-    exact ratio is folded into the upper bound (interval minima alone can
-    stay strictly above the ratio forever).  That rescue runs only when
-    compute_ratio is called directly: independence_ratio reaches the search
-    only after the engine refused the set, and passes caps=None, which
-    skips the step.  Budget exhaustion downgrades the result to certified
-    bounds (status 'bounded'), never an error.
+    best lower and upper bounds agree.  Interval minima alone can stay
+    strictly above the ratio forever (for {5,6,9}, alpha(G(S)[m]) stays one
+    element above 4m/11 at every multiple of 11), so such a set stays
+    'bounded'.  Budget exhaustion downgrades the result to certified bounds
+    (status 'bounded'), never an error.
     """
     budget = budget or SearchBudget()
     table = AlphaTable(distances)
@@ -332,8 +332,6 @@ def compute_ratio(
     upper = Fraction(1)
     upper_n: Optional[int] = None
     circulant_rounds = 0
-    certified = False
-    note = None
     exact = False
     try:
         for n in range(1, _MAX_ROUNDS + 1):
@@ -351,12 +349,6 @@ def compute_ratio(
                     if not verify_periodic_independent(witness, distances).ok:
                         raise AssertionError(f"internal error: circulant witness for {distances} not independent")
                     lower, lower_witness = r, witness
-            if n == s + _WINDOW_CERTIFICATE_GRACE and lower < upper and caps is not None:
-                cert = _window_certificate_upper(distances, caps)
-                certified = cert is not None
-                if certified and cert < upper:
-                    upper, upper_n = cert, None
-                    note = "upper bound certified by the exact gap-state engine"
             if lower == upper:
                 exact = True
                 break
@@ -366,8 +358,6 @@ def compute_ratio(
         "nodes": budget.nodes,
         "interval_max_n": len(table.interval_alpha) - 1,
         "circulant_rounds": circulant_rounds,
-        # the gap-state bound; the key keeps its name for the --json layout
-        "window_certificate": certified,
     }
     return RatioReport(
         distances=distances,
@@ -379,5 +369,4 @@ def compute_ratio(
         upper_witness_n=upper_n,
         method="search",
         counters=counters,
-        note=note,
     )

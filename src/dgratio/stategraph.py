@@ -583,10 +583,27 @@ def verify_periodic_identifying(blocks: BlockList, distances: DistanceSet, radiu
 
 
 def verify_periodic_coloring(colors: Sequence[int], distances: DistanceSet) -> bool:
+    """True when no two positions of Z_period at a distance in S share a
+    color.  Checked one color class at a time, against whichever is shorter:
+    the other members of the class, or the residues d mod period, so a
+    coloring with few repeats costs little however large S is."""
     period = len(colors)
-    for u in range(period):
-        for d in distances:
-            if colors[u] == colors[(u + d) % period]:
+    if not period:
+        return True
+    residues = {d % period for d in distances}
+    if 0 in residues:  # u and u + d are the same position
+        return False
+    classes: dict[int, list[int]] = {}
+    for u, c in enumerate(colors):
+        classes.setdefault(c, []).append(u)
+    for members in classes.values():
+        if len(members) <= len(residues):
+            if any((b - a) % period in residues or (a - b) % period in residues
+                   for i, a in enumerate(members) for b in members[i + 1:]):
+                return False
+        else:
+            same = set(members)
+            if any((a + r) % period in same for a in members for r in residues):
                 return False
     return True
 
@@ -631,18 +648,27 @@ def periodic_coloring(
     distances: DistanceSet, colors: int, caps: EngineCaps = DEFAULT_CAPS
 ) -> Optional[CycleWitness]:
     """A periodic proper coloring with `colors` colors, or None if the pruned
-    automaton of canonical windows is empty (no such coloring exists)."""
-    graph = build_state_graph(distances, Coloring(colors), caps)
-    if not graph.states:
-        return None
-    # any cycle works; find one by walking first arcs until a repeat
-    first = graph.arcs.dst[graph.arcs.indptr[:-1]].tolist()
-    seen: dict[int, int] = {}
-    node = 0
-    while node not in seen:
-        seen[node] = len(seen)
-        node = first[node]
-    witness = _cycle_witness(graph, list(seen)[seen[node]:], Fraction(0))
+    automaton of canonical windows is empty (no such coloring exists).
+
+    With more colors than max(S), position mod max(S) + 1 is proper at once
+    (no d in S is a multiple of the period); its one canonical window,
+    labels 0..max(S)-1, loops to itself.  The window cap still bounds that
+    period."""
+    s = distances.max_element
+    if colors > s and s <= caps.window_max_states:
+        witness = CycleWitness(states=(tuple(range(s)),), density=Fraction(0), period=s + 1, colors=tuple(range(s + 1)))
+    else:
+        graph = build_state_graph(distances, Coloring(colors), caps)
+        if not graph.states:
+            return None
+        # any cycle works; find one by walking first arcs until a repeat
+        first = graph.arcs.dst[graph.arcs.indptr[:-1]].tolist()
+        seen: dict[int, int] = {}
+        node = 0
+        while node not in seen:
+            seen[node] = len(seen)
+            node = first[node]
+        witness = _cycle_witness(graph, list(seen)[seen[node]:], Fraction(0))
     if max(witness.colors) >= colors or not verify_periodic_coloring(witness.colors, distances):
         raise AssertionError(f"internal error: coloring witness failed for {distances}")
     return witness

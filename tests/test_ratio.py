@@ -75,13 +75,13 @@ def test_method_routing():
 
 
 def test_search_method_keeps_the_search_note():
-    # compute_ratio called directly runs its gap-state rescue and says so
-    certified = "upper bound certified by the exact gap-state engine"
-    report = compute_ratio(DistanceSet([5, 6, 9]))
-    assert report.note == certified
-    report = compute_ratio(DistanceSet([10, 12, 18]))
-    assert report.value == Fraction(4, 11)
-    assert report.note == certified
+    # compute_ratio called directly notes nothing; independence_ratio's
+    # fallback notes the gap engine's refusal
+    budget = SearchBudget(max_nodes=20_000)
+    report = compute_ratio(DistanceSet([5, 6, 9]), budget=budget)
+    assert report.status == "bounded" and report.note is None
+    assert compute_ratio(DistanceSet([1, 4, 25])).note is None
+    assert independence_ratio(DistanceSet([1, 4, 25])).note.startswith("gap-state engine refused: ")
 
 
 def test_stategraph_cap_raises_when_forced():
@@ -124,9 +124,10 @@ def test_parity_shortcut_does_not_grow_with_max_s():
     assert report.value == Fraction(1, 2)
 
 
-def test_caps_reach_the_search_rescue(monkeypatch):
-    # {5,6,9} needs the gap-state bound to close (see test_search.py), and
-    # more than 10 gap states; record the cap of every gap-state count
+def test_the_search_never_asks_the_gap_engine(monkeypatch):
+    # record the cap of every gap-state count: the fallback counts the
+    # states of {5,6,9} once, under the caller's caps, and the search
+    # itself never builds a gap graph
     counted = []
     count_states = dgratio.stategraph._gap_state_masks
     monkeypatch.setattr(
@@ -134,24 +135,15 @@ def test_caps_reach_the_search_rescue(monkeypatch):
     )
     small = EngineCaps(independence_max_states=10)
     s = DistanceSet([5, 6, 9])
-    # auto: the gap engine refuses the set once, and the search does not ask again
     report = independence_ratio(s, budget=SearchBudget(max_nodes=5000), caps=small)
     assert counted == [10]
     assert report.status == "bounded"
-    assert report.counters["window_certificate"] is False
     assert report.note.startswith("gap-state engine refused: independence state space for {5,6,9} has ")
-    # search: the rescue runs under the caller's caps, which refuse the set
-    counted.clear()
-    report = compute_ratio(s, budget=SearchBudget(max_nodes=5000), caps=small)
-    assert counted == [10]
-    assert report.status == "bounded"
-    assert report.counters["window_certificate"] is False
-    # the same budget suffices under the default caps
     counted.clear()
     report = compute_ratio(s, budget=SearchBudget(max_nodes=5000))
-    assert counted == [400_000]
-    assert report.value == Fraction(4, 11)
-    assert report.counters["window_certificate"] is True
+    assert counted == []
+    assert report.status == "bounded"
+    assert set(report.counters) == {"nodes", "interval_max_n", "circulant_rounds"}
 
 
 def test_bounded_status_propagates():

@@ -13,7 +13,8 @@ from dgratio.search import (
     BudgetExceeded,
     SearchBudget,
     _alpha_circulant_solution,
-    _run_values,
+    _circulant_masks,
+    _split_runs,
     alpha_interval,
     compute_ratio,
 )
@@ -117,6 +118,55 @@ def test_search_matches_the_recursion_on_heavy_sets(combo):
     assert runs[0][3] == 150_001
 
 
+def test_search_matches_the_recursion_on_random_sets():
+    # compute_ratio's schedule, run until a 20k-node budget runs out, visits
+    # the same nodes with a beta carried along the stack as with a scan of
+    # every child
+    rng = random.Random(2024)
+    with_circulants = 0
+    for _ in range(16):
+        top = rng.randint(4, 40)
+        distances = DistanceSet(rng.sample(range(1, top + 1), rng.randint(2, 4)))
+        runs = [
+            _schedule_until_the_budget_runs_out(table, distances, SearchBudget(max_nodes=20_000))
+            for table in (AlphaTable(distances), RecursiveAlphaTable(distances))
+        ]
+        assert runs[0] == runs[1], distances
+        assert runs[0][3] == 20_001
+        with_circulants += bool(runs[0][2])
+    assert with_circulants >= 10
+
+
+def test_split_runs_match_the_run_scan():
+    # a child's beta, built from its parent's by splitting the runs its
+    # neighbours leave, equals a scan of the child's candidates
+    rng = random.Random(8)
+    seen = set()
+    for combo in [(1, 4), (1, 17, 36), (21, 22), (2, 5, 11), (3, 4, 10)]:
+        distances = DistanceSet(combo)
+        table = AlphaTable(distances)
+        n = 3 * distances.max_element + 5
+        iv = table.interval_alpha
+        alpha_interval(distances, n, table)
+        for masks, circulant in ((table._nbr, False), (_circulant_masks(distances, n), True)):
+            for _ in range(300):
+                v = rng.randint(2, n)  # the vertex taken; its child keeps rest ^ hits
+                density = rng.uniform(0.5, 1.0)
+                rest = sum(1 << i for i in range(v - 1) if rng.random() < density)
+                hits = rest & masks[v]
+                below = rest ^ hits
+                assert _split_runs(iv, beta(iv, rest), rest, hits) == beta(iv, below), (combo, v, bin(rest))
+                if hits >> (v - 2) & 1:
+                    seen.add("new top bit")
+                if hits & 1:
+                    seen.add("bit 0")
+                if hits & (hits >> 1):
+                    seen.add("adjacent")
+                if circulant and hits & ~table._nbr[v]:
+                    seen.add("wrap")
+    assert seen == {"new top bit", "bit 0", "adjacent", "wrap"}
+
+
 class _SnapshotTable(AlphaTable):
     """Keeps a copy of interval_alpha at every search call."""
 
@@ -144,18 +194,29 @@ def test_popcount_cuts_agree_with_the_run_scan(combo):
     rng = random.Random(sum(combo))
     for iv in tables:
         top = len(iv) - 1
-        width = top + 4  # candidate sets may run past the table
-        f, floor = _run_values(iv, width)
-        assert f == [beta(iv, (1 << r) - 1) for r in range(width + 1)]
+        # a run of r candidates adds iv[r] to beta, and the cuts read iv at
+        # the popcount: candidate sets are never wider than the table
+        assert iv == [beta(iv, (1 << r) - 1) for r in range(top + 1)]
         for _ in range(40):
+            width = rng.randint(1, top)
             density = rng.uniform(0.3, 1.0)
             b = sum(1 << i for i in range(width) if rng.random() < density)
             pc, scanned = b.bit_count(), beta(iv, b)
             for k in range(pc + 2):
                 if pc < k:  # the reject cut
                     assert scanned < k, (iv, bin(b), k)
-                if floor[pc] >= k:  # the accept cut
+                if iv[pc] >= k:  # the accept cut
                     assert scanned >= k, (iv, bin(b), k)
+
+
+def test_candidates_wider_than_the_table_are_refused():
+    # runs are valued by interval_alpha itself, so no run may outgrow it;
+    # the check raises under python -O too
+    distances = DistanceSet([1, 3])
+    table = AlphaTable(distances)
+    alpha_interval(distances, 10, table)
+    with pytest.raises(ValueError, match="exceed the table"):
+        table._search((1 << 11) - 1, 5, table._nbr, table.interval_alpha, SearchBudget(), [])
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
@@ -297,30 +358,27 @@ def test_search_matches_known_family_values():
     assert compute_ratio(DistanceSet([1, 4, 25])).value == Fraction(5, 13)
 
 
-def test_window_certificate_closes_interval_resistant_sets():
+def test_interval_resistant_sets_stay_bounded():
     # for this set alpha(G(S)[m])/m exceeds 4/11 at every m (the boundary
-    # defect never vanishes), so exactness requires the gap-state certificate
-    report = compute_ratio(DistanceSet([5, 6, 9]))
-    assert report.status == "exact"
-    assert report.value == Fraction(4, 11)
-    assert report.counters["window_certificate"]
-    assert report.note is not None and "gap-state" in report.note
-    # the lower half was still certified independently by a circulant witness
+    # defect never vanishes), so interval bounds never meet the circulant
+    # lower bound, which still reaches 4/11 with a verified witness
+    s = DistanceSet([5, 6, 9])
+    report = compute_ratio(s, budget=SearchBudget(max_nodes=20_000))
+    assert report.status == "bounded"
+    assert report.lower == Fraction(4, 11) < report.upper
+    assert report.note is None
     assert report.lower_witness.density() == Fraction(4, 11)
-    assert verify_periodic_independent(report.lower_witness, DistanceSet([5, 6, 9])).ok
+    assert verify_periodic_independent(report.lower_witness, s).ok
 
 
-def test_window_certificate_counter_reports_only_a_computed_bound():
-    # max(S) = 24 is past the gap-state engine's element cap: the schedule
-    # consults it at round max(S) + 5, gets no bound, and must not claim a
-    # certificate
+def test_search_counters_report_the_work_done():
+    # max(S) = 24 is past the gap-state engine's element cap; the search
+    # closes it alone and reports only its own counters
     report = compute_ratio(DistanceSet([5, 6, 24]))
     assert report.status == "exact"
     assert report.counters["circulant_rounds"] == 6
-    assert report.counters["window_certificate"] is False
+    assert set(report.counters) == {"nodes", "interval_max_n", "circulant_rounds"}
     assert report.note is None
-    # within the caps the bound is computed, even where it does not decide
-    assert compute_ratio(DistanceSet([5, 6, 14])).counters["window_certificate"] is True
 
 
 def test_huge_generators_stay_cheap_and_bounded():

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -553,6 +554,28 @@ def test_coloring_examples():
     wit = periodic_coloring(DistanceSet([1, 2, 3]), 4)
     assert wit is not None
     assert verify_periodic_coloring(wit.colors, DistanceSet([1, 2, 3]))
+
+
+def test_more_colors_than_max_s_answer_at_once():
+    # position mod max(S) + 1, checked by verify_periodic_coloring, without
+    # building an automaton
+    started = time.process_time()
+    wit = periodic_coloring(DistanceSet(range(1, 4001)), 4001)
+    assert time.process_time() - started < 0.1
+    assert wit.colors == tuple(range(4001)) and wit.period == 4001
+    assert verify_periodic_coloring(wit.colors, DistanceSet(range(1, 4001)))
+    wit = periodic_coloring(DistanceSet([2, 7]), 10**20)
+    assert wit.colors == tuple(range(8))
+
+
+def test_coloring_check_matches_its_definition():
+    rng = random.Random(5)
+    for _ in range(400):
+        s = DistanceSet(rng.sample(range(1, 13), rng.randint(1, 4)))
+        period = rng.randint(1, 15)
+        colors = [rng.randrange(rng.randint(1, period)) for _ in range(period)]
+        proper = all(colors[u] != colors[(u + d) % period] for u in range(period) for d in s)
+        assert verify_periodic_coloring(colors, s) == proper, (s, colors)
 
 
 def test_coloring_matches_chromatic_threshold():
