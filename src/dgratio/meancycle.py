@@ -26,9 +26,16 @@ the descent rescue below instead of wrapping.
 Termination needs care when several policy cycles share a gain, because
 biases are only defined up to a constant per cycle.  Two measures handle
 this: biases are kept continuous across iterations (each cycle is pinned at
-its smallest node to that node's previous bias), which removes the usual
+one of its nodes to that node's previous bias), which removes the usual
 oscillation, and a hard iteration cap falls back to a strictly descending
 negative-cycle search that terminates unconditionally.
+
+Which node pins a cycle, and where the returned cycle starts, is a rule the
+caller may supply (CyclePinning).  By default a cycle is pinned at its
+smallest node, and the returned cycle starts at the first cycle node a walk
+from the smallest node of least mean meets.  The gap engine supplies a rule
+under which Howard on its quotient graph retraces, value for value, the run
+on the graph it is the quotient of.
 """
 
 from __future__ import annotations
@@ -168,15 +175,39 @@ def _policy_cycles(succ: np.ndarray, wsel: np.ndarray):
     return handle, on_cycle, dist_w, dist_n, num[handle], den[handle]
 
 
-def _evaluate(succ: np.ndarray, wsel: np.ndarray, prev_bias: np.ndarray, max_w: int):
+class CyclePinning:
+    """A rule, other than the default, for where Howard pins each policy
+    cycle and where the cycle it returns starts.  The default rule is
+    spelled None.
+
+    pins(succ, wsel, handle) returns the cycle nodes that pin their cycles
+    elsewhere than at the handle (the cycle's smallest node); None when
+    there are none.  start(succ, wsel, v, cycle, weights) is the index in
+    `cycle`, the returned policy cycle listed from the first node a walk
+    from v meets, at which the returned cycle starts.
+    """
+
+    def pins(self, succ: np.ndarray, wsel: np.ndarray, handle: np.ndarray):
+        raise NotImplementedError
+
+    def start(self, succ: np.ndarray, wsel: np.ndarray, v: int, cycle: list,
+              weights: list) -> int:
+        raise NotImplementedError
+
+
+def _evaluate(succ: np.ndarray, wsel: np.ndarray, prev_bias: np.ndarray, max_w: int,
+              pinning: CyclePinning | None = None):
     """Evaluate a policy (functional graph): per-node cycle mean and bias.
 
-    Each policy cycle is pinned at its smallest node h, whose bias keeps its
-    previous value, so bias[v] = prev_bias[h] + den*W - num*L, where W and L
-    are the weight and arc count of v's path to h and num/den is its cycle's
-    mean.  Returns (lam_num, lam_den, bias, handle, on_cycle) as int64 and
-    bool arrays, or None when a bias or a candidate bias built from one
-    (an arc weight up to max_w in magnitude, times den) could reach _SAFE.
+    Each policy cycle is pinned at a node p, by default its smallest node
+    h, whose bias keeps its previous value, so bias[v] = prev_bias[p] +
+    den*W - num*L, where W and L are the weight and arc count of v's path
+    to p and num/den is its cycle's mean.  The path to p is the path to h
+    and then on round the cycle, so pinning at p shifts h's basin by
+    prev_bias[p] minus p's bias under the pin at h.  Returns (lam_num,
+    lam_den, bias, handle, on_cycle) as int64 and bool arrays, or None when
+    a bias or a candidate bias built from one (an arc weight up to max_w in
+    magnitude, times den) could reach _SAFE.
     """
     handle, on_cycle, dist_w, dist_n, lam_num, lam_den = _policy_cycles(succ, wsel)
     n = len(succ)
@@ -184,6 +215,11 @@ def _evaluate(succ: np.ndarray, wsel: np.ndarray, prev_bias: np.ndarray, max_w: 
     if reach >= _SAFE:
         return None
     bias = prev_bias[handle] + lam_den * dist_w - lam_num * dist_n
+    pinned = None if pinning is None else pinning.pins(succ, wsel, handle)
+    if pinned is not None:
+        shift = np.zeros(n, dtype=np.int64)
+        shift[handle[pinned]] = prev_bias[pinned] - bias[pinned]
+        bias += shift[handle]
     return lam_num, lam_den, bias, handle, on_cycle
 
 
@@ -255,13 +291,16 @@ def _initial_policy(num_nodes: int, w: np.ndarray, blocks: list) -> np.ndarray:
     return pol
 
 
-def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray):
+def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray,
+                          pinning: CyclePinning | None = None):
     """Minimum mean cycle of a digraph in CSR form; every node needs an out-edge.
 
     The arrays may have any integer dtypes; they are read, never widened.
     Returns (mean: Fraction, cycle_nodes: list[int], cycle_weights: list[int])
     where cycle_nodes[j] -> cycle_nodes[(j+1) % L] is the j-th cycle edge and
-    cycle_weights[j] its weight.  Deterministic for a fixed CSR layout.
+    cycle_weights[j] its weight.  Deterministic for a fixed CSR layout and
+    pinning rule (None: the default rule).  The descent rescue ignores the
+    rule.
     """
     num_nodes = len(indptr) - 1
     if num_nodes == 0:
@@ -276,7 +315,7 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray):
     for _ in range(_MAX_ITERATIONS):
         succ = dst[pol]
         wsel = w[pol]
-        evaluated = _evaluate(succ, wsel, prev_bias, max_w)
+        evaluated = _evaluate(succ, wsel, prev_bias, max_w, pinning)
         if evaluated is None:
             break  # biases could leave the int64-safe range: take the safe path
         lam_num, lam_den, bias, handle, on_cycle = evaluated
@@ -306,6 +345,9 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray):
             continue
         # Bellman optimality reached: the best policy cycle is extremal.
         cyc, weights = _best_cycle(succ, wsel, rank, on_cycle)
+        if pinning is not None:
+            k = pinning.start(succ, wsel, int(rank.argmin()), cyc, weights)
+            cyc, weights = cyc[k:] + cyc[:k], weights[k:] + weights[:k]
         return Fraction(int(lam_num[cyc[0]]), int(lam_den[cyc[0]])), cyc, weights
     return _min_mean_cycle_descent(indptr, dst, w)
 

@@ -10,10 +10,18 @@ comes with a periodic witness read off the extremal cycle:
   * periodic proper k-colorings.
 
 Independence uses a compressed state space over element gaps, the only
-independence engine in the package: a state records the occupied offsets
-within max(S) behind the latest element, and an edge labelled g places the
-next element g positions later.  Cycle mean gap lambda then gives ratio
-1/lambda, and the cycle's edge labels are literally the witness block sizes.
+independence engine in the package: a state is the set F of forbidden
+future offsets, the offsets after the latest element at which a new one
+would lie at a distance in S from an element already placed, and an edge
+labelled g places the next element g positions later.  Cycle mean gap
+lambda then gives ratio 1/lambda, and the cycle's edge labels are literally
+the witness block sizes.  F is the Myhill-Nerode quotient of the masks of
+occupied offsets within max(S) behind the latest element.  The caps count
+those masks, and Howard on F retraces the run it made on them, so values,
+witnesses and evaluation counts are the mask engine's: states are numbered
+by their least mask in its breadth-first order, which is the order by
+popcount and then by the gap word read from the oldest element, and each
+policy cycle is pinned where the mask engine pinned it (_MaskPinning).
 
 The other problems share one sliding-window automaton (build_state_graph):
 a state is the last L positions, an arc appends one position, and an arc is
@@ -28,6 +36,7 @@ when it is read.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -39,16 +48,19 @@ from . import meancycle
 
 
 class StateSpaceError(RuntimeError):
-    """The construction would exceed a configured cap.
+    """The construction would exceed a configured cap, or a limit of its
+    representation.
 
     required is the size that was refused.  For the gap engine's state cap
-    it is the exact number of reachable states; for its element cap it is
-    max(S).  For the window cap it is the number of window states before
-    pruning, 2^L (2^(2 max S) or 2^(4 max S)), or None when that number is
-    2^64 or more: such an automaton is refused under any cap, and its size
-    is not computed.  A coloring is refused with None: its canonical
-    windows are refused as soon as one growth layer, or max(S) alone, is
-    over the cap, and the rest are never counted.
+    it is the exact number of reachable masks of occupied offsets, which
+    the cap counts, not the fewer F states the engine builds from them; for
+    its element cap, and for a max(S) past the 62 offsets an int64 F
+    holds, it is max(S).  For the window cap it is the number of window
+    states before pruning, 2^L (2^(2 max S) or 2^(4 max S)), or None when
+    that number is 2^64 or more: such an automaton is refused under any
+    cap, and its size is not computed.  A coloring is refused with None:
+    its canonical windows are refused as soon as one growth layer, or
+    max(S) alone, is over the cap, and the rest are never counted.
     """
 
     def __init__(self, message: str, required: int | None = None):
@@ -62,7 +74,13 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class EngineCaps:
-    """Resource limits for state-graph constructions (all configurable)."""
+    """Resource limits for state-graph constructions (all configurable).
+
+    independence_max_states counts the gap engine's masks of occupied
+    offsets, not the F states it builds from them (at most as many, and
+    often five times fewer), so the sets it admits, and the refusals that
+    route a set to the search, are those of the mask engine.
+    """
 
     independence_max_element: int = 22
     independence_max_states: int = 400_000
@@ -217,7 +235,7 @@ def _canonical_windows(distances: DistanceSet, colors: int, caps: EngineCaps) ->
     lexicographic order, with the number of labels each row uses.
 
     They are grown from [0] one position at a time, as _gap_state_masks
-    grows the gap states, so only proper windows are ever made: a prefix
+    grows the gap engine's masks, so only proper windows are ever made: a prefix
     takes each label _next_labels allows, and the grown rows follow the
     order of their prefixes and then of the new label, so the rows stay
     sorted.  Refused when one layer holds more than caps.window_max_states
@@ -420,9 +438,11 @@ def _count_grown(masks: np.ndarray, offset: int, conflicts: list[int]) -> int:
 
 
 def _gap_state_masks(distances: DistanceSet, max_states: int) -> np.ndarray:
-    """Sorted int64 masks of the gap engine's states, counted before any build.
+    """Sorted int64 masks of occupied offsets within max(S) behind the
+    latest element, counted before any build; the gap engine's F states are
+    their quotient, and its state cap counts them.
 
-    The reachable states are exactly the S-independent subsets of
+    The reachable masks are exactly the S-independent subsets of
     [0, max(S)) that contain 0: every such subset is reached from mask 1 by
     appending its elements in order.  They are grown from [1] one offset
     at a time: offset p joins every mask with no offset p - d for a d in S
@@ -456,65 +476,202 @@ def _gap_state_masks(distances: DistanceSet, max_states: int) -> np.ndarray:
     return masks.astype(np.int64)
 
 
-def _independence_gap_graph(distances: DistanceSet, max_states: int):
-    """States are bitmasks of occupied offsets behind the latest element
-    (bit 0 = the element itself); an edge labelled g appends an element g
-    positions later.  Gaps beyond max(S)+1 never help, so labels stop there.
+@functools.cache
+def _bit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Popcounts and bit lengths of the 16-bit integers (numpy 1.x has no
+    bitwise_count)."""
+    popcount = np.zeros(1 << 16, dtype=np.uint8)
+    length = np.zeros(1 << 16, dtype=np.uint8)
+    for b in range(16):
+        popcount[1 << b:2 << b] = popcount[:1 << b] + 1
+        length[1 << b:2 << b] = b + 1
+    return popcount, length
 
-    Returns (order, arcs): the state masks (int64) in breadth-first
-    discovery order from mask 1, and per state its arcs [(g, j), ...] in
-    increasing g, as a meancycle.CSRAdjacency with int64 indptr, int32
-    targets and int8 gaps.  The graph is built in numpy passes by a BFS
-    that takes the queued states in blocks of at most meancycle._ARC_BLOCK
-    arcs: a block's arcs are computed, their targets looked up in the
-    sorted masks, the new targets numbered in order of first appearance
-    (as a queue over arcs in gap order would) and the block's part of the
-    CSR emitted, so no int64 scratch spans more than a block.
+
+def _breadth_first_order(masks: np.ndarray, s: int) -> np.ndarray:
+    """The permutation that lists masks in the order the mask automaton's
+    breadth-first search from mask 1, with arcs in gap order, meets them.
+
+    That order is by popcount, then by the gap word read from the oldest
+    element, lexicographically: a mask is reached in popcount - 1 arcs and
+    from one mask of the level before (itself without its newest element),
+    so a level is ordered by its parents and then by the last gap.  Within
+    one popcount, the lexicographic order of gap words is the decreasing
+    order of the masks shifted up until the oldest element sits at offset
+    max(S) - 1.  The two keys are sorted one after the other, since
+    together they can take more than 63 bits; both are exact integers for
+    every max(S) up to 62.
     """
-    masks = _gap_state_masks(distances, max_states)
+    counts, lengths = _bit_tables()
+    popcount = np.zeros(len(masks), dtype=np.uint8)
+    length = np.zeros(len(masks), dtype=np.int64)
+    for lo in range(0, s, 16):
+        chunk = (masks >> lo) & 0xFFFF
+        popcount += counts[chunk]
+        np.copyto(length, lengths[chunk] + lo, where=chunk != 0)
+    later = ((1 << s) - 1) ^ (masks << (s - length))
+    by_later = later.argsort()
+    return by_later[popcount[by_later].argsort(kind="stable")]
+
+
+def _mask_key(mask: int, s: int) -> tuple[int, int]:
+    """The key of one mask in the order of _breadth_first_order."""
+    return mask.bit_count(), ((1 << s) - 1) ^ (mask << (s - mask.bit_length()))
+
+
+def _forbidden_offsets(masks: np.ndarray, s: int, sbits: int) -> np.ndarray:
+    """F of each mask: bit y set for each offset y ahead of the latest
+    element at a distance in S from an occupied offset, the union over the
+    occupied offsets j of S shifted down by j.  Read a byte at a time."""
+    forbidden = np.zeros(len(masks), dtype=np.int64)
+    for lo in range(0, s, 8):
+        table = np.zeros(256, dtype=np.int64)
+        for b in range(8):
+            table[1 << b:2 << b] = table[:1 << b] | (sbits >> (lo + b))
+        forbidden |= table[(masks >> lo) & 0xFF]
+    return forbidden
+
+
+class _GapArcs(meancycle.CSRAdjacency):
+    """The gap graph's arcs, with the pinning rule its Howard run takes."""
+
+    __slots__ = ("pinning",)
+
+    def __init__(self, indptr: np.ndarray, dst: np.ndarray, w: np.ndarray,
+                 pinning: meancycle.CyclePinning):
+        super().__init__(indptr, dst, w)
+        self.pinning = pinning
+
+
+class _MaskPinning(meancycle.CyclePinning):
+    """Pins Howard on the F states where the mask engine's Howard pins.
+
+    Run on the masks, Howard gives all masks of one F the same gap and the
+    same bias at every iteration, so it can run on F.  Over a policy cycle
+    of F states lies one cycle of masks, the cycle masks: each node's
+    window of max(S) positions behind its element, in the cycle's periodic
+    word.  The mask engine pins that cycle at the cycle mask it numbered
+    first, and returns the cycle from the first cycle mask that a walk of
+    masks from the least mask of Howard's start node meets.  least[i] is
+    node i's least mask; shared lists the nodes with more than one.
+    """
+
+    def __init__(self, s: int, least: np.ndarray, shared: np.ndarray):
+        self.s, self.least, self.shared = s, least, shared
+
+    def _cycle_masks(self, gaps: list) -> list:
+        """The cycle masks of a policy cycle's nodes, where gaps[j] leads
+        from node j to node j + 1.  A walk of masks from mask 1 at node 0
+        holds the cycle mask once its gaps span max(S) - 1 positions."""
+        s, window, length = self.s, (1 << self.s) - 1, len(gaps)
+        mask, span, j = 1, 0, 0
+        while span < s - 1:
+            span += gaps[j % length]
+            mask = ((mask << gaps[j % length]) & window) | 1
+            j += 1
+        masks = [0] * length
+        for j in range(j, j + length):
+            masks[j % length] = mask
+            mask = ((mask << gaps[j % length]) & window) | 1
+        return masks
+
+    def pins(self, succ, wsel, handle):
+        # nodes are numbered by least mask, so a cycle whose smallest node
+        # has one mask is pinned there: that mask is numbered before every
+        # mask of the cycle's other nodes
+        pinned = []
+        for head in self.shared[handle[self.shared] == self.shared].tolist():
+            cycle, gaps, v = [], [], head
+            while not cycle or v != head:
+                cycle.append(v)
+                gaps.append(int(wsel[v]))
+                v = int(succ[v])
+            keys = [_mask_key(mask, self.s) for mask in self._cycle_masks(gaps)]
+            k = keys.index(min(keys))
+            if k:  # pinned elsewhere than at the head
+                pinned.append(cycle[k])
+        return np.array(pinned, dtype=np.int64) if pinned else None
+
+    def start(self, succ, wsel, v, cycle, weights):
+        window = (1 << self.s) - 1
+        cycle_masks = self._cycle_masks(weights)
+        at = {u: i for i, u in enumerate(cycle)}
+        mask, node = int(self.least[v]), v
+        while at.get(node) is None or mask != cycle_masks[at[node]]:
+            mask = ((mask << int(wsel[node])) & window) | 1
+            node = int(succ[node])
+        return at[node]
+
+
+def _independence_gap_graph(distances: DistanceSet, max_states: int):
+    """The gap engine's automaton: a state is the set F of forbidden future
+    offsets, an int64 with bit y set when an element y positions after the
+    latest one would lie at a distance in S from an element already
+    placed.  The start state is F0 = S; gap g is allowed when g is not in
+    F, and leads to (F >> g) | S.  Gaps beyond max(S)+1 never help, so
+    labels stop there.
+
+    This is the quotient, by F, of the automaton whose states are the masks
+    of occupied offsets within max(S) behind the latest element
+    (_gap_state_masks lists them, and the cap counts them): masks with one
+    F allow the same gaps and lead to masks with one F, and F is the
+    Myhill-Nerode class of a mask, so the quotient is minimal.  A state is
+    numbered by its least mask in the mask automaton's breadth-first order
+    (_breadth_first_order), so F0 is state 0.
+
+    Returns (order, arcs): the states' F (int64) in that numbering, and per
+    state its arcs [(g, j), ...] in increasing g, as a CSRAdjacency with
+    int64 indptr, int32 targets and int8 gaps.  arcs.pinning is the rule
+    (_MaskPinning) under which Howard on this graph retraces the mask
+    engine's run.  Arcs are made in blocks of at most meancycle._ARC_BLOCK
+    candidate arcs, so no int64 scratch spans more than a block.  An int64
+    holds the offsets of F up to max(S) only while max(S) <= 62, so a
+    larger max(S) is refused with StateSpaceError.
+    """
     s = distances.max_element
-    n = len(masks)
-    gaps = np.arange(1, s + 2, dtype=np.int64)
+    if s > 62:
+        raise StateSpaceError(
+            f"max(S) = {s} is past 62, the most offsets an int64 gap state holds",
+            required=s,
+        )
+    masks = _gap_state_masks(distances, max_states)
     sbits = sum(1 << d for d in distances)
-    # gap g is free when no occupied offset sits at d - g for a d in S
-    blocked = sbits >> gaps
-    window = (1 << s) - 1
+    # the masks in breadth-first order, grouped by F: a group's least
+    # position is its least mask
+    by_key = _breadth_first_order(masks, s)
+    forbidden = _forbidden_offsets(masks, s, sbits)[by_key]
+    by_f = forbidden.argsort()
+    grouped = forbidden[by_f]
+    starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+    least = np.minimum.reduceat(by_f, starts)
+    node_of = least.argsort()
+    values = grouped[starts]  # every F, increasing
+    n = len(values)
     index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    # mask 1 is the smallest mask, so the start state is index 0
-    queue = np.zeros(n, dtype=np.int64)
-    number = np.full(n, -1, dtype=index)
-    number[0] = 0
-    queued, done = 1, 0
+    number = np.empty(n, dtype=index)
+    number[node_of] = np.arange(n, dtype=index)
+    order = values[node_of]
+    shared = np.flatnonzero(np.diff(np.append(starts, len(masks)))[node_of] > 1)
+    pinning = _MaskPinning(s, masks[by_key[least[node_of]]], shared)
+    gaps = np.arange(1, s + 2, dtype=np.int64)
     per_block = max(1, meancycle._ARC_BLOCK // len(gaps))
     deg, dst, gap_of = [], [], []
-    while done < queued:
-        states = queue[done:min(queued, done + per_block)]
-        done += len(states)
-        head = masks[states]
-        # the block's arcs, grouped by state, in increasing gap within a state
-        src, col = ((head[:, None] & blocked) == 0).nonzero()
+    for lo in range(0, n, per_block):
+        block = order[lo:lo + per_block]
+        src, col = (((block[:, None] >> gaps) & 1) == 0).nonzero()
         gap = gaps[col]
-        keys = ((head[src] << gap) & window) | 1
-        # binary search runs far faster over keys in near-sorted order, so
-        # look them up in the order of a (linear-time) stable sort by their
-        # top 16 bits
-        by_top = (keys >> max(0, s - 16)).astype(np.uint16).argsort(kind="stable")
-        tgt = np.empty_like(keys)
-        tgt[by_top] = masks.searchsorted(keys[by_top])
-        reached = tgt[number[tgt] < 0]
-        _, earliest = np.unique(reached, return_index=True)
-        fresh = reached[np.sort(earliest)]
-        number[fresh] = np.arange(queued, queued + len(fresh), dtype=index)
-        queue[queued:queued + len(fresh)] = fresh
-        queued += len(fresh)
-        deg.append(np.bincount(src, minlength=len(states)))
-        dst.append(number[tgt])
+        deg.append(np.bincount(src, minlength=len(block)))
+        successor = (block[src] >> gap) | sbits
+        hit = values.searchsorted(successor)
+        if (values.take(hit, mode="clip") != successor).any():
+            raise AssertionError(
+                f"internal error: a gap state of {distances} has a successor outside the states"
+            )
+        dst.append(number[hit])
         gap_of.append(gap.astype(np.int8))
-    if queued != n:
-        raise AssertionError(f"internal error: gap states of {distances} not all reachable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.concatenate(deg), out=indptr[1:])
-    return masks[queue], meancycle.CSRAdjacency(indptr, np.concatenate(dst), np.concatenate(gap_of))
+    return order, _GapArcs(indptr, np.concatenate(dst), np.concatenate(gap_of), pinning)
 
 
 def independence_ratio_exact(
@@ -534,7 +691,7 @@ def independence_ratio_exact(
         )
     _, adjacency = _independence_gap_graph(distances, caps.independence_max_states)
     indptr, dst, w = meancycle.csr_from_adjacency(adjacency)
-    mean, _, gaps = meancycle.min_mean_cycle_howard(indptr, dst, w)
+    mean, _, gaps = meancycle.min_mean_cycle_howard(indptr, dst, w, adjacency.pinning)
     value = 1 / mean
     witness = BlockList(gaps)
     verdict = verify_periodic_independent(witness, distances)
@@ -653,8 +810,11 @@ def periodic_coloring(
     With more colors than max(S), position mod max(S) + 1 is proper at once
     (no d in S is a multiple of the period); its one canonical window,
     labels 0..max(S)-1, loops to itself.  The window cap still bounds that
-    period."""
+    period.  When S holds 1..k for k = `colors`, positions 0..k form a
+    clique of k + 1, so the answer is None before any window is grown."""
     s = distances.max_element
+    if 1 <= colors <= len(distances.distances) and distances.distances[colors - 1] == colors:
+        return None
     if colors > s and s <= caps.window_max_states:
         witness = CycleWitness(states=(tuple(range(s)),), density=Fraction(0), period=s + 1, colors=tuple(range(s + 1)))
     else:

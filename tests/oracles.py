@@ -12,10 +12,15 @@ against.  None of them is used by the package itself.
   budget exhaustion the package's explicit-stack search must keep;
 - the scan of all 2^(max(S)-1) candidate masks for the gap engine's
   states, against which the grown masks and their count are checked;
-- the wide gap engine: the gap graph built with int64 arrays spanning
-  every arc, and Howard with int64 targets, weights and sources on every
-  arc and all arcs in each improvement pass, whose CSR arrays, results
-  and evaluation counts the lean engine must keep;
+- the mask gap engine: the gap graph on masks of occupied offsets, built
+  by a block-wise breadth-first search, whose Howard values, witnesses
+  and evaluation counts the package's F automaton (its quotient) must
+  keep;
+- the wide gap engine: the mask gap graph built with int64 arrays
+  spanning every arc, and Howard with int64 targets, weights and sources
+  on every arc and all arcs in each improvement pass, whose CSR arrays,
+  results and evaluation counts the block-wise mask graph and the lean
+  Howard must keep;
 - window graphs with list adjacency, pruned by a Python loop, whose arcs
   may add several positions, with their extremal mean cycles in either
   direction:
@@ -315,6 +320,64 @@ def scan_gap_state_masks(distances: DistanceSet, max_states: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The mask gap engine the package's F automaton is the quotient of
+# ---------------------------------------------------------------------------
+
+
+def mask_gap_graph(distances: DistanceSet, max_states: int) -> tuple:
+    """The gap graph on masks of occupied offsets behind the latest element
+    (bit 0 = the element itself); an edge labelled g appends an element g
+    positions later, for g up to max(S)+1.
+
+    Returns (order, arcs): the state masks (int64) in breadth-first
+    discovery order from mask 1, and per state its arcs [(g, j), ...] in
+    increasing g, as a meancycle.CSRAdjacency with int64 indptr, int32
+    targets and int8 gaps.  Built in numpy passes by a BFS that takes the
+    queued states in blocks of at most meancycle._ARC_BLOCK arcs: a block's
+    arcs are computed, their targets looked up in the sorted masks, the new
+    targets numbered in order of first appearance (as a queue over arcs in
+    gap order would) and the block's part of the CSR emitted.  Howard on
+    this graph with the default pinning rule is the run the package's F
+    automaton retraces.
+    """
+    masks = stategraph._gap_state_masks(distances, max_states)
+    s = distances.max_element
+    n = len(masks)
+    gaps = np.arange(1, s + 2, dtype=np.int64)
+    sbits = sum(1 << d for d in distances)
+    # gap g is free when no occupied offset sits at d - g for a d in S
+    blocked = sbits >> gaps
+    window = (1 << s) - 1
+    # mask 1 is the smallest mask, so the start state is index 0
+    queue = np.zeros(n, dtype=np.int64)
+    number = np.full(n, -1, dtype=np.int32)
+    number[0] = 0
+    queued, done = 1, 0
+    per_block = max(1, meancycle._ARC_BLOCK // len(gaps))
+    deg, dst, gap_of = [], [], []
+    while done < queued:
+        states = queue[done:min(queued, done + per_block)]
+        done += len(states)
+        head = masks[states]
+        src, col = ((head[:, None] & blocked) == 0).nonzero()
+        gap = gaps[col]
+        tgt = masks.searchsorted(((head[src] << gap) & window) | 1)
+        reached = tgt[number[tgt] < 0]
+        _, earliest = np.unique(reached, return_index=True)
+        fresh = reached[np.sort(earliest)]
+        number[fresh] = np.arange(queued, queued + len(fresh), dtype=np.int32)
+        queue[queued:queued + len(fresh)] = fresh
+        queued += len(fresh)
+        deg.append(np.bincount(src, minlength=len(states)))
+        dst.append(number[tgt])
+        gap_of.append(gap.astype(np.int8))
+    assert queued == n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(deg), out=indptr[1:])
+    return masks[queue], meancycle.CSRAdjacency(indptr, np.concatenate(dst), np.concatenate(gap_of))
+
+
+# ---------------------------------------------------------------------------
 # The wide gap engine: int64 on every arc, all arcs at once
 # ---------------------------------------------------------------------------
 
@@ -325,7 +388,7 @@ def wide_gap_graph(distances: DistanceSet, max_states: int) -> tuple:
     Every arc of every state is computed at once, its target looked up in
     the sorted masks, and a level-by-level BFS from mask 1 numbers the
     states in discovery order.  Returns (order, indptr, dst, w) as int64,
-    the layout the package's lean build must reproduce.
+    the layout the block-wise mask_gap_graph must reproduce.
     """
     masks = stategraph._gap_state_masks(distances, max_states)
     s = distances.max_element

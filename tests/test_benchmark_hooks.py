@@ -39,7 +39,7 @@ def test_traced_independence_ratio_records_the_gap_engine():
         hooks.restore()
     assert report.method == "stategraph"
     assert not hooks.missing
-    assert tracer.counts["gap_build.states"] == len(order) == 52
+    assert tracer.counts["gap_build.states"] == len(order) == 20  # F states; 52 masks
     assert tracer.counts["gap_build.edges"] == edges
     assert tracer.counts["csr.edges"] == edges
     assert tracer.parent_calls[("meancycle.evaluate", "meancycle.howard")] >= 1

@@ -1,6 +1,8 @@
-"""The numpy gap engine against a plain breadth-first oracle and the wide
-int64 engine it replaced, its grown states against the candidate-mask scan,
-its exact state count, its memory, and the byte-stable table it feeds."""
+"""The gap engine's F automaton against a plain breadth-first F oracle and
+the mask engine it is the quotient of, the two order facts under which its
+Howard run retraces the mask engine's, its grown masks against the
+candidate-mask scan, its exact mask count, its memory, and the byte-stable
+table it feeds."""
 
 import tracemalloc
 from fractions import Fraction
@@ -10,24 +12,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgratio import cli, meancycle
+from dgratio import cli, meancycle, stategraph
 from dgratio.core import DistanceSet
 from dgratio.stategraph import (
     DEFAULT_CAPS,
     EngineCaps,
     StateSpaceError,
+    _breadth_first_order,
     _gap_state_masks,
     _independence_gap_graph,
+    _mask_key,
     independence_ratio_exact,
 )
 
-from oracles import scan_gap_state_masks, wide_gap_graph, wide_min_mean_cycle_howard
+from oracles import mask_gap_graph, scan_gap_state_masks, wide_gap_graph, wide_min_mean_cycle_howard
 
 REFERENCE_TABLE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "table_k1-10_i1-12.csv"
 
 
 def python_gap_graph(distances: DistanceSet):
-    """Oracle: the gap graph by a queue over states, one arc at a time.
+    """Oracle: the mask gap graph by a queue over states, one arc at a time.
 
     States are masks of occupied offsets behind the latest element; an arc
     labelled g appends an element g positions later.  States are numbered in
@@ -60,6 +64,48 @@ def python_gap_graph(distances: DistanceSet):
     return order, adjacency
 
 
+def python_forbidden_graph(distances: DistanceSet):
+    """Oracle: the F automaton by a queue over states, one arc at a time.
+
+    A state is the set F of forbidden future offsets, bit y for offset y.
+    The start state is S; gap g is allowed when bit g of F is clear and
+    leads to (F >> g) | S.  States are numbered in discovery order, and each
+    state's arcs are listed in increasing g.
+    """
+    s = distances.max_element
+    sbits = sum(1 << d for d in distances)
+    index = {sbits: 0}
+    order = [sbits]
+    adjacency = []
+    for f in order:  # the queue grows while it is read
+        out = []
+        for g in range(1, s + 2):
+            if f >> g & 1:
+                continue
+            j = index.setdefault((f >> g) | sbits, len(order))
+            if j == len(order):
+                order.append((f >> g) | sbits)
+            out.append((g, j))
+        adjacency.append(out)
+    return order, adjacency
+
+
+def forbidden_of(mask: int, distances: DistanceSet) -> int:
+    """F of a mask: S shifted down by each occupied offset, all together."""
+    sbits = sum(1 << d for d in distances)
+    forbidden = 0
+    for j in range(mask.bit_length()):
+        if mask >> j & 1:
+            forbidden |= sbits >> j
+    return forbidden
+
+
+def by_f_state(order, adjacency) -> dict:
+    """A graph up to its numbering: per F, its arcs as (gap, target F)."""
+    order = list(order)
+    return {f: [(g, order[j]) for g, j in row] for f, row in zip(order, adjacency)}
+
+
 def _small_sets(top=12):
     return [combo for size in (1, 2, 3) for combo in combinations(range(1, top + 1), size)]
 
@@ -79,41 +125,96 @@ def test_builder_matches_the_python_oracle():
     for combo in _small_sets():
         distances = DistanceSet(combo)
         order, arcs = _independence_gap_graph(distances, 10**6)
-        want_order, want_adjacency = python_gap_graph(distances)
-        assert order.tolist() == want_order, combo
-        indptr, dst, w = meancycle.csr_from_adjacency(arcs)
-        want = [np.asarray(a) for a in meancycle.csr_from_adjacency(want_adjacency)]
-        assert indptr.tolist() == want[0].tolist(), combo
-        assert dst.tolist() == want[1].tolist(), combo
-        assert w.tolist() == want[2].tolist(), combo
-        assert list(arcs) == want_adjacency, combo
+        want_order, want_adjacency = python_forbidden_graph(distances)
+        assert order.dtype == np.int64 and arcs.dst.dtype == np.int32 and arcs.w.dtype == np.int8, combo
+        assert order[0] == want_order[0], combo  # F0 = S is state 0
+        assert len(order) == len(want_order), combo
+        assert by_f_state(order.tolist(), arcs) == by_f_state(want_order, want_adjacency), combo
 
 
 def test_builder_in_blocks_of_one_state_matches_the_python_oracle(monkeypatch):
-    # the BFS then takes one queued state per block
+    combos = [(1,), (2, 3), (1, 4, 7), (2, 5, 11), (3, 8, 12)]
+    whole = [_independence_gap_graph(DistanceSet(combo), 10**6) for combo in combos]
+    # the build then makes the arcs of one state per block
     monkeypatch.setattr(meancycle, "_ARC_BLOCK", 1)
-    for combo in [(1,), (2, 3), (1, 4, 7), (2, 5, 11), (3, 8, 12)]:
+    for combo, (want_order, want_arcs) in zip(combos, whole):
         order, arcs = _independence_gap_graph(DistanceSet(combo), 10**6)
-        want_order, want_adjacency = python_gap_graph(DistanceSet(combo))
+        assert order.tolist() == want_order.tolist(), combo
+        assert list(arcs) == list(want_arcs), combo
+        assert by_f_state(order.tolist(), arcs) == by_f_state(*python_forbidden_graph(DistanceSet(combo))), combo
+
+
+def test_mask_breadth_first_order_is_the_key_order():
+    # by popcount, then by the gap word read from the oldest element; up to
+    # max(S) = 62, where the two keys together take up to 65 bits
+    far = [tuple(range(4, 63)), tuple(d for d in range(1, 63) if d % 5)]
+    for combo in _small_sets() + TABLE_SETS + far:
+        distances = DistanceSet(combo)
+        order, _ = python_gap_graph(distances)
+        reversed_order = np.array(order[::-1], dtype=np.int64)
+        got = _breadth_first_order(reversed_order, distances.max_element)
+        assert reversed_order[got].tolist() == order, combo
+        assert sorted(order[::-1], key=lambda m: _mask_key(m, distances.max_element)) == order, combo
+        words = []
+        for mask in order:
+            offsets = [j for j in range(mask.bit_length() - 1, -1, -1) if mask >> j & 1]
+            words.append((len(offsets), [a - b for a, b in zip(offsets, offsets[1:])]))
+        assert words == sorted(words), combo
+
+
+def test_states_are_numbered_by_least_mask():
+    for combo in _small_sets() + TABLE_SETS:
+        distances = DistanceSet(combo)
+        masks, _ = python_gap_graph(distances)
+        order, _ = _independence_gap_graph(distances, 10**6)
+        first_seen = list(dict.fromkeys(forbidden_of(m, distances) for m in masks))
+        assert order.tolist() == first_seen, combo
+
+
+def test_a_max_element_past_62_is_refused_before_any_build():
+    with pytest.raises(StateSpaceError) as info:
+        _independence_gap_graph(DistanceSet(range(4, 64)), 10**6)
+    assert info.value.required == 63
+    order, _ = _independence_gap_graph(DistanceSet(range(4, 63)), 10**6)
+    assert order[0] == sum(1 << d for d in range(4, 63))
+
+
+def test_a_successor_outside_the_states_is_refused(monkeypatch):
+    # every F loses offset 1, which (F >> g) | S puts back
+    forbidden_offsets = stategraph._forbidden_offsets
+    monkeypatch.setattr(stategraph, "_forbidden_offsets", lambda *args: forbidden_offsets(*args) & ~2)
+    with pytest.raises(AssertionError, match="successor outside the states"):
+        _independence_gap_graph(DistanceSet([1, 4, 7]), 10**6)
+
+
+def test_mask_oracle_matches_the_python_oracle():
+    for combo in _small_sets():
+        distances = DistanceSet(combo)
+        order, arcs = mask_gap_graph(distances, 10**6)
+        want_order, want_adjacency = python_gap_graph(distances)
         assert order.tolist() == want_order, combo
         assert list(arcs) == want_adjacency, combo
 
 
 def test_lean_engine_matches_the_wide_oracle(evaluate_calls):
+    # the F engine's values, witnesses and policy evaluations equal the
+    # mask engine's run: the mask graph, in the block-wise and the wide
+    # build, and Howard with the default pinning rule
     sets = _small_sets() + TABLE_SETS + GAP_LARGE_POOL
     assert len(sets) == 404
     for combo in sets:
         distances = DistanceSet(combo)
-        order, arcs = _independence_gap_graph(distances, 10**6)
         want = wide_gap_graph(distances, 10**6)
-        assert arcs.dst.dtype == np.int32 and arcs.w.dtype == np.int8, combo
-        for got, expected in zip((order, arcs.indptr, arcs.dst, arcs.w), want):
+        masks = mask_gap_graph(distances, 10**6)
+        for got, expected in zip((masks[0], masks[1].indptr, masks[1].dst, masks[1].w), want):
             assert np.array_equal(got.astype(np.int64), expected), combo
+        mean, _, gaps, evaluations = wide_min_mean_cycle_howard(*want[1:])
+        _, arcs = _independence_gap_graph(distances, 10**6)
         evaluate_calls.clear()
-        got = meancycle.min_mean_cycle_howard(arcs.indptr, arcs.dst, arcs.w)
-        *expected, evaluations = wide_min_mean_cycle_howard(*want[1:])
-        assert got == tuple(expected), combo
+        got_mean, _, got_gaps = meancycle.min_mean_cycle_howard(arcs.indptr, arcs.dst, arcs.w, arcs.pinning)
+        assert (got_mean, got_gaps) == (mean, gaps), combo
         assert len(evaluate_calls) == evaluations, combo
+        assert independence_ratio_exact(distances)[1].sizes == tuple(gaps), combo
 
 
 def test_grown_masks_equal_the_scan():
@@ -160,9 +261,10 @@ def test_a_refused_count_stays_within_the_scans_memory():
 
 
 def test_the_gap_engine_holds_memory_per_state():
-    # {18,19}: 131,072 states and 720,896 arcs.  With int64 arrays spanning
-    # every arc, the whole call peaked at about 60 MB traced; the narrow CSR
-    # and block-bounded scratch keep it near 30 MB.
+    # {18,19}: 131,072 masks, whose quotient has 13,581 F states and
+    # 110,460 arcs.  With int64 arrays spanning every arc of the mask graph,
+    # the whole call peaked at about 60 MB traced, and with the narrow mask
+    # CSR near 30 MB; on the F states it peaks near 8 MB.
     distances = DistanceSet([18, 19])
     _, arcs = _independence_gap_graph(distances, DEFAULT_CAPS.independence_max_states)
     assert arcs.dst.dtype == np.int32
@@ -176,7 +278,7 @@ def test_the_gap_engine_holds_memory_per_state():
     finally:
         tracemalloc.stop()
     assert value == Fraction(18, 37)
-    assert peak < 35 * 10**6
+    assert peak < 20 * 10**6
 
 
 def test_cap_reports_the_exact_state_count():
@@ -199,14 +301,17 @@ def test_element_cap_reports_the_refused_element():
 
 
 def test_cap_is_inclusive_and_counts_like_the_oracle():
+    # the cap and `required` count mask states; the graph has the F states
     distances = DistanceSet([2, 5, 11])
-    states = len(python_gap_graph(distances)[0])
-    assert states == 52
-    order, _ = _independence_gap_graph(distances, states)
+    masks = len(python_gap_graph(distances)[0])
+    assert masks == 52
+    states = len(python_forbidden_graph(distances)[0])
+    assert states == 20
+    order, _ = _independence_gap_graph(distances, masks)
     assert len(order) == states
     with pytest.raises(StateSpaceError) as info:
-        _independence_gap_graph(distances, states - 1)
-    assert info.value.required == states
+        _independence_gap_graph(distances, masks - 1)
+    assert info.value.required == masks
 
 
 def test_table_matches_the_reference_bytes(tmp_path):

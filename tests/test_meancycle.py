@@ -85,6 +85,39 @@ def test_howard_matches_karp_on_random_graphs():
         assert Fraction(sum(weights), L) == got
 
 
+class _PinAtLargest(meancycle.CyclePinning):
+    """Pins each policy cycle at its largest node and returns the cycle from
+    its largest node."""
+
+    def pins(self, succ, wsel, handle):
+        pinned = []
+        for head in np.unique(handle).tolist():
+            cycle, v = [head], int(succ[head])
+            while v != head:
+                cycle.append(v)
+                v = int(succ[v])
+            if max(cycle) != head:
+                pinned.append(max(cycle))
+        return np.array(pinned, dtype=np.int64) if pinned else None
+
+    def start(self, succ, wsel, v, cycle, weights):
+        return cycle.index(max(cycle))
+
+
+def test_any_pinning_rule_keeps_the_minimum_mean():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        adjacency, edges = _random_graph(rng, n)
+        indptr, dst, w = _csr(adjacency)
+        default = meancycle.min_mean_cycle_howard(indptr, dst, w)
+        got, cyc, weights = meancycle.min_mean_cycle_howard(indptr, dst, w, _PinAtLargest())
+        assert got == default[0] == min_mean_cycle_karp(n, edges)
+        assert cyc[0] == max(cyc) and Fraction(sum(weights), len(cyc)) == got
+        for j, u in enumerate(cyc):
+            assert (weights[j], cyc[(j + 1) % len(cyc)]) in adjacency[u]
+
+
 def _narrow(indptr, dst, w):
     return indptr, dst.astype(np.int32), w.astype(np.int8)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgratio import meancycle
+from dgratio import meancycle, stategraph
 from dgratio.core import BlockList, DistanceSet, verify_periodic_independent
 from dgratio.ratio import fractional_chromatic
 from dgratio.stategraph import (
@@ -566,6 +566,31 @@ def test_more_colors_than_max_s_answer_at_once():
     assert verify_periodic_coloring(wit.colors, DistanceSet(range(1, 4001)))
     wit = periodic_coloring(DistanceSet([2, 7]), 10**20)
     assert wit.colors == tuple(range(8))
+
+
+def test_a_clique_of_one_more_position_answers_none_before_any_window(monkeypatch):
+    # with 1..k in S, positions 0..k lie at pairwise distances in S, so k
+    # colors cannot do; {1,2,3,4,5} with k = 5 is the corpus coloring this
+    # answers
+    def refuse(*args):
+        raise AssertionError("an automaton was built")
+
+    monkeypatch.setattr(stategraph, "build_state_graph", refuse)
+    started = time.process_time()
+    assert periodic_coloring(DistanceSet(range(1, 4001)), 4000) is None
+    assert time.process_time() - started < 0.1
+    assert periodic_coloring(DistanceSet([1, 2, 3, 4, 5]), 5) is None
+    assert periodic_coloring(DistanceSet([1, 2, 3, 9]), 3) is None
+    assert periodic_coloring(DistanceSet([1]), 1) is None
+    # S = {1,3} holds 1 but not 2: two colors are left to the automaton
+    with pytest.raises(AssertionError, match="automaton was built"):
+        periodic_coloring(DistanceSet([1, 3]), 2)
+
+
+def test_fewer_than_one_color_is_still_refused():
+    for colors in (0, -1):
+        with pytest.raises(ValueError, match="at least one color"):
+            periodic_coloring(DistanceSet([1, 2]), colors)
 
 
 def test_coloring_check_matches_its_definition():
