@@ -102,7 +102,7 @@ class AlphaTable:
     def __init__(self, distances: DistanceSet):
         self.distances = distances
         self.interval_alpha: list[int] = [0]
-        self.prefix_alpha: list[int] = []  # alpha(n, i) for the latest circulant n
+        self.prefix_alpha: list[int] = []  # alpha(n, i) for the latest circulant n that answered
         self._nbr: list[int] = [0]  # _nbr[v] has bit (u-1) for u adjacent to v
 
     def _extend_masks(self, n: int) -> None:
@@ -248,20 +248,30 @@ def _circulant_masks(distances: DistanceSet, n: int) -> list[int]:
 
 
 def _alpha_circulant_solution(
-    distances: DistanceSet, n: int, table: AlphaTable, budget: SearchBudget
-) -> tuple[int, list[int]]:
-    """alpha(G(n,S)) with one maximum independent set as witness."""
+    distances: DistanceSet, n: int, table: AlphaTable, budget: SearchBudget, need: int
+) -> Optional[tuple[int, list[int]]]:
+    """alpha(G(n,S)) with one maximum independent set as witness, or None
+    when alpha(G(n,S)) < need (need = 0 always answers).
+
+    The vertices i+1..n of Z_n induce a supergraph of G(S)[n-i], so
+    alpha(G(n,S)) <= prefix[i] + alpha(G(S)[n-i]), and prefix[i] is at most
+    prefix[i-1] + 1: the round is cut before prefix i when that sum is
+    below need, and a round that ends below need recovers no set.
+    """
     s = distances.max_element
     if n <= s:
         raise ValueError("circulant computation requires n > max(S)")
     table.ensure_interval(n, budget)
+    iv = table.interval_alpha
     nbr = _circulant_masks(distances, n)
     prefix = [0] * (n + 1)
     wrap_free = n - s  # prefixes this short see no wrap edges
     for i in range(1, min(wrap_free, n) + 1):
-        prefix[i] = table.interval_alpha[i]
+        prefix[i] = iv[i]
     solution: list[int] = []
     for i in range(wrap_free + 1, n + 1):
+        if prefix[i - 1] + 1 + iv[n - i] < need:
+            return None
         target = prefix[i - 1] + 1
         prefix[i] = target  # sentinel upper bound while this entry is open
         chosen: list[int] = []
@@ -270,6 +280,8 @@ def _alpha_circulant_solution(
             solution = list(chosen)
         else:
             prefix[i] = prefix[i - 1]
+    if prefix[n] < need:
+        return None
     if len(solution) != prefix[n]:
         # the optimum was inherited from the wrap-free prefix; recover a set
         chosen = []
@@ -316,13 +328,19 @@ _MAX_ROUNDS = 2000
 def compute_ratio(distances: DistanceSet, budget: Optional[SearchBudget] = None) -> RatioReport:
     """Interleaved two-sided search for the independence ratio of G(S).
 
-    Schedule: at round n compute alpha of the intervals [2n-1] and [2n], and
-    once n exceeds max(S) also alpha of the circulant on Z_n; stop when the
-    best lower and upper bounds agree.  Interval minima alone can stay
+    Schedule: once n exceeds max(S), round n first runs the circulant on
+    Z_n, which raises the lower bound only if it reaches
+    need = floor(lower * n) + 1 vertices, and is cut as soon as it cannot
+    (_alpha_circulant_solution); then, if the bounds still differ, it runs
+    alpha of the intervals [2n-1] and [2n].  It stops when the best lower
+    and upper bounds agree, so a circulant that closes the gap spares the
+    round's two largest interval searches.  Interval minima alone can stay
     strictly above the ratio forever (for {5,6,9}, alpha(G(S)[m]) stays one
     element above 4m/11 at every multiple of 11), so such a set stays
     'bounded'.  Budget exhaustion downgrades the result to certified bounds
-    (status 'bounded'), never an error.
+    (status 'bounded'), never an error.  circulant_rounds counts the
+    circulant rounds that raised the lower bound, circulant_cut those that
+    could not reach need; their nodes count against the budget all the same.
     """
     budget = budget or SearchBudget()
     table = AlphaTable(distances)
@@ -331,24 +349,28 @@ def compute_ratio(distances: DistanceSet, budget: Optional[SearchBudget] = None)
     lower_witness = BlockList([s + 1])
     upper = Fraction(1)
     upper_n: Optional[int] = None
-    circulant_rounds = 0
+    circulant_rounds = circulant_cut = 0
     exact = False
     try:
         for n in range(1, _MAX_ROUNDS + 1):
-            for m in (2 * n - 1, 2 * n):
-                a = alpha_interval(distances, m, table, budget)
-                r = Fraction(a, m)
-                if r < upper:
-                    upper, upper_n = r, m
             if n > s and lower < upper:
-                circulant_rounds += 1
-                size, solution = _alpha_circulant_solution(distances, n, table, budget)
-                r = Fraction(size, n)
-                if r > lower:
+                need = lower.numerator * n // lower.denominator + 1
+                found = _alpha_circulant_solution(distances, n, table, budget, need)
+                if found is None:
+                    circulant_cut += 1
+                else:  # at least need elements: a better lower bound
+                    circulant_rounds += 1
+                    size, solution = found
                     witness = _gaps_of_circulant_solution(solution, n)
                     if not verify_periodic_independent(witness, distances).ok:
                         raise AssertionError(f"internal error: circulant witness for {distances} not independent")
-                    lower, lower_witness = r, witness
+                    lower, lower_witness = Fraction(size, n), witness
+            if lower < upper:
+                for m in (2 * n - 1, 2 * n):
+                    a = alpha_interval(distances, m, table, budget)
+                    r = Fraction(a, m)
+                    if r < upper:
+                        upper, upper_n = r, m
             if lower == upper:
                 exact = True
                 break
@@ -358,6 +380,7 @@ def compute_ratio(distances: DistanceSet, budget: Optional[SearchBudget] = None)
         "nodes": budget.nodes,
         "interval_max_n": len(table.interval_alpha) - 1,
         "circulant_rounds": circulant_rounds,
+        "circulant_cut": circulant_cut,
     }
     return RatioReport(
         distances=distances,

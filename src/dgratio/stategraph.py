@@ -469,8 +469,8 @@ def _gap_state_masks(distances: DistanceSet, max_states: int) -> np.ndarray:
     if p < s or len(masks) > max_states:
         count = _count_grown(masks, p, conflicts)
         raise StateSpaceError(
-            f"independence state space for {distances} has {count} states, "
-            f"over the cap of {max_states}",
+            f"independence state space for {distances} has {count} gap masks, "
+            f"over the cap of {max_states} masks",
             required=count,
         )
     return masks.astype(np.int64)

@@ -107,8 +107,8 @@ def test_fallback_note_names_the_refusal_after_the_gcd_note():
     report = independence_ratio(DistanceSet([19, 22]))
     assert report.method == "search"
     assert report.note == (
-        "gap-state engine refused: independence state space for {19,22} has 589824 states, "
-        "over the cap of 400000"
+        "gap-state engine refused: independence state space for {19,22} has 589824 gap masks, "
+        "over the cap of 400000 masks"
     )
     # answers that need no fallback carry no refusal
     assert independence_ratio(DistanceSet([1, 4, 7])).note is None
@@ -143,7 +143,7 @@ def test_the_search_never_asks_the_gap_engine(monkeypatch):
     report = compute_ratio(s, budget=SearchBudget(max_nodes=5000))
     assert counted == []
     assert report.status == "bounded"
-    assert set(report.counters) == {"nodes", "interval_max_n", "circulant_rounds"}
+    assert set(report.counters) == {"nodes", "interval_max_n", "circulant_rounds", "circulant_cut"}
 
 
 def test_bounded_status_propagates():

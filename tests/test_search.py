@@ -7,8 +7,10 @@ import sys
 from fractions import Fraction
 import pytest
 
-from dgratio.core import DistanceSet, verify_periodic_independent
+from dgratio.core import BlockList, DistanceSet, verify_periodic_independent
+from dgratio.registry import closed_form
 from dgratio.search import (
+    FALLBACK_NODE_BUDGET,
     AlphaTable,
     BudgetExceeded,
     SearchBudget,
@@ -24,7 +26,7 @@ from oracles import RecursiveAlphaTable, beta, brute_force_alpha_interval
 
 def alpha_circulant(distances, n, table=None):
     """alpha(G(n,S)) on Z_n, through the solver's circulant step."""
-    return _alpha_circulant_solution(distances, n, table or AlphaTable(distances), SearchBudget())[0]
+    return _alpha_circulant_solution(distances, n, table or AlphaTable(distances), SearchBudget(), 0)[0]
 
 
 def test_alpha_interval_examples():
@@ -71,7 +73,7 @@ def test_search_keeps_the_recursive_node_order(combo):
         budget = SearchBudget()
         alpha_interval(distances, n, table, budget)
         circulants = [
-            _alpha_circulant_solution(distances, m, table, budget)
+            _alpha_circulant_solution(distances, m, table, budget, 0)
             for m in range(distances.max_element + 1, distances.max_element + 9)
         ]
         iv, chosen = table.interval_alpha, []
@@ -93,22 +95,28 @@ def test_search_runs_out_of_budget_where_the_recursion_did():
 
 
 def _schedule_until_the_budget_runs_out(table, distances, budget):
-    # compute_ratio's order of interval and circulant searches, kept going
+    # compute_ratio's order of circulant and interval searches, with its
+    # cut of circulant rounds that cannot raise the lower bound, kept going
     # past the point where its bounds would meet
     s = distances.max_element
+    lower = Fraction(1, s + 1)
     circulants = []
     with pytest.raises(BudgetExceeded):
         for n in itertools.count(1):
-            alpha_interval(distances, 2 * n, table, budget)
             if n > s:
-                circulants.append(_alpha_circulant_solution(distances, n, table, budget))
+                need = lower.numerator * n // lower.denominator + 1
+                found = _alpha_circulant_solution(distances, n, table, budget, need)
+                circulants.append(found)
+                if found is not None:
+                    lower = Fraction(found[0], n)
+            alpha_interval(distances, 2 * n, table, budget)
     return table.interval_alpha, table.prefix_alpha, circulants, budget.nodes
 
 
 @pytest.mark.parametrize("combo", [(1, 17, 36), (19, 22), (21, 22), (2, 5, 24)])
 def test_search_matches_the_recursion_on_heavy_sets(combo):
-    # sets from the search benchmark pool; the popcount cuts decide 36% to
-    # 77% of their children without a run scan
+    # sets from the search benchmark pool; over a compute_ratio run the
+    # popcount cuts decide 31% to 84% of their children without a run scan
     distances = DistanceSet(combo)
     runs = [
         _schedule_until_the_budget_runs_out(table, distances, SearchBudget(max_nodes=150_000))
@@ -133,7 +141,7 @@ def test_search_matches_the_recursion_on_random_sets():
         ]
         assert runs[0] == runs[1], distances
         assert runs[0][3] == 20_001
-        with_circulants += bool(runs[0][2])
+        with_circulants += any(runs[0][2])
     assert with_circulants >= 10
 
 
@@ -275,6 +283,30 @@ def test_alpha_circulant_against_brute_force():
     assert _brute_circulant(DistanceSet([1, 4, 7]), 15) == 5
 
 
+def test_circulant_rounds_are_cut_exactly_below_need():
+    # need = alpha answers with a maximum independent set of Z_n; any
+    # larger need is cut, often before the last prefix is searched
+    rng = random.Random(31)
+    cut_early = 0
+    for _ in range(40):
+        s = DistanceSet(rng.sample(range(1, 8), rng.randint(1, 3)))
+        n = rng.randint(s.max_element + 1, 15)
+        alpha = _brute_circulant(s, n)
+        size, solution = _alpha_circulant_solution(s, n, AlphaTable(s), SearchBudget(), alpha)
+        xs = sorted(solution)
+        gaps = [b - a for a, b in zip(xs, xs[1:])] + [n - xs[-1] + xs[0]]
+        assert size == alpha == len(set(xs)), (s, n)
+        assert verify_periodic_independent(BlockList(gaps), s).ok, (s, n, xs)
+        full = SearchBudget()
+        _alpha_circulant_solution(s, n, AlphaTable(s), full, 0)
+        for need in (alpha + 1, alpha + 3):
+            budget = SearchBudget()
+            assert _alpha_circulant_solution(s, n, AlphaTable(s), budget, need) is None, (s, n, need)
+            assert budget.nodes <= full.nodes
+        cut_early += budget.nodes < full.nodes
+    assert cut_early >= 10
+
+
 def test_alpha_circulant_requires_large_n():
     with pytest.raises(ValueError):
         alpha_circulant(DistanceSet([1, 4]), 4)
@@ -376,9 +408,23 @@ def test_search_counters_report_the_work_done():
     # closes it alone and reports only its own counters
     report = compute_ratio(DistanceSet([5, 6, 24]))
     assert report.status == "exact"
-    assert report.counters["circulant_rounds"] == 6
-    assert set(report.counters) == {"nodes", "interval_max_n", "circulant_rounds"}
+    assert report.counters["circulant_rounds"] == 5
+    assert report.counters["circulant_cut"] == 1
+    assert set(report.counters) == {"nodes", "interval_max_n", "circulant_rounds", "circulant_cut"}
     assert report.note is None
+
+
+@pytest.mark.parametrize("combo, value", [((1, 6, 31), Fraction(13, 32)), ((1, 31, 36), Fraction(28, 67))])
+def test_conjecture_points_close_under_the_default_budget(combo, value):
+    # circulant rounds that cannot raise the lower bound are cut, so the
+    # default budget reaches the interval that meets it; both values are
+    # the paper's conjectured ones (1-6-k at k = 31, 1-k-kp5 at k = 31)
+    distances = DistanceSet(combo)
+    report = compute_ratio(distances, SearchBudget(max_nodes=FALLBACK_NODE_BUDGET))
+    assert report.status == "exact" and report.value == value
+    assert report.lower_witness.density() == value
+    assert verify_periodic_independent(report.lower_witness, distances).ok
+    assert closed_form(distances).value == value
 
 
 def test_huge_generators_stay_cheap_and_bounded():
