@@ -262,7 +262,7 @@ def _table_rows(args, k_lo: int, k_hi: int, i_lo: int, i_hi: int) -> list[dict]:
             if report.status == "exact":
                 status = "exact"
                 value = report.value
-            elif report.counters.get("circulant_rounds", 0) + report.counters.get("circulant_cut", 0) > 0:
+            elif any(report.counters.get(name, 0) for name in ("circulant_rounds", "circulant_cut", "circulant_jumps")):
                 status = "lower_bound"
                 value = None
             else:

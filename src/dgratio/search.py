@@ -314,11 +314,16 @@ class RatioReport:
             raise AssertionError(f"internal error: exact report for {self.distances} has unequal bounds")
 
 
-def _gaps_of_circulant_solution(solution: list[int], n: int) -> BlockList:
+def _circulant_lower(distances: DistanceSet, n: int, found: tuple[int, list[int]]) -> tuple[Fraction, BlockList]:
+    """The lower bound alpha(G(n,S))/n and its verified periodic witness."""
+    size, solution = found
     xs = sorted(solution)
     gaps = [b - a for a, b in zip(xs, xs[1:])]
     gaps.append(n - xs[-1] + xs[0])
-    return BlockList(gaps)
+    witness = BlockList(gaps)
+    if not verify_periodic_independent(witness, distances).ok:
+        raise AssertionError(f"internal error: circulant witness for {distances} not independent")
+    return Fraction(size, n), witness
 
 
 # interval rounds compute_ratio runs before it reports the bounds it has
@@ -334,13 +339,27 @@ def compute_ratio(distances: DistanceSet, budget: Optional[SearchBudget] = None)
     (_alpha_circulant_solution); then, if the bounds still differ, it runs
     alpha of the intervals [2n-1] and [2n].  It stops when the best lower
     and upper bounds agree, so a circulant that closes the gap spares the
-    round's two largest interval searches.  Interval minima alone can stay
-    strictly above the ratio forever (for {5,6,9}, alpha(G(S)[m]) stays one
-    element above 4m/11 at every multiple of 11), so such a set stays
-    'bounded'.  Budget exhaustion downgrades the result to certified bounds
-    (status 'bounded'), never an error.  circulant_rounds counts the
-    circulant rounds that raised the lower bound, circulant_cut those that
-    could not reach need; their nodes count against the budget all the same.
+    round's two largest interval searches.
+
+    The ratio is attained by a periodic set, so once the upper bound reads
+    p/q in lowest terms, Z_q holding p vertices settles it.  After the
+    intervals of round n, if max(n, max(S)) < q <= n + max(S) and Z_q has not
+    been tried, a jump runs the circulant on Z_q with need = p.  As
+    alpha(G(q,S))/q <= ratio <= p/q, a hit holds exactly p vertices and
+    closes the search; need only gates the cut, which cannot fire on such
+    a Z_q, and the prefix-by-prefix search and the interval table are those
+    of round q, so a hit yields the witness round q would have yielded.  A
+    miss changes no bound, but it is a whole circulant search that ends
+    below p; the guard q <= n + max(S) keeps the misses few and cheap.
+
+    Interval minima alone can stay strictly above the ratio forever (for
+    {5,6,9}, alpha(G(S)[m]) stays one element above 4m/11 at every multiple
+    of 11), so such a set stays 'bounded'.  Budget exhaustion downgrades the
+    result to certified bounds (status 'bounded'), never an error.
+    circulant_rounds counts the regular circulant rounds that raised the
+    lower bound, circulant_cut those that could not reach need, and
+    circulant_jumps the jumps run, hit or miss; their nodes count against
+    the budget all the same.
     """
     budget = budget or SearchBudget()
     table = AlphaTable(distances)
@@ -350,6 +369,7 @@ def compute_ratio(distances: DistanceSet, budget: Optional[SearchBudget] = None)
     upper = Fraction(1)
     upper_n: Optional[int] = None
     circulant_rounds = circulant_cut = 0
+    jumped: set[int] = set()  # the q of every jump that ran to its end
     exact = False
     try:
         for n in range(1, _MAX_ROUNDS + 1):
@@ -360,17 +380,19 @@ def compute_ratio(distances: DistanceSet, budget: Optional[SearchBudget] = None)
                     circulant_cut += 1
                 else:  # at least need elements: a better lower bound
                     circulant_rounds += 1
-                    size, solution = found
-                    witness = _gaps_of_circulant_solution(solution, n)
-                    if not verify_periodic_independent(witness, distances).ok:
-                        raise AssertionError(f"internal error: circulant witness for {distances} not independent")
-                    lower, lower_witness = Fraction(size, n), witness
+                    lower, lower_witness = _circulant_lower(distances, n, found)
             if lower < upper:
                 for m in (2 * n - 1, 2 * n):
                     a = alpha_interval(distances, m, table, budget)
                     r = Fraction(a, m)
                     if r < upper:
                         upper, upper_n = r, m
+                q = upper.denominator
+                if max(n, s) < q <= n + s and q not in jumped:
+                    found = _alpha_circulant_solution(distances, q, table, budget, upper.numerator)
+                    jumped.add(q)
+                    if found is not None:  # alpha(Z_q)/q <= ratio <= upper: exactly upper
+                        lower, lower_witness = _circulant_lower(distances, q, found)
             if lower == upper:
                 exact = True
                 break
@@ -381,6 +403,7 @@ def compute_ratio(distances: DistanceSet, budget: Optional[SearchBudget] = None)
         "interval_max_n": len(table.interval_alpha) - 1,
         "circulant_rounds": circulant_rounds,
         "circulant_cut": circulant_cut,
+        "circulant_jumps": len(jumped),
     }
     return RatioReport(
         distances=distances,

@@ -10,6 +10,9 @@ against.  None of them is used by the package itself.
 - the recursive branch-and-bound search, one Python call per search node
   and a full run scan per candidate set, whose node order, node counts and
   budget exhaustion the package's explicit-stack search must keep;
+- the round-by-round ratio schedule: circulant Z_n then intervals 2n-1
+  and 2n in every round, with no jump ahead to Z_q, whose status, bounds
+  and witnesses the package's schedule must keep;
 - the scan of all 2^(max(S)-1) candidate masks for the gap engine's
   states, against which the grown masks and their count are checked;
 - the mask gap engine: the gap graph on masks of occupied offsets, built
@@ -44,7 +47,7 @@ import numpy as np
 from dgratio import meancycle, stategraph
 from dgratio.core import BlockList, DistanceSet, IndependenceVerdict
 from dgratio.meancycle import NoCycleError, csr_from_adjacency, min_mean_cycle_howard
-from dgratio.search import AlphaTable, BudgetExceeded, SearchBudget
+from dgratio.search import AlphaTable, BudgetExceeded, SearchBudget, _alpha_circulant_solution, alpha_interval
 from dgratio.stategraph import Coloring, CycleWitness, InfeasibleError
 
 BRUTE_FORCE_CAP = 26
@@ -293,6 +296,35 @@ def recursive_search(table: AlphaTable, count, candidates, target, nbr, bound, b
 class RecursiveAlphaTable(AlphaTable):
     def _search(self, candidates, target, nbr, bound, budget, chosen) -> bool:
         return recursive_search(self, 0, candidates, target, nbr, bound, budget, chosen)
+
+
+def round_by_round_ratio(distances: DistanceSet, budget: SearchBudget) -> tuple:
+    """compute_ratio's schedule without its jump to Z_q: round n runs the
+    circulant on Z_n once n > max(S), cut below floor(lower*n) + 1
+    vertices, then the intervals 2n-1 and 2n while the bounds differ.
+    Returns (status, value, lower, upper, lower_witness, upper_witness_n)."""
+    table = AlphaTable(distances)
+    s = distances.max_element
+    lower, witness = Fraction(1, s + 1), BlockList([s + 1])
+    upper, upper_n = Fraction(1), None
+    try:
+        for n in itertools.count(1):
+            if n > s and lower < upper:
+                need = lower.numerator * n // lower.denominator + 1
+                found = _alpha_circulant_solution(distances, n, table, budget, need)
+                if found is not None:
+                    xs = sorted(found[1])
+                    witness = BlockList([b - a for a, b in zip(xs, xs[1:])] + [n - xs[-1] + xs[0]])
+                    lower = Fraction(found[0], n)
+            if lower < upper:
+                for m in (2 * n - 1, 2 * n):
+                    r = Fraction(alpha_interval(distances, m, table, budget), m)
+                    if r < upper:
+                        upper, upper_n = r, m
+            if lower == upper:
+                return "exact", lower, lower, upper, witness, upper_n
+    except BudgetExceeded:
+        return "bounded", None, lower, upper, witness, upper_n
 
 
 def scan_gap_state_masks(distances: DistanceSet, max_states: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, schemas, determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -177,6 +178,17 @@ def test_table_csv_schema_and_fixture_agreement(tmp_path, capsys):
         if row["status"] != "exact" or Fraction(int(row["value_num"]), int(row["value_den"])) != cell[0]:
             mismatches.append(row)
     assert not mismatches
+
+
+def test_table_marks_a_cell_whose_only_circulants_were_jumps(tmp_path, capsys):
+    # {1,16,23} is past the element cap; under 1000 nodes the search runs
+    # two jumps to Z_q to their end (both miss) and no regular circulant
+    # round
+    out_path = tmp_path / "cell.csv"
+    code, _, _ = _capture(capsys, ["table", "--k", "15..15", "--i", "7..7", "--budget", "1000", "--out", str(out_path)])
+    assert code == 0
+    [row] = csv.DictReader(out_path.read_text().splitlines())
+    assert row["set"] == "1,16,23" and row["status"] == "lower_bound"
 
 
 def test_table_determinism(tmp_path, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dgratio.appendix import TABLE, table_set, table_value
-from dgratio.core import DistanceSet
+from dgratio.core import DistanceSet, verify_periodic_independent
 from dgratio.registry import (
     CONJECTURE,
     THEOREM,
@@ -251,6 +251,25 @@ def test_even_pair_conjecture_findings():
     assert finding.witness_ok  # independent and at the conjectured density
     assert not finding.is_failure
     assert table_value(9, 8) == (Fraction(4, 11), True)
+
+
+def test_odd_generator_conjecture_finding():
+    # in the coded domain (odd l >= 7, 2i >= 3l) the conjecture predicts
+    # 14/37 for {1,9,28}, at (l, i) = (9, 14), but a 50k-node search
+    # already reaches a verified periodic witness of density 11/29 > 14/37
+    from dgratio.ratio import independence_ratio
+    from dgratio.search import SearchBudget
+
+    [finding] = verify_family("1-odd-2i", 9, 14, budget_nodes=50_000)
+    assert finding.params == {"l": 9, "i": 14}
+    assert finding.agreement == "mismatch"
+    assert finding.predicted == Fraction(14, 37)
+    assert finding.witness_ok  # the stated witness is independent at 14/37
+    assert not finding.is_failure
+    distances = DistanceSet([1, 9, 28])
+    report = independence_ratio(distances, budget=SearchBudget(max_nodes=50_000))
+    assert report.lower == report.lower_witness.density() == Fraction(11, 29) > finding.predicted
+    assert verify_periodic_independent(report.lower_witness, distances).ok
 
 
 def test_red_cells_are_treated_as_lower_bounds_only():

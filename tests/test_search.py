@@ -21,7 +21,7 @@ from dgratio.search import (
     compute_ratio,
 )
 
-from oracles import RecursiveAlphaTable, beta, brute_force_alpha_interval
+from oracles import RecursiveAlphaTable, beta, brute_force_alpha_interval, round_by_round_ratio
 
 
 def alpha_circulant(distances, n, table=None):
@@ -96,11 +96,12 @@ def test_search_runs_out_of_budget_where_the_recursion_did():
 
 def _schedule_until_the_budget_runs_out(table, distances, budget):
     # compute_ratio's order of circulant and interval searches, with its
-    # cut of circulant rounds that cannot raise the lower bound, kept going
-    # past the point where its bounds would meet
+    # cut of circulant rounds that cannot raise the lower bound and its
+    # jump to Z_q once the upper bound reads p/q, kept going past the point
+    # where its bounds would meet
     s = distances.max_element
-    lower = Fraction(1, s + 1)
-    circulants = []
+    lower, upper = Fraction(1, s + 1), Fraction(1)
+    circulants, jumped = [], set()
     with pytest.raises(BudgetExceeded):
         for n in itertools.count(1):
             if n > s:
@@ -110,6 +111,15 @@ def _schedule_until_the_budget_runs_out(table, distances, budget):
                 if found is not None:
                     lower = Fraction(found[0], n)
             alpha_interval(distances, 2 * n, table, budget)
+            iv = table.interval_alpha
+            upper = min(upper, Fraction(iv[2 * n - 1], 2 * n - 1), Fraction(iv[2 * n], 2 * n))
+            q = upper.denominator
+            if lower < upper and max(n, s) < q <= n + s and q not in jumped:
+                jumped.add(q)
+                found = _alpha_circulant_solution(distances, q, table, budget, upper.numerator)
+                circulants.append(found)
+                if found is not None:
+                    lower = Fraction(found[0], q)
     return table.interval_alpha, table.prefix_alpha, circulants, budget.nodes
 
 
@@ -410,8 +420,49 @@ def test_search_counters_report_the_work_done():
     assert report.status == "exact"
     assert report.counters["circulant_rounds"] == 5
     assert report.counters["circulant_cut"] == 1
-    assert set(report.counters) == {"nodes", "interval_max_n", "circulant_rounds", "circulant_cut"}
+    assert report.counters["circulant_jumps"] == 0  # no upper bound p/q with 24 < q <= n + 24
+    assert set(report.counters) == {"nodes", "interval_max_n", "circulant_rounds", "circulant_cut", "circulant_jumps"}
     assert report.note is None
+
+
+# the ten light sets of the search benchmark that cost the round-by-round
+# schedule the fewest nodes (388 to 2,631), and sets it closes only past
+# round max(S), where a jump can close them sooner
+_JUMP_SETS = [
+    (1, 2, 25), (1, 4, 32), (1, 4, 26), (2, 5, 23), (2, 33), (3, 10, 25), (5, 8, 24), (5, 14, 23),
+    (3, 24, 25), (4, 7, 23), (19, 22), (21, 22), (12, 19), (17, 22), (1, 31, 36), (5, 6, 24),
+]
+
+
+@pytest.mark.parametrize("combo", _JUMP_SETS, ids=lambda combo: ",".join(map(str, combo)))
+def test_jumps_keep_the_round_by_round_answers(combo):
+    # a jump to Z_q that hits finds the witness round q would have found,
+    # and one that misses changes no bound
+    distances = DistanceSet(combo)
+    report = compute_ratio(distances, SearchBudget(max_nodes=FALLBACK_NODE_BUDGET))
+    got = (report.status, report.value, report.lower, report.upper, report.lower_witness, report.upper_witness_n)
+    assert got == round_by_round_ratio(distances, SearchBudget(max_nodes=FALLBACK_NODE_BUDGET))
+
+
+@pytest.mark.parametrize(
+    "combo, value, nodes, jumps", [((19, 22), Fraction(20, 41), 364_204, 8), ((21, 22), Fraction(21, 43), 805_623, 6)]
+)
+def test_jumps_close_the_capped_pairs_in_round_max_s(combo, value, nodes, jumps):
+    # the round-by-round schedule spends 772,638 and 1,560,626 nodes and
+    # closes these in round q, after the intervals up to 2q - 2; a jump hit
+    # on Z_q closes them once an interval of round max(S) or just before
+    # reads the value: {21,22} in round 22, after five misses
+    distances = DistanceSet(combo)
+    report = compute_ratio(distances, SearchBudget(max_nodes=FALLBACK_NODE_BUDGET))
+    assert report.status == "exact" and report.value == value
+    assert report.lower_witness.period == value.denominator == report.upper_witness_n
+    assert report.counters == {
+        "nodes": nodes,
+        "interval_max_n": value.denominator + 1,  # round (q + 1) / 2 < q
+        "circulant_rounds": 0,
+        "circulant_cut": 0,
+        "circulant_jumps": jumps,
+    }
 
 
 @pytest.mark.parametrize("combo, value", [((1, 6, 31), Fraction(13, 32)), ((1, 31, 36), Fraction(28, 67))])
