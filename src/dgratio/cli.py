@@ -363,11 +363,17 @@ def _cmd_chi_f(args, argv) -> int:
     try:
         value = fractional_chromatic(distances, budget=_budget(args))
     except InexactResultError as exc:
-        report = exc.report
-        print(
-            f"fractional chromatic number in [{_frac(1 / report.upper)}, "
-            f"{_frac(1 / report.lower)}] (budget exhausted)"
-        )
+        lower, upper = 1 / exc.report.upper, 1 / exc.report.lower
+        if args.json:
+            result = {
+                "set": list(distances.distances),
+                "chi_f": _frac_fields(None),
+                "chi_f_lower": _frac_fields(lower),
+                "chi_f_upper": _frac_fields(upper),
+            }
+            _emit_json(argv, result, started)
+        else:
+            print(f"fractional chromatic number in [{_frac(lower)}, {_frac(upper)}] (budget exhausted)")
         return EXIT_BUDGET
     if args.json:
         _emit_json(argv, {"set": list(distances.distances), "chi_f": _frac_fields(value)}, started)

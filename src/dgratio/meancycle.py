@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -84,11 +83,11 @@ def _row_blocks(indptr: np.ndarray) -> list:
 class CSRAdjacency(Sequence):
     """Per-node out-arc lists [(weight, dst), ...] held as CSR arrays.
 
-    Reads like the list-of-lists adjacency that csr_from_adjacency packs,
-    but csr_from_adjacency hands its arrays back without copying.  The
-    arrays keep the dtypes they were made with (the gap engine's are int64
-    indptr, int32 dst and int8 w); rows read as lists of Python ints, and
-    iterating converts one block of rows at a time.
+    Reads like a list-of-lists adjacency, and csr_from_adjacency hands its
+    arrays back without copying.  The arrays keep the dtypes they were made
+    with (the gap engine's are int64 indptr, int32 dst and int8 w); rows
+    read as lists of Python ints, and iterating converts one block of rows
+    at a time.
     """
 
     __slots__ = ("indptr", "dst", "w")
@@ -112,17 +111,9 @@ class CSRAdjacency(Sequence):
                 yield arcs[start:end]
 
 
-def csr_from_adjacency(adjacency: Sequence) -> tuple:
-    """CSR arrays (indptr, dst, w) from per-node [(weight, dst), ...] lists."""
-    if isinstance(adjacency, CSRAdjacency):
-        return adjacency.indptr, adjacency.dst, adjacency.w
-    deg = np.fromiter(map(len, adjacency), dtype=np.int64, count=len(adjacency))
-    indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    total = int(indptr[-1])
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(adjacency)),
-                       dtype=np.int64, count=2 * total).reshape(total, 2)
-    return indptr, flat[:, 1].copy(), flat[:, 0].copy()
+def csr_from_adjacency(adjacency: CSRAdjacency) -> tuple:
+    """The CSR arrays (indptr, dst, w) of an adjacency, without copying."""
+    return adjacency.indptr, adjacency.dst, adjacency.w
 
 
 def _policy_cycles(succ: np.ndarray, wsel: np.ndarray):

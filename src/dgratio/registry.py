@@ -7,6 +7,11 @@ density attains the stated value.  Kinds are tagged faithfully: conjectured
 formulas are never reported as theorems, and a verification mismatch is a
 failure only for proven statements.
 
+A family states its set once, in its set builder: matching decodes candidate
+parameters from the sorted elements and keeps them only inside the domain
+and when they rebuild the set, at O(|S|) cost per family.  closed_form
+settles every all-odd set by the parity theorem before it asks the families.
+
 Residue tables are transcribed literally; the few places where a printed
 extremal structure disagrees with its own stated density use a corrected
 block list that is machine-verified against the value (the tests cross-check
@@ -53,7 +58,10 @@ def _bs(*parts) -> BlockList:
 
 @dataclass(frozen=True)
 class Family:
-    """One parameterized family: set builder, value rule, witness, matcher."""
+    """One parameterized family: set builder, value rule, witness, decoder.
+
+    decode reads candidate parameters off a set's sorted elements; match keeps
+    them only in the domain and when set_builder rebuilds the set."""
 
     id: str
     kind: str
@@ -64,7 +72,7 @@ class Family:
     value_rule: Optional[Callable[[dict], Fraction]] = None
     witness_builder: Optional[Callable[[dict], Optional[BlockList]]] = None
     witness_value: Optional[Callable[[dict], Fraction]] = None
-    matcher: Optional[Callable[[DistanceSet], Optional[dict]]] = None
+    decode: Optional[Callable[[tuple[int, ...]], Optional[dict]]] = None
     strict: bool = False  # bound families: paper states a strict inequality
     findings_only: bool = False  # mismatches are findings, never failures
 
@@ -87,10 +95,11 @@ class Family:
         return self.witness_builder(params)
 
     def match(self, distances: DistanceSet) -> Optional[dict]:
-        if self.matcher is None:
+        """The in-domain parameters whose set is `distances`, or None."""
+        if self.decode is None:
             return None
-        params = self.matcher(distances)
-        if params is None or not self.domain(params):
+        params = self.decode(distances.distances)
+        if params is None or not self.domain(params) or self.set_builder(params) != distances:
             return None
         return params
 
@@ -110,12 +119,9 @@ class Family:
         }
 
 
-def _sorted_tuple(distances: DistanceSet) -> tuple[int, ...]:
-    return distances.distances
-
-
-def _is_run_from_one(t: tuple[int, ...]) -> bool:
-    return t == tuple(range(1, len(t) + 1))
+def _least_missing(t: tuple[int, ...]) -> int:
+    """The least positive integer that is not in the sorted tuple t."""
+    return next((j for j, x in enumerate(t, 1) if x != j), len(t) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +139,7 @@ def _family_all_odd() -> Family:
         domain=lambda p: p["k"] >= 1,
         value_rule=lambda p: Fraction(1, 2),
         witness_builder=lambda p: _bs(2),
-        matcher=lambda S: {"k": 1} if S.is_all_odd() else None,
+        decode=lambda t: {"k": (t[-1] - 3) // 2},
     )
 
 
@@ -147,7 +153,7 @@ def _family_consecutive() -> Family:
         domain=lambda p: p["l"] >= 1,
         value_rule=lambda p: Fraction(1, p["l"] + 1),
         witness_builder=lambda p: _bs(p["l"] + 1),
-        matcher=lambda S: {"l": len(S)} if _is_run_from_one(_sorted_tuple(S)) else None,
+        decode=lambda t: {"l": len(t)},
     )
 
 
@@ -166,12 +172,6 @@ def _family_two_generators() -> Family:
             return _bs(([2], b // 2 - 1), 3)
         return None
 
-    def matcher(S):
-        t = _sorted_tuple(S)
-        if len(t) == 2:
-            return {"a": t[0], "b": t[1]}
-        return None
-
     return Family(
         id="two-generators",
         kind=THEOREM,
@@ -181,7 +181,7 @@ def _family_two_generators() -> Family:
         domain=lambda p: 1 <= p["a"] < p["b"] and gcd(p["a"], p["b"]) == 1,
         value_rule=value,
         witness_builder=witness,
-        matcher=matcher,
+        decode=lambda t: {"a": t[0], "b": t[-1]},
     )
 
 
@@ -198,15 +198,6 @@ def _family_interval_and_k() -> Family:
             return _bs(l)
         return _bs(([l], k // l - 1), l + 1)
 
-    def matcher(S):
-        t = _sorted_tuple(S)
-        if len(t) < 2:
-            return None
-        l = len(t)
-        if t[:-1] == tuple(range(1, l)) and t[-1] > l:
-            return {"l": l, "k": t[-1]}
-        return None
-
     return Family(
         id="interval-and-k",
         kind=THEOREM,
@@ -216,7 +207,7 @@ def _family_interval_and_k() -> Family:
         domain=lambda p: p["l"] >= 2 and p["k"] > p["l"],
         value_rule=value,
         witness_builder=witness,
-        matcher=matcher,
+        decode=lambda t: {"l": len(t), "k": t[-1]},
     )
 
 
@@ -230,14 +221,7 @@ def _family_one_two_3k() -> Family:
         domain=lambda p: p["k"] >= 1,
         value_rule=lambda p: Fraction(p["k"], 3 * p["k"] + 1),
         witness_builder=lambda p: _bs(([3], p["k"] - 1), 4),
-        matcher=lambda S: (
-            {"k": S.distances[2] // 3}
-            if len(S) == 3
-            and S.distances[:2] == (1, 2)
-            and S.distances[2] % 3 == 0
-            and S.distances[2] >= 3
-            else None
-        ),
+        decode=lambda t: {"k": t[-1] // 3},
     )
 
 
@@ -251,11 +235,7 @@ def _family_1_3_2i() -> Family:
         domain=lambda p: p["i"] >= 2,
         value_rule=lambda p: Fraction(p["i"], 2 * p["i"] + 3),
         witness_builder=lambda p: _bs(([2], p["i"] - 1), 5),
-        matcher=lambda S: (
-            {"i": S.distances[2] // 2}
-            if len(S) == 3 and S.distances[:2] == (1, 3) and S.distances[2] % 2 == 0
-            else None
-        ),
+        decode=lambda t: {"i": t[-1] // 2},
     )
 
 
@@ -269,11 +249,7 @@ def _family_1_5_2i() -> Family:
         domain=lambda p: p["i"] >= 5,
         value_rule=lambda p: Fraction(p["i"], 2 * p["i"] + 5),
         witness_builder=lambda p: _bs(([2], p["i"] - 1), 7),
-        matcher=lambda S: (
-            {"i": S.distances[2] // 2}
-            if len(S) == 3 and S.distances[:2] == (1, 5) and S.distances[2] % 2 == 0
-            else None
-        ),
+        decode=lambda t: {"i": t[-1] // 2},
     )
 
 
@@ -309,11 +285,7 @@ def _family_1_4_k() -> Family:
         domain=lambda p: p["k"] > 4,
         value_rule=value,
         witness_builder=witness,
-        matcher=lambda S: (
-            {"k": S.distances[2]}
-            if len(S) == 3 and S.distances[:2] == (1, 4)
-            else None
-        ),
+        decode=lambda t: {"k": t[-1]},
     )
 
 
@@ -347,14 +319,7 @@ def _family_1_k_kp1() -> Family:
         domain=lambda p: p["k"] >= 2,
         value_rule=value,
         witness_builder=witness,
-        matcher=lambda S: (
-            {"k": S.distances[1]}
-            if len(S) == 3
-            and S.distances[0] == 1
-            and S.distances[2] == S.distances[1] + 1
-            and S.distances[1] >= 2
-            else None
-        ),
+        decode=lambda t: {"k": t[-1] - 1},
     )
 
 
@@ -394,14 +359,7 @@ def _family_1_k_kp3() -> Family:
         domain=lambda p: p["k"] >= 3,
         value_rule=value,
         witness_builder=witness,
-        matcher=lambda S: (
-            {"k": S.distances[1]}
-            if len(S) == 3
-            and S.distances[0] == 1
-            and S.distances[2] == S.distances[1] + 3
-            and S.distances[1] >= 3
-            else None
-        ),
+        decode=lambda t: {"k": t[-1] - 3},
     )
 
 
@@ -413,15 +371,6 @@ def _witness_1_2k_2kp2l(p):
 
 
 def _family_1_2k_2kp2l() -> Family:
-    def matcher(S):
-        t = _sorted_tuple(S)
-        if len(t) == 3 and t[0] == 1 and t[1] % 2 == 0 and t[2] % 2 == 0:
-            k = t[1] // 2
-            l = (t[2] - t[1]) // 2
-            if (t[2] - t[1]) % 2 == 0 and l >= 1:
-                return {"k": k, "l": l}
-        return None
-
     return Family(
         id="1-2k-2kp2l",
         kind=THEOREM,
@@ -431,7 +380,7 @@ def _family_1_2k_2kp2l() -> Family:
         domain=lambda p: 1 <= p["l"] <= 3 and p["k"] >= p["l"],
         value_rule=lambda p: Fraction(2 * p["k"], 4 * p["k"] + 2 * p["l"]),
         witness_builder=_witness_1_2k_2kp2l,
-        matcher=matcher,
+        decode=lambda t: {"k": t[1] // 2, "l": (t[2] - t[1]) // 2} if len(t) == 3 else None,
     )
 
 
@@ -444,17 +393,6 @@ def _family_one_and_multiples() -> Family:
         h = k // 2
         return _bs(([2], h - 1), 3, ([2], k - h - 1), period - 2 * k + 1)
 
-    def matcher(S):
-        t = _sorted_tuple(S)
-        if len(t) < 3 or t[0] != 1:
-            return None
-        rest = t[1:]
-        k = rest[0]
-        l = len(rest)
-        if k >= 2 and rest == tuple(k * j for j in range(1, l + 1)):
-            return {"k": k, "l": l}
-        return None
-
     return Family(
         id="one-and-multiples",
         kind=THEOREM,
@@ -464,7 +402,7 @@ def _family_one_and_multiples() -> Family:
         domain=lambda p: p["k"] >= 2 and p["l"] >= 2,
         value_rule=lambda p: Fraction(1, p["l"] + 1),
         witness_builder=witness,
-        matcher=matcher,
+        decode=lambda t: {"k": t[1], "l": len(t) - 1} if len(t) > 1 else None,
     )
 
 
@@ -483,27 +421,11 @@ def _family_arith_plus_b() -> Family:
             return _bs(([m], b // m - 1), m + 1)
         return _bs(m)
 
-    def matcher(S):
-        t = _sorted_tuple(S)
+    def decode(t):
+        # b is the first element off the progression a, 2a, ..., inside or past it
         a = t[0]
-        chain = []
-        j = 1
-        rest = set(t)
-        while j * a in rest:
-            chain.append(j * a)
-            j += 1
-        leftovers = rest - set(chain)
-        if len(leftovers) == 1:
-            b = leftovers.pop()
-            m = len(chain) + 1
-            if b > (m - 1) * a:
-                return {"a": a, "m": m, "b": b}
-        # the extra element may sit inside the progression's range
-        for b in t[1:]:
-            chain = [j * a for j in range(1, len(t))]
-            if set(chain) | {b} == rest and b not in chain:
-                return {"a": a, "m": len(t), "b": b}
-        return None
+        b = next((x for j, x in enumerate(t, 1) if x != j * a), t[-1])
+        return {"a": a, "m": len(t), "b": b}
 
     return Family(
         id="arith-and-b",
@@ -525,7 +447,7 @@ def _family_arith_plus_b() -> Family:
         ),
         value_rule=value,
         witness_builder=witness,
-        matcher=matcher,
+        decode=decode,
     )
 
 
@@ -546,12 +468,6 @@ def _family_triple_sum() -> Family:
             return _bs(3)
         return None
 
-    def matcher(S):
-        t = _sorted_tuple(S)
-        if len(t) == 3 and t[2] == t[0] + t[1]:
-            return {"a": t[0], "b": t[1]}
-        return None
-
     return Family(
         id="a-b-apb",
         kind=THEOREM,
@@ -561,22 +477,11 @@ def _family_triple_sum() -> Family:
         domain=lambda p: 1 <= p["a"] < p["b"] and gcd(p["a"], p["b"]) == 1,
         value_rule=value,
         witness_builder=witness,
-        matcher=matcher,
+        decode=lambda t: {"a": t[0], "b": t[-1] - t[0]},
     )
 
 
 def _family_four_mixed() -> Family:
-    def matcher(S):
-        t = _sorted_tuple(S)
-        if len(t) != 4:
-            return None
-        for a in t:
-            for b in t:
-                if a < b and {a, b, b - a, a + b} == set(t):
-                    if (a + b) % 2 == 1 and gcd(a, b) == 1:
-                        return {"a": a, "b": b}
-        return None
-
     return Family(
         id="a-b-bma-apb",
         kind=THEOREM,
@@ -592,7 +497,8 @@ def _family_four_mixed() -> Family:
             and p["b"] - p["a"] != p["a"]
         ),
         value_rule=lambda p: Fraction(1, 4),
-        matcher=matcher,
+        # b-a < b and a < b < a+b, so b is the second largest element
+        decode=lambda t: {"a": t[3] - t[2], "b": t[2]} if len(t) == 4 else None,
     )
 
 
@@ -606,27 +512,11 @@ def _family_1_2m_range() -> Family:
         domain=lambda p: p["m"] >= 1,
         value_rule=lambda p: Fraction(p["m"], 4 * p["m"] + 1),
         witness_builder=lambda p: _bs(([2], p["m"] - 1), 2 * p["m"] + 3),
-        matcher=lambda S: (
-            {"m": S.distances[1] // 2}
-            if len(S) == 4
-            and S.distances[0] == 1
-            and S.distances[1] % 2 == 0
-            and S.distances[2] == S.distances[1] + 1
-            and S.distances[3] == S.distances[1] + 2
-            and S.distances[1] >= 2
-            else None
-        ),
+        decode=lambda t: {"m": (t[-1] - 2) // 2},
     )
 
 
 def _family_interval_block() -> Family:
-    def matcher(S):
-        t = _sorted_tuple(S)
-        k, kp = t[0], t[-1]
-        if k >= 2 and t == tuple(range(k, kp + 1)):
-            return {"k": k, "kp": kp}
-        return None
-
     return Family(
         id="interval",
         kind=THEOREM,
@@ -636,7 +526,8 @@ def _family_interval_block() -> Family:
         domain=lambda p: 2 <= p["k"] <= p["kp"] and 4 * p["kp"] >= 5 * p["k"],
         value_rule=lambda p: Fraction(p["k"], p["k"] + p["kp"]),
         witness_builder=lambda p: _bs(([1], p["k"] - 1), p["kp"] + 1),
-        matcher=matcher,
+        # counted first, so a sparse set never builds its whole span
+        decode=lambda t: {"k": t[0], "kp": t[-1]} if len(t) == t[-1] - t[0] + 1 else None,
     )
 
 
@@ -655,18 +546,6 @@ def _family_punctured_multiples() -> Family:
             return _bs(k)
         if m >= (s + 1) * k:
             return _bs(([k], s), m + 1)
-        return None
-
-    def matcher(S):
-        t = _sorted_tuple(S)
-        m = t[-1]
-        missing = sorted(set(range(1, m + 1)) - set(t))
-        if not missing:
-            return None
-        k = missing[0]
-        s = len(missing)
-        if missing == [k * j for j in range(1, s + 1)]:
-            return {"m": m, "k": k, "s": s}
         return None
 
     return Family(
@@ -688,7 +567,8 @@ def _family_punctured_multiples() -> Family:
         ),
         value_rule=lambda p: clause(p),
         witness_builder=witness,
-        matcher=matcher,
+        # the domain's s k < m with k >= 2 keeps m below 2|S|
+        decode=lambda t: {"m": t[-1], "k": _least_missing(t), "s": t[-1] - len(t)},
     )
 
 
@@ -741,29 +621,23 @@ def _family_punctured_interval() -> Family:
             return True
         return m < (s + 1) * k + i
 
-    def matcher(S):
-        t = _sorted_tuple(S)
-        m = t[-1]
-        missing = sorted(set(range(1, m + 1)) - set(t))
-        if not missing:
+    def decode(t):
+        # the gap is k..kp and t[k - 1] follows it; counted before anything is built
+        k = _least_missing(t)
+        if k > len(t) or len(t) - (k - 1) != t[-1] - t[k - 1] + 1:
             return None
-        k, kp = missing[0], missing[-1]
-        if missing == list(range(k, kp + 1)):
-            return {"m": m, "k": k, "kp": kp}
-        return None
+        return {"m": t[-1], "k": k, "kp": t[k - 1] - 1}
 
     return Family(
         id="punctured-interval",
         kind=THEOREM,
         description="[m] minus [k,k']: five clauses by m against multiples of k",
         parameters=("m", "k", "kp"),
-        set_builder=lambda p: DistanceSet(
-            sorted(set(range(1, p["m"] + 1)) - set(range(p["k"], p["kp"] + 1)))
-        ),
+        set_builder=lambda p: DistanceSet([*range(1, p["k"]), *range(p["kp"] + 1, p["m"] + 1)]),
         domain=in_domain,
         value_rule=clause,
         witness_builder=witness,
-        matcher=matcher,
+        decode=decode,
     )
 
 
@@ -819,11 +693,7 @@ def _family_1_6_k() -> Family:
         domain=lambda p: p["k"] > 6 and p["k"] not in _EXC_1_6_K,
         value_rule=value,
         witness_builder=witness,
-        matcher=lambda S: (
-            {"k": S.distances[2]}
-            if len(S) == 3 and S.distances[:2] == (1, 6)
-            else None
-        ),
+        decode=lambda t: {"k": t[-1]},
     )
 
 
@@ -852,11 +722,7 @@ def _family_1_8_k() -> Family:
         set_builder=lambda p: DistanceSet([1, 8, p["k"]]),
         domain=lambda p: p["k"] > 8 and p["k"] not in _EXC_1_8_K,
         value_rule=value,
-        matcher=lambda S: (
-            {"k": S.distances[2]}
-            if len(S) == 3 and S.distances[:2] == (1, 8)
-            else None
-        ),
+        decode=lambda t: {"k": t[-1]},
     )
 
 
@@ -883,13 +749,7 @@ def _family_1_k_kp5() -> Family:
         set_builder=lambda p: DistanceSet([1, p["k"], p["k"] + 5]),
         domain=lambda p: p["k"] >= 6 and p["k"] not in _EXC_1_K_KP5,
         value_rule=value,
-        matcher=lambda S: (
-            {"k": S.distances[1]}
-            if len(S) == 3
-            and S.distances[0] == 1
-            and S.distances[2] == S.distances[1] + 5
-            else None
-        ),
+        decode=lambda t: {"k": t[-1] - 5},
     )
 
 
@@ -918,13 +778,7 @@ def _family_1_k_kp7() -> Family:
         set_builder=lambda p: DistanceSet([1, p["k"], p["k"] + 7]),
         domain=lambda p: p["k"] >= 8 and p["k"] not in _EXC_1_K_KP7,
         value_rule=value,
-        matcher=lambda S: (
-            {"k": S.distances[1]}
-            if len(S) == 3
-            and S.distances[0] == 1
-            and S.distances[2] == S.distances[1] + 7
-            else None
-        ),
+        decode=lambda t: {"k": t[-1] - 7},
     )
 
 
@@ -938,14 +792,7 @@ def _family_1_odd_2i() -> Family:
         domain=lambda p: p["l"] >= 7 and p["l"] % 2 == 1 and 2 * p["i"] >= 3 * p["l"],
         value_rule=lambda p: Fraction(p["i"], 2 * p["i"] + p["l"]),
         witness_builder=lambda p: _bs(([2], p["i"] - 1), p["l"] + 2),
-        matcher=lambda S: (
-            {"l": S.distances[1], "i": S.distances[2] // 2}
-            if len(S) == 3
-            and S.distances[0] == 1
-            and S.distances[1] % 2 == 1
-            and S.distances[2] % 2 == 0
-            else None
-        ),
+        decode=lambda t: {"l": t[1], "i": t[2] // 2} if len(t) == 3 else None,
     )
 
 
@@ -960,7 +807,7 @@ def _family_1_2k_2kp2l_conj() -> Family:
         domain=lambda p: p["l"] >= 4 and p["k"] >= p["l"],
         value_rule=lambda p: Fraction(2 * p["k"], 4 * p["k"] + 2 * p["l"]),
         witness_builder=_witness_1_2k_2kp2l,
-        matcher=base.matcher,
+        decode=base.decode,
     )
 
 
@@ -1210,8 +1057,15 @@ class Prediction:
 
 
 def closed_form(distances: DistanceSet) -> Optional[Prediction]:
-    """First matching value family (theorems take precedence over
-    conjectures); bound and limit families never produce a closed form."""
+    """The closed form of a set, or None.
+
+    Every all-odd set is 1/2 by the parity theorem, reported as family
+    all-odd with k = 1.  Any other set takes the first theorem or conjecture
+    family, in precedence order, that matches it and gives a value; bound and
+    limit families never produce a closed form.  Each family costs O(|S|).
+    """
+    if distances.is_all_odd():
+        return Prediction(family_id="all-odd", kind=THEOREM, params={"k": 1}, value=Fraction(1, 2))
     for fam in _FAMILIES:
         if fam.kind not in (THEOREM, CONJECTURE):
             continue

@@ -33,7 +33,12 @@ against.  None of them is used by the package itself.
     maximum mean cycle the gap-state engine must match;
   - block-pair graphs for domination, identifying codes and colorings,
     whose states are whole windows and whose arcs paste two of them,
-    against which the one-position sliding-window automaton is checked.
+    against which the one-position sliding-window automaton is checked;
+- CSR packing of list-of-lists adjacencies, the form these oracles and the
+  hand-written test graphs take;
+- the brute-force inverse of a catalog family, every set its sweep builds
+  mapped to its parameters, against which decode-and-rebuild matching and
+  closed_form are checked.
 """
 
 from __future__ import annotations
@@ -46,11 +51,22 @@ import numpy as np
 
 from dgratio import meancycle, stategraph
 from dgratio.core import BlockList, DistanceSet, IndependenceVerdict
-from dgratio.meancycle import NoCycleError, csr_from_adjacency, min_mean_cycle_howard
+from dgratio.meancycle import NoCycleError, min_mean_cycle_howard
 from dgratio.search import AlphaTable, BudgetExceeded, SearchBudget, _alpha_circulant_solution, alpha_interval
 from dgratio.stategraph import Coloring, CycleWitness, InfeasibleError
 
 BRUTE_FORCE_CAP = 26
+
+
+def csr_from_lists(adjacency: list) -> tuple:
+    """CSR arrays (indptr, dst, w), all int64, from per-node [(weight, dst), ...] lists."""
+    deg = np.fromiter(map(len, adjacency), dtype=np.int64, count=len(adjacency))
+    indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    total = int(indptr[-1])
+    flat = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(adjacency)),
+                       dtype=np.int64, count=2 * total).reshape(total, 2)
+    return indptr, flat[:, 1].copy(), flat[:, 0].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +596,7 @@ def prune(states: list, arcs: list) -> tuple[list, list]:
 def window_csr(graph: WindowGraph) -> tuple:
     """CSR arrays (indptr, dst, w) of a list window graph, arcs weighted by
     the state they enter."""
-    return csr_from_adjacency([[(graph.weights[j], j) for j in out] for out in graph.arcs])
+    return csr_from_lists([[(graph.weights[j], j) for j in out] for out in graph.arcs])
 
 
 def _cycle_witness(graph: WindowGraph, cycle: list, density: Fraction) -> CycleWitness:
@@ -800,3 +816,17 @@ def coloring_window_graph(distances: DistanceSet, colors: int) -> WindowGraph:
         ])
     states, arcs = prune(states, arcs)
     return WindowGraph(window=s, kind=Coloring(colors), states=tuple(states), arcs=tuple(arcs), weights=(0,) * len(states))
+
+
+# ---------------------------------------------------------------------------
+# Catalog families inverted by brute force
+# ---------------------------------------------------------------------------
+
+
+def family_inverse(family, hi: int) -> dict:
+    """Every set a catalog family builds from its in-domain parameters in
+    [0, hi], as a sorted tuple, mapped to the list of those parameters."""
+    inverse: dict = {}
+    for params in family.sweep(0, hi):
+        inverse.setdefault(family.build_set(params).distances, []).append(params)
+    return inverse

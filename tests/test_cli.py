@@ -155,6 +155,16 @@ def test_chi_f_budget_exhaustion_exit_3(capsys):
     assert "fractional chromatic number in [" in out
 
 
+def test_chi_f_budget_exhaustion_json(capsys):
+    code, out, _ = _capture(capsys, ["chi-f", "--set", "1,17,36", "--budget", "1000", "--json"])
+    assert code == 3
+    result = json.loads(out)["result"]
+    assert result["set"] == [1, 17, 36]
+    assert result["chi_f"] == {"num": None, "den": None}
+    assert result["chi_f_lower"] == {"num": 41, "den": 18}
+    assert result["chi_f_upper"] == {"num": 37, "den": 1}
+
+
 def test_table_csv_schema_and_fixture_agreement(tmp_path, capsys):
     out_path = tmp_path / "grid.csv"
     code, _, _ = _capture(capsys, ["table", "--k", "1..3", "--i", "1..6", "--out", str(out_path)])

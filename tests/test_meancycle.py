@@ -9,6 +9,7 @@ import pytest
 from dgratio import meancycle
 
 from oracles import (
+    csr_from_lists,
     max_mean_cycle_howard,
     max_mean_cycle_karp,
     min_mean_cycle_karp,
@@ -17,7 +18,7 @@ from oracles import (
 
 
 def _csr(adjacency):
-    return meancycle.csr_from_adjacency(adjacency)
+    return csr_from_lists(adjacency)
 
 
 def test_self_loop():

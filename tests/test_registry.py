@@ -1,6 +1,7 @@
 """Closed-form catalog: matching, predictions, witnesses, verification."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from dgratio.registry import (
     list_families,
     verify_family,
 )
+
+from oracles import family_inverse
 
 EXPECTED_IDS = {
     "all-odd", "consecutive", "two-generators", "interval-and-k", "1-2-3k",
@@ -59,15 +62,14 @@ def test_closed_form_examples():
 
 
 def _round_trip_families():
-    # all-odd's matcher accepts every all-odd set on purpose
-    return [fam for fam in list_families() if fam.matcher is not None and fam.id != "all-odd"]
+    return [fam for fam in list_families() if fam.decode is not None]
 
 
 def test_bound_and_limit_families_have_no_matcher():
     # closed_form consults theorem and conjecture families only
     for fam in list_families():
         if fam.kind not in (THEOREM, CONJECTURE):
-            assert fam.matcher is None, fam.id
+            assert fam.decode is None, fam.id
 
 
 @pytest.mark.parametrize("fam", _round_trip_families(), ids=lambda fam: fam.id)
@@ -81,6 +83,49 @@ def test_matcher_round_trips(fam):
             params = fam.match(distances)
             if params is not None:
                 assert fam.build_set(params) == distances, params
+
+
+def test_match_and_closed_form_agree_with_the_brute_force_inverse():
+    # every family's sets from parameters in [0, 14] cover every set within
+    # {1..14} that the family holds, since no parameter exceeds max(S)
+    families = _round_trip_families()
+    assert len(families) == 25
+    inverses = [family_inverse(fam, 14) for fam in families]
+    for size in range(1, 5):
+        for members in itertools.combinations(range(1, 15), size):
+            distances = DistanceSet(members)
+            first = None
+            for fam, inverse in zip(families, inverses):
+                listed = inverse.get(members, [])
+                params = fam.match(distances)
+                assert (params is None) == (not listed), (fam.id, members, params)
+                assert params is None or params in listed, (fam.id, members, params)
+                if first is None and listed:
+                    first = (fam, params)
+            pred = closed_form(distances)
+            if distances.is_all_odd():
+                assert (pred.family_id, pred.kind, pred.params, pred.value) == (
+                    "all-odd", THEOREM, {"k": 1}, Fraction(1, 2)), members
+            elif first is None:
+                assert pred is None, members
+            else:
+                fam, params = first
+                assert (pred.family_id, pred.params, pred.value) == (
+                    fam.id, params, fam.predicted(params)), members
+
+
+def test_closed_form_is_cheap_on_huge_sparse_sets():
+    # no decoder or rebuilt set spans max(S): each answer reads O(|S|) elements
+    expected = {
+        (2, 10**9): None,
+        (2, 4, 10**9): None,
+        (1, 2, 10**9 - 1, 10**9): ("punctured-interval", {"m": 10**9, "k": 3, "kp": 10**9 - 2}),
+    }
+    for members, want in expected.items():
+        started = time.process_time()
+        pred = closed_form(DistanceSet(members))
+        assert time.process_time() - started < 0.1, members
+        assert (pred and (pred.family_id, pred.params)) == want, (members, pred)
 
 
 def test_list_family_value_examples():
