@@ -6,10 +6,8 @@ from .core import (
     DistanceSet,
     ExpansionLimitError,
     IndependenceVerdict,
-    NormalizedSet,
     normalize,
     parse_block_notation,
-    power_distance_set,
     verify_periodic_independent,
 )
 from .ratio import InexactResultError, fractional_chromatic, independence_ratio

@@ -12,6 +12,11 @@ parameters from the sorted elements and keeps them only inside the domain
 and when they rebuild the set, at O(|S|) cost per family.  closed_form
 settles every all-odd set by the parity theorem before it asks the families.
 
+The seven one-parameter families whose answer depends on k mod m (1-4-k,
+1-k-kp1, 1-k-kp3, 1-6-k, 1-8-k, 1-k-kp5, 1-k-kp7) hold it as a ResidueRule:
+per class, the value (a k + b)/(c k + d) and a block pattern of the witness,
+read by one evaluator, so rules compare as plain data.
+
 Residue tables are transcribed literally; the few places where a printed
 extremal structure disagrees with its own stated density use a corrected
 block list that is machine-verified against the value (the tests cross-check
@@ -122,6 +127,41 @@ class Family:
 def _least_missing(t: tuple[int, ...]) -> int:
     """The least positive integer that is not in the sorted tuple t."""
     return next((j for j, x in enumerate(t, 1) if x != j), len(t) + 1)
+
+
+@dataclass(frozen=True)
+class ResidueRule:
+    """A rule in one parameter k by its residue r = k mod modulus.
+
+    values[r] = (a, b, c, d) gives the value (a k + b)/(c k + d).  witnesses[r]
+    is a block pattern: an int is one block, and a pair (body, j) is body
+    repeated k // modulus + j times.  A negative repeat means the class has
+    no witness at that k.  A rule is plain data, so two rules agree exactly
+    when they compare equal."""
+
+    modulus: int
+    values: tuple[tuple[int, int, int, int], ...]
+    witnesses: Optional[tuple] = None
+
+    def value(self, params: dict) -> Fraction:
+        k = params["k"]
+        a, b, c, d = self.values[k % self.modulus]
+        return Fraction(a * k + b, c * k + d)
+
+    def witness(self, params: dict) -> Optional[BlockList]:
+        if self.witnesses is None:
+            return None
+        q, r = divmod(params["k"], self.modulus)
+        parts = [p if isinstance(p, int) else (p[0], q + p[1]) for p in self.witnesses[r]]
+        if any(not isinstance(p, int) and p[1] < 0 for p in parts):
+            return None
+        return _bs(*parts)
+
+
+def _residue_family(family_id, kind, description, elements, domain, decode, rule) -> Family:
+    """A family in k whose set is elements(k) and whose value and witness are rule's."""
+    return Family(family_id, kind, description, ("k",), lambda p: DistanceSet(elements(p["k"])),
+                  domain, rule.value, rule.witness, decode=decode)
 
 
 # ---------------------------------------------------------------------------
@@ -254,112 +294,36 @@ def _family_1_5_2i() -> Family:
 
 
 def _family_1_4_k() -> Family:
-    def value(p):
-        k = p["k"]
-        r = k % 5
-        if r == 0:
-            return Fraction(2 * k, 5 * k + 5)
-        if r == 1 or r == 4:
-            return Fraction(2, 5)
-        if r == 2:
-            return Fraction(2 * k + 1, 5 * k + 5)
-        return Fraction(2 * k - 1, 5 * k + 5)
-
-    def witness(p):
-        k = p["k"]
-        r, i = k % 5, k // 5
-        if r == 0:
-            return _bs(([2, 3], i - 1), 3, 3)
-        if r == 2:
-            return _bs(([2, 3], i), 3)
-        if r == 3:
-            return _bs(([2, 3], i - 1), 3, 3, 3)
-        return _bs(2, 3)
-
-    return Family(
-        id="1-4-k",
-        kind=THEOREM,
-        description="{1,4,k}, k>4: five residue classes of k mod 5",
-        parameters=("k",),
-        set_builder=lambda p: DistanceSet([1, 4, p["k"]]),
-        domain=lambda p: p["k"] > 4,
-        value_rule=value,
-        witness_builder=witness,
-        decode=lambda t: {"k": t[-1]},
+    return _residue_family(
+        "1-4-k", THEOREM, "{1,4,k}, k>4: five residue classes of k mod 5",
+        lambda k: [1, 4, k], lambda p: p["k"] > 4, lambda t: {"k": t[-1]},
+        ResidueRule(
+            5, ((2, 0, 5, 5), (0, 2, 0, 5), (2, 1, 5, 5), (2, -1, 5, 5), (0, 2, 0, 5)),
+            ((((2, 3), -1), 3, 3), (2, 3), (((2, 3), 0), 3), (((2, 3), -1), 3, 3, 3), (2, 3)),
+        ),
     )
 
 
 def _family_1_k_kp1() -> Family:
-    def value(p):
-        k = p["k"]
-        r = k % 3
-        if r == 0:
-            return Fraction(2 * k, 6 * k + 3)
-        if r == 1:
-            return Fraction(1, 3)
-        return Fraction(k + 1, 3 * k + 6)
-
-    def witness(p):
-        k = p["k"]
-        r = k % 3
-        if r == 0:
-            i = k // 3
-            return _bs(2, ([3], i - 1), 5, ([3], i - 1))
-        if r == 1:
-            return _bs(3)
-        i = (k + 1) // 3
-        return _bs(([3], i - 1), 4)
-
-    return Family(
-        id="1-k-kp1",
-        kind=THEOREM,
-        description="{1,k,k+1}, k>=2: three residue classes of k mod 3",
-        parameters=("k",),
-        set_builder=lambda p: DistanceSet([1, p["k"], p["k"] + 1]),
-        domain=lambda p: p["k"] >= 2,
-        value_rule=value,
-        witness_builder=witness,
-        decode=lambda t: {"k": t[-1] - 1},
+    return _residue_family(
+        "1-k-kp1", THEOREM, "{1,k,k+1}, k>=2: three residue classes of k mod 3",
+        lambda k: [1, k, k + 1], lambda p: p["k"] >= 2, lambda t: {"k": t[-1] - 1},
+        ResidueRule(
+            3, ((2, 0, 6, 3), (0, 1, 0, 3), (1, 1, 3, 6)),
+            ((2, ((3,), -1), 5, ((3,), -1)), (3,), (((3,), 0), 4)),
+        ),
     )
 
 
 def _family_1_k_kp3() -> Family:
-    def value(p):
-        k = p["k"]
-        r = k % 5
-        if r == 0:
-            return Fraction(2 * k + 5, 5 * k + 20)
-        if r == 1:
-            return Fraction(2, 5)
-        if r == 2:
-            return Fraction(2 * k + 6, 5 * k + 20)
-        if r == 3:
-            return Fraction(4 * k + 3, 10 * k + 15)
-        return Fraction(2 * k + 7, 5 * k + 20)
-
-    def witness(p):
-        k = p["k"]
-        r, i = k % 5, k // 5
-        if r == 0:
-            return _bs(([2, 3], i - 1), 3, 3, 3)
-        if r == 1:
-            return _bs(2, 3)
-        if r == 2:
-            return _bs(([2, 3], i), 3, 3)
-        if r == 3:
-            return _bs(([2, 3], i), 2, ([2, 3], i), 2, 5)
-        return _bs(([2, 3], i + 1), 3)
-
-    return Family(
-        id="1-k-kp3",
-        kind=THEOREM,
-        description="{1,k,k+3}, k>=3: five residue classes of k mod 5",
-        parameters=("k",),
-        set_builder=lambda p: DistanceSet([1, p["k"], p["k"] + 3]),
-        domain=lambda p: p["k"] >= 3,
-        value_rule=value,
-        witness_builder=witness,
-        decode=lambda t: {"k": t[-1] - 3},
+    return _residue_family(
+        "1-k-kp3", THEOREM, "{1,k,k+3}, k>=3: five residue classes of k mod 5",
+        lambda k: [1, k, k + 3], lambda p: p["k"] >= 3, lambda t: {"k": t[-1] - 3},
+        ResidueRule(
+            5, ((2, 5, 5, 20), (0, 2, 0, 5), (2, 6, 5, 20), (4, 3, 10, 15), (2, 7, 5, 20)),
+            ((((2, 3), -1), 3, 3, 3), (2, 3), (((2, 3), 0), 3, 3),
+             (((2, 3), 0), 2, ((2, 3), 0), 2, 5), (((2, 3), 1), 3)),
+        ),
     )
 
 
@@ -653,132 +617,54 @@ _EXC_1_K_KP7 = {9, 11, 16, 18, 25}
 
 
 def _family_1_6_k() -> Family:
-    def value(p):
-        k = p["k"]
-        r = k % 7
-        table = {
-            0: Fraction(3 * k, 7 * k + 7),
-            1: Fraction(3, 7),
-            2: Fraction(3 * k + 1, 7 * k + 7),
-            3: Fraction(3 * k - 2, 7 * k + 7),
-            4: Fraction(3 * k + 2, 7 * k + 7),
-            5: Fraction(3 * k - 1, 7 * k + 7),
-            6: Fraction(3, 7),
-        }
-        return table[r]
-
-    def witness(p):
-        k = p["k"]
-        r, i = k % 7, k // 7
-        if r in (1, 6):
-            return _bs(2, 2, 3)
-        if r == 0 and i >= 2:
-            return _bs(([2, 2, 3], i - 2), ([2, 3], 3))
-        if r == 2 and i >= 1:
-            return _bs(([2, 2, 3], i - 1), ([2, 3], 2))
-        if r == 3 and i >= 3:
-            return _bs(([2, 2, 3], i - 3), ([2, 3], 5))
-        if r == 4 and i >= 1:
-            return _bs(([2, 2, 3], i), 2, 3)
-        if r == 5 and i >= 2:
-            return _bs(([2, 2, 3], i - 2), ([2, 3], 4))
-        return None
-
-    return Family(
-        id="1-6-k",
-        kind=CONJECTURE,
-        description="{1,6,k}, k>6, k not in {7,10,12,17}: seven residue classes mod 7",
-        parameters=("k",),
-        set_builder=lambda p: DistanceSet([1, 6, p["k"]]),
-        domain=lambda p: p["k"] > 6 and p["k"] not in _EXC_1_6_K,
-        value_rule=value,
-        witness_builder=witness,
-        decode=lambda t: {"k": t[-1]},
+    # the classes 0, 2, 3 and 5 need k // 7 >= 2, 1, 3 and 2 for their (2 2 3) runs
+    return _residue_family(
+        "1-6-k", CONJECTURE, "{1,6,k}, k>6, k not in {7,10,12,17}: seven residue classes mod 7",
+        lambda k: [1, 6, k], lambda p: p["k"] > 6 and p["k"] not in _EXC_1_6_K,
+        lambda t: {"k": t[-1]},
+        ResidueRule(
+            7, ((3, 0, 7, 7), (0, 3, 0, 7), (3, 1, 7, 7), (3, -2, 7, 7), (3, 2, 7, 7),
+                (3, -1, 7, 7), (0, 3, 0, 7)),
+            ((((2, 2, 3), -2), 2, 3, 2, 3, 2, 3), (2, 2, 3), (((2, 2, 3), -1), 2, 3, 2, 3),
+             (((2, 2, 3), -3), 2, 3, 2, 3, 2, 3, 2, 3, 2, 3), (((2, 2, 3), 0), 2, 3),
+             (((2, 2, 3), -2), 2, 3, 2, 3, 2, 3, 2, 3), (2, 2, 3)),
+        ),
     )
 
 
 def _family_1_8_k() -> Family:
-    def value(p):
-        k = p["k"]
-        r = k % 9
-        table = {
-            0: Fraction(4 * k, 9 * k + 9),
-            1: Fraction(4, 9),
-            2: Fraction(4 * k + 1, 9 * k + 9),
-            3: Fraction(4 * k + 24, 9 * k + 72),
-            4: Fraction(4 * k + 2, 9 * k + 9),
-            5: Fraction(4 * k + 1, 9 * k + 16),
-            6: Fraction(4 * k + 3, 9 * k + 9),
-            7: Fraction(4 * k - 1, 9 * k + 9),
-            8: Fraction(4, 9),
-        }
-        return table[r]
-
-    return Family(
-        id="1-8-k",
-        kind=CONJECTURE,
-        description="{1,8,k}, k>8, eight exceptions: nine residue classes mod 9",
-        parameters=("k",),
-        set_builder=lambda p: DistanceSet([1, 8, p["k"]]),
-        domain=lambda p: p["k"] > 8 and p["k"] not in _EXC_1_8_K,
-        value_rule=value,
-        decode=lambda t: {"k": t[-1]},
+    return _residue_family(
+        "1-8-k", CONJECTURE, "{1,8,k}, k>8, eight exceptions: nine residue classes mod 9",
+        lambda k: [1, 8, k], lambda p: p["k"] > 8 and p["k"] not in _EXC_1_8_K,
+        lambda t: {"k": t[-1]},
+        ResidueRule(
+            9, ((4, 0, 9, 9), (0, 4, 0, 9), (4, 1, 9, 9), (4, 24, 9, 72), (4, 2, 9, 9),
+                (4, 1, 9, 16), (4, 3, 9, 9), (4, -1, 9, 9), (0, 4, 0, 9)),
+        ),
     )
 
 
 def _family_1_k_kp5() -> Family:
-    def value(p):
-        k = p["k"]
-        r = k % 7
-        table = {
-            0: Fraction(3 * k + 14, 7 * k + 42),
-            1: Fraction(3, 7),
-            2: Fraction(3 * k + 15, 7 * k + 42),
-            3: Fraction(6 * k + 10, 14 * k + 35),
-            4: Fraction(3 * k + 16, 7 * k + 42),
-            5: Fraction(3 * k + 13, 7 * k + 42),
-            6: Fraction(3 * k + 17, 7 * k + 42),
-        }
-        return table[r]
-
-    return Family(
-        id="1-k-kp5",
-        kind=CONJECTURE,
-        description="{1,k,k+5}, k>=6, k not in {7,12}: seven residue classes mod 7",
-        parameters=("k",),
-        set_builder=lambda p: DistanceSet([1, p["k"], p["k"] + 5]),
-        domain=lambda p: p["k"] >= 6 and p["k"] not in _EXC_1_K_KP5,
-        value_rule=value,
-        decode=lambda t: {"k": t[-1] - 5},
+    return _residue_family(
+        "1-k-kp5", CONJECTURE, "{1,k,k+5}, k>=6, k not in {7,12}: seven residue classes mod 7",
+        lambda k: [1, k, k + 5], lambda p: p["k"] >= 6 and p["k"] not in _EXC_1_K_KP5,
+        lambda t: {"k": t[-1] - 5},
+        ResidueRule(
+            7, ((3, 14, 7, 42), (0, 3, 0, 7), (3, 15, 7, 42), (6, 10, 14, 35), (3, 16, 7, 42),
+                (3, 13, 7, 42), (3, 17, 7, 42)),
+        ),
     )
 
 
 def _family_1_k_kp7() -> Family:
-    def value(p):
-        k = p["k"]
-        r = k % 9
-        table = {
-            0: Fraction(4 * k + 27, 9 * k + 72),
-            1: Fraction(4, 9),
-            2: Fraction(4 * k + 28, 9 * k + 72),
-            3: Fraction(8 * k + 21, 18 * k + 63),
-            4: Fraction(4 * k + 29, 9 * k + 72),
-            5: Fraction(4 * k - 2, 9 * k + 9),
-            6: Fraction(4 * k + 30, 9 * k + 72),
-            7: Fraction(4 * k + 26, 9 * k + 72),
-            8: Fraction(4 * k + 31, 9 * k + 72),
-        }
-        return table[r]
-
-    return Family(
-        id="1-k-kp7",
-        kind=CONJECTURE,
-        description="{1,k,k+7}, k>=8, five exceptions: nine residue classes mod 9",
-        parameters=("k",),
-        set_builder=lambda p: DistanceSet([1, p["k"], p["k"] + 7]),
-        domain=lambda p: p["k"] >= 8 and p["k"] not in _EXC_1_K_KP7,
-        value_rule=value,
-        decode=lambda t: {"k": t[-1] - 7},
+    return _residue_family(
+        "1-k-kp7", CONJECTURE, "{1,k,k+7}, k>=8, five exceptions: nine residue classes mod 9",
+        lambda k: [1, k, k + 7], lambda p: p["k"] >= 8 and p["k"] not in _EXC_1_K_KP7,
+        lambda t: {"k": t[-1] - 7},
+        ResidueRule(
+            9, ((4, 27, 9, 72), (0, 4, 0, 9), (4, 28, 9, 72), (8, 21, 18, 63), (4, 29, 9, 72),
+                (4, -2, 9, 9), (4, 30, 9, 72), (4, 26, 9, 72), (4, 31, 9, 72)),
+        ),
     )
 
 
@@ -1060,12 +946,15 @@ def closed_form(distances: DistanceSet) -> Optional[Prediction]:
     """The closed form of a set, or None.
 
     Every all-odd set is 1/2 by the parity theorem, reported as family
-    all-odd with k = 1.  Any other set takes the first theorem or conjecture
-    family, in precedence order, that matches it and gives a value; bound and
-    limit families never produce a closed form.  Each family costs O(|S|).
+    all-odd with the k that rebuilds it as {1, 2k+1, 2k+3}, or with no
+    parameters when it has another shape.  Any other set takes the first
+    theorem or conjecture family, in precedence order, that matches it and
+    gives a value; bound and limit families never produce a closed form.  Each
+    family costs O(|S|).
     """
     if distances.is_all_odd():
-        return Prediction(family_id="all-odd", kind=THEOREM, params={"k": 1}, value=Fraction(1, 2))
+        params = get_family("all-odd").match(distances) or {}
+        return Prediction(family_id="all-odd", kind=THEOREM, params=params, value=Fraction(1, 2))
     for fam in _FAMILIES:
         if fam.kind not in (THEOREM, CONJECTURE):
             continue

@@ -11,6 +11,7 @@ from dgratio.core import DistanceSet, verify_periodic_independent
 from dgratio.registry import (
     CONJECTURE,
     THEOREM,
+    ResidueRule,
     UnknownFamilyError,
     closed_form,
     get_family,
@@ -89,7 +90,7 @@ def test_match_and_closed_form_agree_with_the_brute_force_inverse():
     # every family's sets from parameters in [0, 14] cover every set within
     # {1..14} that the family holds, since no parameter exceeds max(S)
     families = _round_trip_families()
-    assert len(families) == 25
+    assert len(families) == 25 and families[0].id == "all-odd"
     inverses = [family_inverse(fam, 14) for fam in families]
     for size in range(1, 5):
         for members in itertools.combinations(range(1, 15), size):
@@ -103,9 +104,14 @@ def test_match_and_closed_form_agree_with_the_brute_force_inverse():
                 if first is None and listed:
                     first = (fam, params)
             pred = closed_form(distances)
+            if pred is not None and pred.params:
+                # parameters always rebuild the set they were reported for
+                assert get_family(pred.family_id).build_set(pred.params) == distances, members
             if distances.is_all_odd():
+                # the all-odd family's parameters, or none when S is not {1, 2k+1, 2k+3}
+                params = inverses[0].get(members, [{}])[0]
                 assert (pred.family_id, pred.kind, pred.params, pred.value) == (
-                    "all-odd", THEOREM, {"k": 1}, Fraction(1, 2)), members
+                    "all-odd", THEOREM, params, Fraction(1, 2)), members
             elif first is None:
                 assert pred is None, members
             else:
@@ -137,6 +143,66 @@ def test_list_family_value_examples():
     assert not fam.in_domain({"k": 7})
     assert not fam.in_domain({"k": 12})
     assert fam.in_domain({"k": 8})
+
+
+RESIDUE_FAMILIES = ("1-4-k", "1-k-kp1", "1-k-kp3", "1-6-k", "1-8-k", "1-k-kp5", "1-k-kp7")
+
+
+def _product(x, y):
+    """Coefficients of (x0 + x1 q)(y0 + y1 q), constant first."""
+    return (x[0] * y[0], x[0] * y[1] + x[1] * y[0], x[1] * y[1])
+
+
+def test_residue_rule_witnesses_attain_their_values_for_every_k():
+    # with q = k // m and k = m q + r, a class's block count and period are
+    # affine in q; the witness density equals (a k + b)/(c k + d) at every k
+    # exactly when count (c k + d) = period (a k + b) as polynomials in q
+    classes = 0
+    for fid in RESIDUE_FAMILIES:
+        fam = get_family(fid)
+        rule = fam.value_rule.__self__
+        assert isinstance(rule, ResidueRule) and fam.witness_builder.__self__ is rule, fid
+        m = rule.modulus
+        assert len(rule.values) == m, fid
+        if rule.witnesses is None:
+            continue
+        assert len(rule.witnesses) == m, fid
+        for r, ((a, b, c, d), pattern) in enumerate(zip(rule.values, rule.witnesses)):
+            count, period = [0, 0], [0, 0]  # constant term, coefficient of q
+            for part in pattern:
+                body, j, per_q = ((part,), 1, 0) if isinstance(part, int) else (*part, 1)
+                count[0] += len(body) * j
+                count[1] += len(body) * per_q
+                period[0] += sum(body) * j
+                period[1] += sum(body) * per_q
+            num, den = (a * r + b, a * m), (c * r + d, c * m)  # a k + b and c k + d in q
+            assert _product(count, den) == _product(period, num), (fid, r)
+            classes += 1
+    assert classes == 20
+
+
+def test_residue_rule_witnesses_are_independent_up_to_200():
+    points = 0
+    for fid in RESIDUE_FAMILIES:
+        fam = get_family(fid)
+        if fam.value_rule.__self__.witnesses is None:
+            continue
+        for params in fam.sweep(0, 200):
+            blocks = fam.witness(params)
+            distances = fam.build_set(params)
+            assert verify_periodic_independent(blocks, distances).ok, (fid, params)
+            assert blocks.density() == fam.predicted(params), (fid, params)
+            points += 1
+    assert points == 196 + 199 + 198 + 190
+
+
+def test_residue_rule_has_no_witness_where_a_repeat_is_negative():
+    rule = ResidueRule(5, ((0, 1, 0, 2),) * 5, ((((2, 3), -1), 3),) * 5)
+    assert rule.witness({"k": 4}) is None
+    assert rule.witness({"k": 5}).sizes == (3,)
+    assert rule.witness({"k": 11}).sizes == (2, 3, 3)
+    assert rule.value({"k": 11}) == Fraction(1, 2)
+    assert ResidueRule(5, rule.values).witness({"k": 11}) is None
 
 
 def test_exception_lists_emit_no_prediction():
