@@ -8,6 +8,11 @@ exact result (bounds are still printed), 4 state-space cap exceeded.
 All values print as exact rationals.  CSV and JSON layouts are stable and
 deterministic for fixed arguments and budget; timing lives only in the JSON
 sidecar field, never in data rows.
+
+Every command except table takes --json.  Each _cmd_* computes its answer
+once and returns (exit code, result, lines); run alone prints either the
+JSON record of that result or the text lines, so text and JSON come from
+one result, and timing_seconds is the only field that changes from run to run.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .core import (
 )
 from .ratio import InexactResultError, fractional_chromatic, independence_ratio
 from .registry import get_family, list_families, verify_family, UnknownFamilyError
-from .search import FALLBACK_NODE_BUDGET, RatioReport, SearchBudget, default_node_budget
+from .search import FALLBACK_NODE_BUDGET, SearchBudget, default_node_budget
 from .stategraph import (
     StateSpaceError,
     min_dominating_density,
@@ -96,132 +101,97 @@ def _positive(what: str):
 
 
 def _budget(args) -> SearchBudget:
-    nodes = getattr(args, "budget", None)
-    if nodes is None:
-        nodes = default_node_budget()
-    return SearchBudget(max_nodes=nodes)
+    return SearchBudget(max_nodes=args.budget or default_node_budget())
 
 
-def _report_json(report: RatioReport) -> dict:
-    return {
+def _cmd_compute(args):
+    report = independence_ratio(DistanceSet.parse(args.set), budget=_budget(args))
+    wit = report.lower_witness
+    result = {
         "set": list(report.distances.distances),
         "status": report.status,
         "value": _frac_fields(report.value),
         "lower": _frac_fields(report.lower),
         "upper": _frac_fields(report.upper),
         "method": report.method,
-        "witness_blocks": report.lower_witness.notation(),
-        "witness_period": report.lower_witness.period,
+        "witness_blocks": wit.notation(),
+        "witness_period": wit.period,
         "upper_witness_n": report.upper_witness_n,
         "note": report.note,
         "counters": report.counters,
     }
-
-
-def _emit_json(command: list, result: dict, started: float) -> None:
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "result": result,
-        "timing_seconds": round(time.monotonic() - started, 6),
-    }
-    print(json.dumps(record, indent=2))
-
-
-def _cmd_compute(args, argv) -> int:
-    started = time.monotonic()
-    distances = DistanceSet.parse(args.set)
-    report = independence_ratio(distances, budget=_budget(args))
-    if args.json:
-        _emit_json(argv, _report_json(report), started)
+    if report.status == "exact":
+        lines = [f"alpha-bar = {_frac(report.value)} (exact)"]
     else:
-        if report.status == "exact":
-            print(f"alpha-bar = {_frac(report.value)} (exact)")
-        else:
-            print(
-                f"alpha-bar in [{_frac(report.lower)}, {_frac(report.upper)}] "
-                f"({report.status})"
-            )
-        print(f"method: {report.method}")
-        wit = report.lower_witness
-        s = "s" if wit.count != 1 else ""
-        print(f"witness: {wit.notation()}  (period {wit.period}, {wit.count} element{s})")
-        if report.upper_witness_n is not None:
-            print(f"upper bound from interval of length {report.upper_witness_n}")
-        if report.note:
-            print(f"note: {report.note}")
-    return EXIT_OK if report.status == "exact" else EXIT_BUDGET
+        lines = [f"alpha-bar in [{_frac(report.lower)}, {_frac(report.upper)}] ({report.status})"]
+    s = "s" if wit.count != 1 else ""
+    lines += [
+        f"method: {report.method}",
+        f"witness: {result['witness_blocks']}  (period {wit.period}, {wit.count} element{s})",
+    ]
+    if report.upper_witness_n is not None:
+        lines.append(f"upper bound from interval of length {report.upper_witness_n}")
+    if report.note:
+        lines.append(f"note: {report.note}")
+    return (EXIT_OK if report.status == "exact" else EXIT_BUDGET), result, lines
 
 
-def _cmd_blocks(args, argv) -> int:
-    started = time.monotonic()
+def _cmd_blocks(args):
     distances = DistanceSet.parse(args.set)
     blocks = parse_block_notation(args.blocks, cap=args.expansion_cap)
     verdict = verify_periodic_independent(blocks, distances)
     density = blocks.density()
-    if args.json:
-        result = {
-            "set": list(distances.distances),
-            "blocks": blocks.notation(),
-            "period": blocks.period,
-            "count": blocks.count,
-            "density": _frac_fields(density),
-            "independent": verdict.ok,
-            "violation": list(verdict.violation) if verdict.violation else None,
-        }
-        _emit_json(argv, result, started)
-        return EXIT_OK
+    result = {
+        "set": list(distances.distances),
+        "blocks": blocks.notation(),
+        "period": blocks.period,
+        "count": blocks.count,
+        "density": _frac_fields(density),
+        "independent": verdict.ok,
+        "violation": list(verdict.violation) if verdict.violation else None,
+    }
     if verdict.ok:
-        print(f"independent; density {_frac(density)}")
+        line = f"independent; density {_frac(density)}"
     else:
         x, y = verdict.violation
-        print(
-            f"not independent: elements at positions {x} and {y} are at "
-            f"distance {y - x}; density {_frac(density)}"
-        )
-    return EXIT_OK
+        line = f"not independent: elements at positions {x} and {y} are at distance {y - x}; density {_frac(density)}"
+    return EXIT_OK, result, [line]
 
 
-def _cmd_verify(args, argv) -> int:
-    started = time.monotonic()
+def _cmd_verify(args):
     lo, hi = _parse_range(args.range)
     try:
         get_family(args.family)
     except UnknownFamilyError:
         raise UsageError(f"unknown family {args.family!r}")
     verdicts = verify_family(args.family, lo, hi, budget_nodes=args.budget)
-    failures = [v for v in verdicts if v.is_failure]
-    if args.json:
-        result = {
-            "family": args.family,
-            "range": [lo, hi],
-            "verdicts": [
-                {
-                    "params": v.params,
-                    "set": list(v.distances.distances),
-                    "predicted": _frac_fields(v.predicted),
-                    "computed": _frac_fields(v.computed),
-                    "computed_status": v.computed_status,
-                    "agreement": v.agreement,
-                    "witness_ok": v.witness_ok,
-                }
-                for v in verdicts
-            ],
-            "failures": len(failures),
-        }
-        _emit_json(argv, result, started)
-    else:
-        for v in verdicts:
-            pred = _frac(v.predicted) if v.predicted is not None else "-"
-            comp = _frac(v.computed) if v.computed is not None else f"[{v.computed_status}]"
-            wit = {True: "witness ok", False: "WITNESS BAD", None: "no witness"}[v.witness_ok]
-            params = ",".join(f"{k}={v2}" for k, v2 in sorted(v.params.items()))
-            print(
-                f"{v.family} {params} set={v.distances} predicted={pred} "
-                f"computed={comp} {v.agreement} ({wit})"
-            )
-        print(f"{len(verdicts)} points, {len(failures)} failures")
-    return EXIT_MISMATCH if failures else EXIT_OK
+    failures = sum(v.is_failure for v in verdicts)
+    result = {
+        "family": args.family,
+        "range": [lo, hi],
+        "verdicts": [
+            {
+                "params": v.params,
+                "set": list(v.distances.distances),
+                "predicted": _frac_fields(v.predicted),
+                "computed": _frac_fields(v.computed),
+                "computed_status": v.computed_status,
+                "agreement": v.agreement,
+                "witness_ok": v.witness_ok,
+            }
+            for v in verdicts
+        ],
+        "failures": failures,
+    }
+    lines = []
+    for v in verdicts:
+        pred = _frac(v.predicted) if v.predicted is not None else "-"
+        comp = _frac(v.computed) if v.computed is not None else f"[{v.computed_status}]"
+        wit = {True: "witness ok", False: "WITNESS BAD", None: "no witness"}[v.witness_ok]
+        params = ",".join(f"{k}={v2}" for k, v2 in sorted(v.params.items()))
+        lines.append(f"{v.family} {params} set={v.distances} predicted={pred} computed={comp} {v.agreement} ({wit})")
+    lines.append(f"{len(verdicts)} points, {failures} failures")
+    return (EXIT_MISMATCH if failures else EXIT_OK), result, lines
 
 
 _TABLE_FIELDS = (
@@ -230,9 +200,11 @@ _TABLE_FIELDS = (
 )
 
 
-def _cmd_table(args, argv) -> int:
+def _cmd_table(args):
     k_lo, k_hi = _parse_range(args.k)
     i_lo, i_hi = _parse_range(args.i)
+    if min(k_lo, i_lo) < 1:  # k or i of 0 makes {1, 1+k, 1+k+i} a set of fewer than three
+        raise UsageError(f"--k and --i must start at 1 or more, got {args.k} and {args.i}")
     # opened before the first cell is computed, so an unwritable path fails
     # at once, and opened to append, so a run that stops partway leaves an
     # existing file as it was
@@ -248,8 +220,7 @@ def _cmd_table(args, argv) -> int:
         writer.writeheader()
         writer.writerows(rows)
     exact = sum(1 for r in rows if r["status"] == "exact")
-    print(f"wrote {len(rows)} rows to {args.out} ({exact} exact)")
-    return EXIT_OK
+    return EXIT_OK, None, [f"wrote {len(rows)} rows to {args.out} ({exact} exact)"]
 
 
 def _table_rows(args, k_lo: int, k_hi: int, i_lo: int, i_hi: int) -> list[dict]:
@@ -286,100 +257,71 @@ def _table_rows(args, k_lo: int, k_hi: int, i_lo: int, i_hi: int) -> list[dict]:
     return rows
 
 
-def _cmd_families(args, argv) -> int:
-    started = time.monotonic()
+def _cmd_families(args):
     entries = [fam.catalog_entry() for fam in list_families()]
-    if args.json:
-        _emit_json(argv, {"families": entries}, started)
-    else:
-        for entry in entries:
-            params = ",".join(entry["parameters"])
-            print(f"{entry['id']:22s} {entry['kind']:12s} ({params}) {entry['description']}")
-    return EXIT_OK
+    lines = [
+        f"{e['id']:22s} {e['kind']:12s} ({','.join(e['parameters'])}) {e['description']}"
+        for e in entries
+    ]
+    return EXIT_OK, {"families": entries}, lines
 
 
-def _cmd_domination(args, argv) -> int:
-    started = time.monotonic()
+def _density_answer(distances, what: str, extra: dict, density: Fraction, witness):
+    """Result and lines of a least density with its periodic witness."""
+    result = {
+        "set": list(distances.distances),
+        **extra,
+        "density": _frac_fields(density),
+        "witness_blocks": witness.period_set.notation(),
+        "period": witness.period,
+    }
+    lines = [
+        f"minimum {what} density = {_frac(density)}",
+        f"witness: {result['witness_blocks']}  (period {witness.period})",
+    ]
+    return EXIT_OK, result, lines
+
+
+def _cmd_domination(args):
     distances = DistanceSet.parse(args.set)
-    density, witness = min_dominating_density(distances)
-    if args.json:
-        result = {
-            "set": list(distances.distances),
-            "density": _frac_fields(density),
-            "witness_blocks": witness.period_set.notation(),
-            "period": witness.period,
-        }
-        _emit_json(argv, result, started)
-    else:
-        print(f"minimum dominating density = {_frac(density)}")
-        print(f"witness: {witness.period_set.notation()}  (period {witness.period})")
-    return EXIT_OK
+    return _density_answer(distances, "dominating", {}, *min_dominating_density(distances))
 
 
-def _cmd_idcode(args, argv) -> int:
-    started = time.monotonic()
+def _cmd_idcode(args):
     distances = DistanceSet.parse(args.set)
-    density, witness = min_identifying_density(distances, args.r)
-    if args.json:
-        result = {
-            "set": list(distances.distances),
-            "radius": args.r,
-            "density": _frac_fields(density),
-            "witness_blocks": witness.period_set.notation(),
-            "period": witness.period,
-        }
-        _emit_json(argv, result, started)
-    else:
-        print(f"minimum {args.r}-identifying density = {_frac(density)}")
-        print(f"witness: {witness.period_set.notation()}  (period {witness.period})")
-    return EXIT_OK
+    answer = min_identifying_density(distances, args.r)
+    return _density_answer(distances, f"{args.r}-identifying", {"radius": args.r}, *answer)
 
 
-def _cmd_coloring(args, argv) -> int:
-    started = time.monotonic()
+def _cmd_coloring(args):
     distances = DistanceSet.parse(args.set)
     witness = periodic_coloring(distances, args.k)
-    if args.json:
-        result = {
-            "set": list(distances.distances),
-            "colors": args.k,
-            "exists": witness is not None,
-            "coloring": list(witness.colors) if witness else None,
-            "period": witness.period if witness else None,
-        }
-        _emit_json(argv, result, started)
-        return EXIT_OK
+    result = {
+        "set": list(distances.distances),
+        "colors": args.k,
+        "exists": witness is not None,
+        "coloring": list(witness.colors) if witness else None,
+        "period": witness.period if witness else None,
+    }
     if witness is None:
-        print(f"no periodic proper {args.k}-coloring exists")
+        line = f"no periodic proper {args.k}-coloring exists"
     else:
         seq = " ".join(str(c + 1) for c in witness.colors)
-        print(f"periodic proper {args.k}-coloring with period {witness.period}: {seq}")
-    return EXIT_OK
+        line = f"periodic proper {args.k}-coloring with period {witness.period}: {seq}"
+    return EXIT_OK, result, [line]
 
 
-def _cmd_chi_f(args, argv) -> int:
-    started = time.monotonic()
+def _cmd_chi_f(args):
     distances = DistanceSet.parse(args.set)
+    result = {"set": list(distances.distances)}
     try:
         value = fractional_chromatic(distances, budget=_budget(args))
     except InexactResultError as exc:
         lower, upper = 1 / exc.report.upper, 1 / exc.report.lower
-        if args.json:
-            result = {
-                "set": list(distances.distances),
-                "chi_f": _frac_fields(None),
-                "chi_f_lower": _frac_fields(lower),
-                "chi_f_upper": _frac_fields(upper),
-            }
-            _emit_json(argv, result, started)
-        else:
-            print(f"fractional chromatic number in [{_frac(lower)}, {_frac(upper)}] (budget exhausted)")
-        return EXIT_BUDGET
-    if args.json:
-        _emit_json(argv, {"set": list(distances.distances), "chi_f": _frac_fields(value)}, started)
-    else:
-        print(_frac(value))
-    return EXIT_OK
+        result.update(chi_f=_frac_fields(None), chi_f_lower=_frac_fields(lower), chi_f_upper=_frac_fields(upper))
+        return EXIT_BUDGET, result, [f"fractional chromatic number in [{_frac(lower)}, {_frac(upper)}] (budget exhausted)"]
+    result["chi_f"] = _frac_fields(value)
+    return EXIT_OK, result, [_frac(value)]
 
 
 @functools.cache
@@ -387,7 +329,8 @@ def build_parser() -> _Parser:
     """The CLI's parser, built on first use and then kept for the process:
     building it costs about 30 times as much as a parse, and a parse keeps
     nothing on the parser."""
-    parser = _Parser(prog="dgratio", description=__doc__)
+    # --help shows the docstring up to its last paragraph, which is for readers of the code
+    parser = _Parser(prog="dgratio", description=(__doc__ or "").rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_set(p):
@@ -397,84 +340,80 @@ def build_parser() -> _Parser:
         p.add_argument("--budget", type=_positive("budget"), default=None,
                        help=f"search node budget (default: DGRATIO_BUDGET, else {FALLBACK_NODE_BUDGET:,})")
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON record")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("compute", help="independence ratio of G(S)")
+    p = command("compute", _cmd_compute, "independence ratio of G(S)")
     add_set(p)
     add_budget(p)
-    add_json(p)
-    p.set_defaults(func=_cmd_compute)
 
-    p = sub.add_parser("blocks", help="check a block structure against a set")
+    p = command("blocks", _cmd_blocks, "check a block structure against a set")
     add_set(p)
     p.add_argument("--blocks", required=True, help="block notation, e.g. \"2^2 5\"")
     p.add_argument("--expansion-cap", type=_positive("expansion cap"), default=DEFAULT_EXPANSION_CAP,
                    help="maximum number of blocks an expansion may produce")
-    add_json(p)
-    p.set_defaults(func=_cmd_blocks)
 
-    p = sub.add_parser("verify", help="check a closed-form family against the engines")
+    p = command("verify", _cmd_verify, "check a closed-form family against the engines")
     p.add_argument("--family", required=True)
     p.add_argument("--range", required=True, help="parameter range A..B")
     add_budget(p)
-    add_json(p)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("table", help="grid of ratios for sets {1,1+k,1+k+i}")
+    p = command("table", _cmd_table, "grid of ratios for sets {1,1+k,1+k+i}")
     p.add_argument("--k", required=True, help="row range A..B")
     p.add_argument("--i", required=True, help="column range C..D")
     add_budget(p)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("families", help="list the closed-form catalog")
-    add_json(p)
-    p.set_defaults(func=_cmd_families)
+    command("families", _cmd_families, "list the closed-form catalog")
 
-    p = sub.add_parser("domination", help="minimum dominating density")
+    p = command("domination", _cmd_domination, "minimum dominating density")
     add_set(p)
-    add_json(p)
-    p.set_defaults(func=_cmd_domination)
 
-    p = sub.add_parser("idcode", help="minimum r-identifying code density")
+    p = command("idcode", _cmd_idcode, "minimum r-identifying code density")
     add_set(p)
     p.add_argument("--r", type=int, default=1)
-    add_json(p)
-    p.set_defaults(func=_cmd_idcode)
 
-    p = sub.add_parser("coloring", help="periodic proper coloring with k colors")
+    p = command("coloring", _cmd_coloring, "periodic proper coloring with k colors")
     add_set(p)
     p.add_argument("--k", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=_cmd_coloring)
 
-    p = sub.add_parser("chi-f", help="fractional chromatic number")
+    p = command("chi-f", _cmd_chi_f, "fractional chromatic number")
     add_set(p)
     add_budget(p)
-    add_json(p)
-    p.set_defaults(func=_cmd_chi_f)
 
+    for name, p in sub.choices.items():
+        if name != "table":  # table writes CSV to --out instead
+            p.add_argument("--json", action="store_true", help="emit a JSON record")
     return parser
 
 
 def run(argv: Optional[list] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args, argv)
+        args = build_parser().parse_args(argv)
+        started = time.monotonic()
+        code, result, lines = args.func(args)
     except SystemExit as exc:  # --help prints its text and exits from inside argparse
         return exc.code
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (BlockSyntaxError, ValueError) as exc:
+    except (UsageError, BlockSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (StateSpaceError, ExpansionLimitError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    if getattr(args, "json", False):
+        record = {
+            "schema_version": SCHEMA_VERSION,
+            "command": argv,
+            "result": result,
+            "timing_seconds": round(time.monotonic() - started, 6),
+        }
+        print(json.dumps(record, indent=2))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 def main() -> None:

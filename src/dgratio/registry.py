@@ -76,7 +76,6 @@ class Family:
     domain: Callable[[dict], bool]
     value_rule: Optional[Callable[[dict], Fraction]] = None
     witness_builder: Optional[Callable[[dict], Optional[BlockList]]] = None
-    witness_value: Optional[Callable[[dict], Fraction]] = None
     decode: Optional[Callable[[tuple[int, ...]], Optional[dict]]] = None
     strict: bool = False  # bound families: paper states a strict inequality
     findings_only: bool = False  # mismatches are findings, never failures
@@ -89,8 +88,6 @@ class Family:
 
     def predicted(self, params: dict) -> Optional[Fraction]:
         if self.value_rule is None:
-            if self.witness_value is not None:
-                return self.witness_value(params)
             return None
         return self.value_rule(params)
 
@@ -819,8 +816,8 @@ def _family_lim_1_odd_2k() -> Family:
         parameters=("i", "k"),
         set_builder=lambda p: DistanceSet([1, 2 * p["i"] + 1, 2 * p["k"]]),
         domain=lambda p: p["i"] >= 1 and 2 * p["k"] > 2 * p["i"] + 1,
+        value_rule=lambda p: Fraction(p["k"], 2 * p["k"] + 2 * p["i"] + 1),
         witness_builder=lambda p: _bs(([2], p["k"] - 1), 2 * p["i"] + 3),
-        witness_value=lambda p: Fraction(p["k"], 2 * p["k"] + 2 * p["i"] + 1),
     )
 
 
@@ -834,7 +831,7 @@ def _family_lim_1_2i_k() -> Family:
             return None
         return _bs(([2] * (p["i"] - 1) + [3], q - 1), 2 * p["i"] + 2 + r)
 
-    def wvalue(p):
+    def value(p):
         i = p["i"]
         q, r = qr(p)
         if r == 0:
@@ -850,8 +847,8 @@ def _family_lim_1_2i_k() -> Family:
         domain=lambda p: p["i"] >= 1
         and p["k"] > 2 * p["i"] + 1
         and p["k"] % (2 * p["i"] + 1) != 0,
+        value_rule=value,
         witness_builder=witness,
-        witness_value=wvalue,
     )
 
 
@@ -865,7 +862,7 @@ def _family_lim_1_k_kpodd() -> Family:
             return None
         return _bs(([2] * p["i"] + [3], q - 1), 2 * p["i"] + 3 + r)
 
-    def wvalue(p):
+    def value(p):
         i = p["i"]
         q, r = qr(p)
         return Fraction((i + 1) * (q - 1) + 1, (2 * i + 3) * q + r)
@@ -877,8 +874,8 @@ def _family_lim_1_k_kpodd() -> Family:
         parameters=("i", "k"),
         set_builder=lambda p: DistanceSet([1, p["k"], p["k"] + 2 * p["i"] + 1]),
         domain=lambda p: p["i"] >= 0 and p["k"] >= 2,
+        value_rule=value,
         witness_builder=witness,
-        witness_value=wvalue,
     )
 
 
@@ -978,7 +975,6 @@ class FormulaVerdict:
     computed_status: str
     agreement: str  # match | mismatch | unresolved
     witness_ok: Optional[bool]
-    witness_density: Optional[Fraction]
     findings_only: bool = False
 
     @property
@@ -1044,13 +1040,10 @@ def verify_family(
         )
         report = independence_ratio(distances, budget=point_budget)
         witness_ok = None
-        witness_density = None
         blocks = fam.witness(params)
         if blocks is not None:
-            witness_density = blocks.density()
             ok = verify_periodic_independent(blocks, distances).ok
-            target = fam.witness_value(params) if fam.witness_value else predicted
-            witness_ok = ok and (target is None or witness_density == target)
+            witness_ok = ok and (predicted is None or blocks.density() == predicted)
         if predicted is None:
             agreement = "unresolved"
         else:
@@ -1066,7 +1059,6 @@ def verify_family(
                 computed_status=report.status,
                 agreement=agreement,
                 witness_ok=witness_ok,
-                witness_density=witness_density,
                 findings_only=fam.findings_only,
             )
         )

@@ -13,6 +13,9 @@ against.  None of them is used by the package itself.
 - the round-by-round ratio schedule: circulant Z_n then intervals 2n-1
   and 2n in every round, with no jump ahead to Z_q, whose status, bounds
   and witnesses the package's schedule must keep;
+- the F automaton by a breadth-first search on F states, one arc at a
+  time, tracing the mask of each state's discovery path, whose numbering
+  and least masks the gap engine must keep;
 - the scan of all 2^(max(S)-1) candidate masks for the gap engine's
   states, against which the grown masks and their count are checked;
 - the mask gap engine: the gap graph on masks of occupied offsets, built
@@ -341,6 +344,39 @@ def round_by_round_ratio(distances: DistanceSet, budget: SearchBudget) -> tuple:
                 return "exact", lower, lower, upper, witness, upper_n
     except BudgetExceeded:
         return "bounded", None, lower, upper, witness, upper_n
+
+
+def f_state_bfs(distances: DistanceSet) -> tuple:
+    """The F automaton by a queue over states, one arc at a time.
+
+    A state is the set F of forbidden future offsets, bit y for offset y.
+    The start state is S; gap g is allowed when bit g of F is clear and
+    leads to (F >> g) | S.  States are numbered in discovery order, and each
+    state's arcs are listed in increasing g.  Each state also gets the mask
+    of occupied offsets of the path that discovered it: mask 1 at S, then
+    ((m << g) & (2^max(S) - 1)) | 1 along an arc g.
+
+    Returns (order, adjacency, masks): the F of each state, its arcs
+    [(g, j), ...], and its discovery mask.
+    """
+    s = distances.max_element
+    sbits = sum(1 << d for d in distances)
+    window = (1 << s) - 1
+    index = {sbits: 0}
+    order, masks = [sbits], [1]
+    adjacency = []
+    for f, mask in zip(order, masks):  # both lists grow while they are read
+        out = []
+        for g in range(1, s + 2):
+            if f >> g & 1:
+                continue
+            j = index.setdefault((f >> g) | sbits, len(order))
+            if j == len(order):
+                order.append((f >> g) | sbits)
+                masks.append(((mask << g) & window) | 1)
+            out.append((g, j))
+        adjacency.append(out)
+    return order, adjacency, masks
 
 
 def scan_gap_state_masks(distances: DistanceSet, max_states: int) -> np.ndarray:

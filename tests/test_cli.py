@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -369,6 +370,19 @@ def test_table_that_stops_partway_keeps_the_old_output(tmp_path, monkeypatch, ca
     assert kept.read_text().startswith("k,i,set,") and len(kept.read_text().splitlines()) == 5
 
 
+def test_table_refuses_a_range_below_one_before_opening_its_output(tmp_path, monkeypatch, capsys):
+    # k = 0 or i = 0 would write rows for {1} and {1,2}, which are not cells
+    # of the grid {1, 1+k, 1+k+i}
+    kept = tmp_path / "kept.csv"
+    kept.write_text("kept\n")
+    monkeypatch.setattr(dgratio.cli, "open", lambda *a, **k: pytest.fail("the output was opened"), raising=False)
+    for k, i in (("0..1", "0..1"), ("0..1", "1..2"), ("1..2", "0..0")):
+        code, out, err = _capture(capsys, ["table", "--k", k, "--i", i, "--out", str(kept)])
+        assert (code, out) == (2, ""), (k, i)
+        assert err.startswith("error: --k and --i must start at 1"), err
+    assert kept.read_text() == "kept\n"
+
+
 def test_sizes_past_every_cap_are_refused_at_once():
     # each case used to hang, raise OverflowError from a mask or a scaled
     # witness, or take seconds and hundreds of MB; each is refused from
@@ -407,3 +421,22 @@ def test_a_coloring_at_the_window_cap_answers_at_once(capsys):
     seconds = time.process_time() - start
     out, _ = capsys.readouterr()
     assert code == 0 and out.startswith("periodic proper 3-coloring") and seconds < 0.1, (out, seconds)
+
+
+_RECORDED = os.path.join(os.path.dirname(__file__), "data", "cli_outputs.json")
+_TIMING = re.compile(r'"timing_seconds": [-+0-9.e]+')
+
+
+def test_every_command_prints_the_recorded_output(tmp_path, monkeypatch, capsys):
+    # every subcommand, as text and --json, through exits 0, 2, 3 and 4 and
+    # --help; the JSON timing is the one field allowed to change.  argparse
+    # wraps --help at $COLUMNS, so it is pinned at the recorded width
+    monkeypatch.chdir(tmp_path)  # table writes its --out here
+    monkeypatch.setenv("COLUMNS", "80")
+    with open(_RECORDED) as handle:
+        recorded = json.load(handle)
+    for case in recorded:
+        code = run(list(case["argv"]))
+        out, err = capsys.readouterr()
+        got = {"argv": case["argv"], "exit": code, "stdout": _TIMING.sub('"timing_seconds": 0', out), "stderr": err}
+        assert got == case

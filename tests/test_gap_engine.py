@@ -25,7 +25,7 @@ from dgratio.stategraph import (
     independence_ratio_exact,
 )
 
-from oracles import mask_gap_graph, scan_gap_state_masks, wide_gap_graph, wide_min_mean_cycle_howard
+from oracles import f_state_bfs, mask_gap_graph, scan_gap_state_masks, wide_gap_graph, wide_min_mean_cycle_howard
 
 REFERENCE_TABLE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "table_k1-10_i1-12.csv"
 
@@ -64,32 +64,6 @@ def python_gap_graph(distances: DistanceSet):
     return order, adjacency
 
 
-def python_forbidden_graph(distances: DistanceSet):
-    """Oracle: the F automaton by a queue over states, one arc at a time.
-
-    A state is the set F of forbidden future offsets, bit y for offset y.
-    The start state is S; gap g is allowed when bit g of F is clear and
-    leads to (F >> g) | S.  States are numbered in discovery order, and each
-    state's arcs are listed in increasing g.
-    """
-    s = distances.max_element
-    sbits = sum(1 << d for d in distances)
-    index = {sbits: 0}
-    order = [sbits]
-    adjacency = []
-    for f in order:  # the queue grows while it is read
-        out = []
-        for g in range(1, s + 2):
-            if f >> g & 1:
-                continue
-            j = index.setdefault((f >> g) | sbits, len(order))
-            if j == len(order):
-                order.append((f >> g) | sbits)
-            out.append((g, j))
-        adjacency.append(out)
-    return order, adjacency
-
-
 def forbidden_of(mask: int, distances: DistanceSet) -> int:
     """F of a mask: S shifted down by each occupied offset, all together."""
     sbits = sum(1 << d for d in distances)
@@ -125,7 +99,7 @@ def test_builder_matches_the_python_oracle():
     for combo in _small_sets():
         distances = DistanceSet(combo)
         order, arcs = _independence_gap_graph(distances, 10**6)
-        want_order, want_adjacency = python_forbidden_graph(distances)
+        want_order, want_adjacency, _ = f_state_bfs(distances)
         assert order.dtype == np.int64 and arcs.dst.dtype == np.int32 and arcs.w.dtype == np.int8, combo
         assert order[0] == want_order[0], combo  # F0 = S is state 0
         assert len(order) == len(want_order), combo
@@ -141,7 +115,7 @@ def test_builder_in_blocks_of_one_state_matches_the_python_oracle(monkeypatch):
         order, arcs = _independence_gap_graph(DistanceSet(combo), 10**6)
         assert order.tolist() == want_order.tolist(), combo
         assert list(arcs) == list(want_arcs), combo
-        assert by_f_state(order.tolist(), arcs) == by_f_state(*python_forbidden_graph(DistanceSet(combo))), combo
+        assert by_f_state(order.tolist(), arcs) == by_f_state(*f_state_bfs(DistanceSet(combo))[:2]), combo
 
 
 def test_mask_breadth_first_order_is_the_key_order():
@@ -169,6 +143,18 @@ def test_states_are_numbered_by_least_mask():
         order, _ = _independence_gap_graph(distances, 10**6)
         first_seen = list(dict.fromkeys(forbidden_of(m, distances) for m in masks))
         assert order.tolist() == first_seen, combo
+
+
+def test_f_states_and_their_least_masks_are_met_in_a_breadth_first_search_on_f():
+    # the numbering and the pinning's least masks come from the mask listing,
+    # yet a search on F states alone, tracing one mask per state, gives both
+    combos = [c for size in range(1, 11) for c in combinations(range(1, 11), size)]
+    for combo in combos + [(18, 19), (1, 22), (5, 22)]:
+        distances = DistanceSet(combo)
+        order, arcs = _independence_gap_graph(distances, 10**6)
+        want_order, _, want_least = f_state_bfs(distances)
+        assert order.tolist() == want_order, combo
+        assert arcs.pinning.least.tolist() == want_least, combo
 
 
 def test_a_max_element_past_62_is_refused_before_any_build():
@@ -305,7 +291,7 @@ def test_cap_is_inclusive_and_counts_like_the_oracle():
     distances = DistanceSet([2, 5, 11])
     masks = len(python_gap_graph(distances)[0])
     assert masks == 52
-    states = len(python_forbidden_graph(distances)[0])
+    states = len(f_state_bfs(distances)[0])
     assert states == 20
     order, _ = _independence_gap_graph(distances, masks)
     assert len(order) == states

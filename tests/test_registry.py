@@ -299,11 +299,12 @@ def test_limit_families_carry_verified_lower_witnesses():
     for fid in ("lim-1-odd-2k", "lim-1-2i-k", "lim-1-k-kpodd"):
         fam = get_family(fid)
         assert fam.kind == "limit"
-        assert fam.value_rule is None
         verdicts = verify_family(fid, 1, 6)
         assert verdicts, fid
         for v in verdicts:
             assert v.witness_ok is not False, (fid, v.params)
+            # the predicted value is the witness's density
+            assert fam.witness(v.params).density() == v.predicted, (fid, v.params)
             # lower-bound semantics: witness density certified below the ratio
             assert v.agreement in ("match", "unresolved"), (fid, v.params)
         assert any(v.agreement == "match" for v in verdicts)
@@ -311,7 +312,7 @@ def test_limit_families_carry_verified_lower_witnesses():
 
 def test_limit_witness_densities_approach_the_limit():
     fam = get_family("lim-1-odd-2k")
-    dens = [fam.witness_value({"i": 1, "k": k}) for k in (5, 20, 80)]
+    dens = [fam.predicted({"i": 1, "k": k}) for k in (5, 20, 80)]
     assert dens[0] < dens[1] < dens[2] < Fraction(1, 2)
 
 
