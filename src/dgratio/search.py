@@ -10,6 +10,12 @@ best bounds meet or the work budget runs out.  The core solver is a
 backtracking search over vertices in decreasing order with two prunes: the
 memoized alpha values of shorter intervals, and the interval decomposition
 bound beta(B) of the remaining candidate set.
+
+An interval step a(m) = alpha(G(S)[m]) is either a(m-1) or a(m-1) + 1, and
+two exact proofs settle many steps without a search: alpha is subadditive
+over intervals, so a(j) + a(m-j) <= a(m-1) for some j gives a(m) = a(m-1);
+and a window of m consecutive integers of a verified periodic independent
+set that holds a(m-1) + 1 elements gives a(m) = a(m-1) + 1.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, sub
 from typing import Optional
 
 from .core import BlockList, DistanceSet, verify_periodic_independent
@@ -91,19 +98,56 @@ def _split_runs(f: list[int], beta: int, candidates: int, removed: int) -> int:
     return beta
 
 
+class _Windows:
+    """How densely windows of consecutive integers meet a periodic set: one
+    period P holds k elements, at positions x_0 < ... < x_{k-1} in [0, P),
+    and x_{t+k} = x_t + P.
+
+    A window that holds c elements holds c consecutive ones, and sliding it
+    up to its first element loses none, so the best window of m integers
+    starts at some x_t and holds k * floor(m/P) elements plus those in
+    [x_t, x_t + m mod P).  Equivalently, it holds c elements exactly when
+    span(c) < m.
+    """
+
+    def __init__(self, witness: BlockList):
+        self._period = witness.period
+        self._xs = witness.positions()
+        self._ext = self._xs + [x + self._period for x in self._xs]
+        self._spans: dict[int, int] = {}  # span(j + 1) for 0 <= j < k, filled on first use
+
+    def span(self, c: int) -> int:
+        """min over t of x_{t+c-1} - x_t, for c >= 1 elements."""
+        k = len(self._xs)
+        q, j = divmod(c - 1, k)
+        s = self._spans.get(j)
+        if s is None:
+            s = self._spans[j] = min(map(sub, self._ext[j : j + k], self._xs))
+        return q * self._period + s
+
+
 class AlphaTable:
     """Memoized alpha(G(S)[n]) values with the adjacency masks they need.
 
     interval_alpha[n] is alpha of the induced subgraph on [n]; the sequence
     satisfies a(n) <= a(n+1) <= a(n) + 1, which drives the search targets.
     Circulant prefix tables are per-call (they are useless across n).
+    `proved` counts the interval steps settled without a search.
     """
 
     def __init__(self, distances: DistanceSet):
         self.distances = distances
         self.interval_alpha: list[int] = [0]
         self.prefix_alpha: list[int] = []  # alpha(n, i) for the latest circulant n that answered
+        self.proved = 0
         self._nbr: list[int] = [0]  # _nbr[v] has bit (u-1) for u adjacent to v
+        self._windows: Optional[_Windows] = None
+
+    def adopt_witness(self, witness: BlockList) -> None:
+        """Prove interval steps with the windows of `witness`, which must be
+        a verified periodic independent set of G(S): each window of m
+        consecutive integers of it is an independent set of G(S)[m]."""
+        self._windows = _Windows(witness)
 
     def _extend_masks(self, n: int) -> None:
         # only neighbors below v matter: candidates shrink downward, so the
@@ -209,11 +253,29 @@ class AlphaTable:
             budget.nodes = nodes
 
     def ensure_interval(self, n: int, budget: SearchBudget) -> None:
+        """Fill interval_alpha up to n, proving each step before searching it.
+
+        a(m) is a(m-1) or a(m-1) + 1.  Subadditivity, a(m) <= a(j) + a(m-j),
+        proves a(m) = a(m-1) when some 2 <= j <= m/2 gives a(j) + a(m-j) <=
+        a(m-1) (j = 1 never does, as a(1) = 1); the adopted witness proves
+        a(m) = a(m-1) + 1 when one of its windows of m integers holds that
+        many elements.  Only a step neither proof settles is searched.
+        """
         self._extend_masks(n + 1)
         iv = self.interval_alpha
         while len(iv) <= n:
             m = len(iv)
-            target = iv[m - 1] + 1
+            a = iv[m - 1]
+            h = m // 2
+            if h >= 2 and min(map(add, iv[2 : h + 1], iv[m - 2 : m - h - 1 : -1])) <= a:
+                iv.append(a)
+                self.proved += 1
+                continue
+            target = a + 1
+            if self._windows is not None and self._windows.span(target) < m:
+                iv.append(target)
+                self.proved += 1
+                continue
             iv.append(target)  # sentinel: a(m) <= a(m-1) + 1 keeps prunes sound
             chosen: list[int] = []
             try:
@@ -221,7 +283,7 @@ class AlphaTable:
             except BudgetExceeded:
                 iv.pop()
                 raise
-            iv[m] = target if found else iv[m - 1]
+            iv[m] = target if found else a
 
 
 def alpha_interval(distances: DistanceSet, n: int, table: AlphaTable, budget: Optional[SearchBudget] = None) -> int:
@@ -352,6 +414,17 @@ def compute_ratio(distances: DistanceSet, budget: Optional[SearchBudget] = None)
     miss changes no bound, but it is a whole circulant search that ends
     below p; the guard q <= n + max(S) keeps the misses few and cheap.
 
+    Each interval step is proved before it is searched
+    (AlphaTable.ensure_interval): by subadditivity, a(j) + a(m-j) <= a(m-1)
+    gives a(m) = a(m-1), and the table adopts the lower witness of each
+    regular round once _circulant_lower has verified it (a jump that hits
+    ends the search), so a window of m integers of that witness holding
+    a(m-1) + 1 elements gives a(m) = a(m-1) + 1.  Both
+    proofs are exact: every a(m), and so every cut, circulant search, bound
+    and witness, is what the search alone would give, but the proved steps
+    cost no nodes, so a budget that runs out does so later in the
+    schedule.  interval_proved counts the steps settled without a search.
+
     Interval minima alone can stay strictly above the ratio forever (for
     {5,6,9}, alpha(G(S)[m]) stays one element above 4m/11 at every multiple
     of 11), so such a set stays 'bounded'.  Budget exhaustion downgrades the
@@ -381,6 +454,7 @@ def compute_ratio(distances: DistanceSet, budget: Optional[SearchBudget] = None)
                 else:  # at least need elements: a better lower bound
                     circulant_rounds += 1
                     lower, lower_witness = _circulant_lower(distances, n, found)
+                    table.adopt_witness(lower_witness)
             if lower < upper:
                 for m in (2 * n - 1, 2 * n):
                     a = alpha_interval(distances, m, table, budget)
@@ -401,6 +475,7 @@ def compute_ratio(distances: DistanceSet, budget: Optional[SearchBudget] = None)
     counters = {
         "nodes": budget.nodes,
         "interval_max_n": len(table.interval_alpha) - 1,
+        "interval_proved": table.proved,
         "circulant_rounds": circulant_rounds,
         "circulant_cut": circulant_cut,
         "circulant_jumps": len(jumped),

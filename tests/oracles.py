@@ -317,6 +317,21 @@ class RecursiveAlphaTable(AlphaTable):
         return recursive_search(self, 0, candidates, target, nbr, bound, budget, chosen)
 
 
+def searched_interval_alpha(distances: DistanceSet, n: int) -> list:
+    """alpha(G(S)[m]) for m = 0..n with a search at every step, as
+    AlphaTable.ensure_interval filled its table before it proved steps:
+    the search for a(m-1) + 1 runs with that target as a(m)'s entry."""
+    table = AlphaTable(distances)
+    table._extend_masks(n + 1)
+    iv, budget = table.interval_alpha, SearchBudget(max_nodes=10**12)
+    for m in range(1, n + 1):
+        target = iv[m - 1] + 1
+        iv.append(target)
+        if not table._search((1 << m) - 1, target, table._nbr, iv, budget, []):
+            iv[m] = target - 1
+    return iv
+
+
 def round_by_round_ratio(distances: DistanceSet, budget: SearchBudget) -> tuple:
     """compute_ratio's schedule without its jump to Z_q: round n runs the
     circulant on Z_n once n > max(S), cut below floor(lower*n) + 1

@@ -143,7 +143,9 @@ def test_the_search_never_asks_the_gap_engine(monkeypatch):
     report = compute_ratio(s, budget=SearchBudget(max_nodes=5000))
     assert counted == []
     assert report.status == "bounded"
-    assert set(report.counters) == {"nodes", "interval_max_n", "circulant_rounds", "circulant_cut", "circulant_jumps"}
+    assert set(report.counters) == {
+        "nodes", "interval_max_n", "interval_proved", "circulant_rounds", "circulant_cut", "circulant_jumps"
+    }
 
 
 def test_bounded_status_propagates():

@@ -15,13 +15,21 @@ from dgratio.search import (
     BudgetExceeded,
     SearchBudget,
     _alpha_circulant_solution,
+    _circulant_lower,
     _circulant_masks,
     _split_runs,
+    _Windows,
     alpha_interval,
     compute_ratio,
 )
 
-from oracles import RecursiveAlphaTable, beta, brute_force_alpha_interval, round_by_round_ratio
+from oracles import (
+    RecursiveAlphaTable,
+    beta,
+    brute_force_alpha_interval,
+    round_by_round_ratio,
+    searched_interval_alpha,
+)
 
 
 def alpha_circulant(distances, n, table=None):
@@ -400,6 +408,69 @@ def test_search_matches_known_family_values():
     assert compute_ratio(DistanceSet([1, 4, 25])).value == Fraction(5, 13)
 
 
+def test_interval_proofs_keep_the_searched_table_on_random_sets():
+    # subadditivity alone, then with the windows of a verified circulant
+    # witness (not always the best one) adopted before the table is filled
+    rng = random.Random(28)
+    proved = [0, 0]
+    for _ in range(200):
+        distances = DistanceSet(rng.sample(range(1, 15), rng.randint(1, 4)))
+        searched = searched_interval_alpha(distances, 40)
+        n = rng.randint(distances.max_element + 1, 2 * distances.max_element + 1)
+        found = _alpha_circulant_solution(distances, n, AlphaTable(distances), SearchBudget(), 0)
+        for with_witness in (False, True):
+            table = AlphaTable(distances)
+            if with_witness:
+                table.adopt_witness(_circulant_lower(distances, n, found)[1])
+            alpha_interval(distances, 40, table)
+            assert table.interval_alpha == searched, (distances, with_witness)
+            proved[with_witness] += table.proved
+    assert 0 < proved[0] < proved[1]
+
+
+@pytest.mark.parametrize(
+    "combo, budget",
+    [((10, 11, 29), None), ((3, 14, 23), None), ((1, 17, 36), 100_000)],
+    ids=lambda arg: ",".join(map(str, arg)) if isinstance(arg, tuple) else str(arg),
+)
+def test_interval_proofs_keep_the_searched_table_on_search_sets(combo, budget):
+    # the witness is compute_ratio's verified lower witness ({1,17,36}
+    # runs out of a reduced budget first); the windows settle steps that
+    # subadditivity leaves open
+    distances = DistanceSet(combo)
+    searched = searched_interval_alpha(distances, 120)
+    report = compute_ratio(distances, budget and SearchBudget(max_nodes=budget))
+    assert report.counters["interval_proved"] > 0
+    witness = report.lower_witness
+    assert verify_periodic_independent(witness, distances).ok
+    proved = []
+    for adopt in (False, True):
+        table = AlphaTable(distances)
+        if adopt:
+            table.adopt_witness(witness)
+        alpha_interval(distances, 120, table)
+        assert table.interval_alpha == searched
+        proved.append(table.proved)
+    assert 0 < proved[0] < proved[1]
+
+
+def test_window_spans_match_a_count_over_every_window():
+    # c elements of the periodic set fit in a window of m integers exactly
+    # when span(c) < m: compared with the best of every window of m
+    rng = random.Random(5)
+    for _ in range(300):
+        gaps = [rng.randint(1, 6) for _ in range(rng.randint(1, 8))]
+        witness = BlockList(gaps)
+        period, xs = witness.period, witness.positions()
+        members = {x + period * r for x in xs for r in range(-1, 5)}
+        windows = _Windows(witness)
+        for m in range(1, 3 * period + 2):
+            best = max(sum(y in members for y in range(start, start + m)) for start in range(period))
+            k, r = len(xs), m % period  # a best window starts at an element
+            assert best == k * (m // period) + max(sum(x <= y < x + r for y in members) for x in xs)
+            assert windows.span(best) < m <= windows.span(best + 1), (gaps, m)
+
+
 def test_interval_resistant_sets_stay_bounded():
     # for this set alpha(G(S)[m])/m exceeds 4/11 at every m (the boundary
     # defect never vanishes), so interval bounds never meet the circulant
@@ -421,7 +492,10 @@ def test_search_counters_report_the_work_done():
     assert report.counters["circulant_rounds"] == 5
     assert report.counters["circulant_cut"] == 1
     assert report.counters["circulant_jumps"] == 0  # no upper bound p/q with 24 < q <= n + 24
-    assert set(report.counters) == {"nodes", "interval_max_n", "circulant_rounds", "circulant_cut", "circulant_jumps"}
+    assert report.counters["interval_proved"] > 0
+    assert set(report.counters) == {
+        "nodes", "interval_max_n", "interval_proved", "circulant_rounds", "circulant_cut", "circulant_jumps"
+    }
     assert report.note is None
 
 
@@ -459,6 +533,7 @@ def test_jumps_close_the_capped_pairs_in_round_max_s(combo, value, nodes, jumps)
     assert report.counters == {
         "nodes": nodes,
         "interval_max_n": value.denominator + 1,  # round (q + 1) / 2 < q
+        "interval_proved": 0,  # subadditivity settles no step, and no round hands on a witness
         "circulant_rounds": 0,
         "circulant_cut": 0,
         "circulant_jumps": jumps,
