@@ -391,6 +391,29 @@ def _circulant_lower(distances: DistanceSet, n: int, found: tuple[int, list[int]
 # interval rounds compute_ratio runs before it reports the bounds it has
 _MAX_ROUNDS = 2000
 
+# nodes a jump to a proper multiple kq (k >= 2) may spend before it gives up:
+# such a hit finds its set at once (at most 4,258 nodes over the search
+# corpus and 600 random sets within {1..30}), a miss can take a million
+_MULTIPLE_JUMP_NODES = 10_000
+
+
+def _circulant_jump(
+    distances: DistanceSet, n: int, table: AlphaTable, budget: SearchBudget, need: int, limit: int
+) -> Optional[tuple[int, list[int]]]:
+    """_alpha_circulant_solution(distances, n, table, budget, need), but None
+    once it has spent `limit` nodes; they count against the budget all the
+    same, and BudgetExceeded still ends the search when the budget runs out
+    first."""
+    trial = SearchBudget(min(budget.max_nodes, budget.nodes + limit), budget.nodes)
+    try:
+        return _alpha_circulant_solution(distances, n, table, trial, need)
+    except BudgetExceeded:
+        if trial.max_nodes == budget.max_nodes:
+            raise
+        return None
+    finally:
+        budget.nodes = trial.nodes
+
 
 def compute_ratio(distances: DistanceSet, budget: Optional[SearchBudget] = None) -> RatioReport:
     """Interleaved two-sided search for the independence ratio of G(S).
@@ -403,16 +426,23 @@ def compute_ratio(distances: DistanceSet, budget: Optional[SearchBudget] = None)
     and upper bounds agree, so a circulant that closes the gap spares the
     round's two largest interval searches.
 
-    The ratio is attained by a periodic set, so once the upper bound reads
-    p/q in lowest terms, Z_q holding p vertices settles it.  After the
-    intervals of round n, if max(n, max(S)) < q <= n + max(S) and Z_q has not
-    been tried, a jump runs the circulant on Z_q with need = p.  As
-    alpha(G(q,S))/q <= ratio <= p/q, a hit holds exactly p vertices and
+    The ratio is attained by a periodic set, and a set of period q has
+    every period kq too, so once the upper bound reads p/q in lowest terms,
+    Z_kq holding kp vertices settles it.  After the intervals of round n,
+    let k be the least integer with kq > max(n, max(S)); if the bounds
+    still differ, kq <= min(2n, n + max(S)) and no jump has been run for
+    this upper bound, a jump runs the circulant on Z_kq with need = kp.  As
+    alpha(G(kq,S))/kq <= ratio <= p/q, a hit holds exactly kp vertices and
     closes the search; need only gates the cut, which cannot fire on such
-    a Z_q, and the prefix-by-prefix search and the interval table are those
-    of round q, so a hit yields the witness round q would have yielded.  A
-    miss changes no bound, but it is a whole circulant search that ends
-    below p; the guard q <= n + max(S) keeps the misses few and cheap.
+    a Z_kq, and the prefix-by-prefix search and the interval values it
+    reads are those of round kq, so a hit yields the witness round kq would
+    have yielded.  A miss changes no bound, but it is a whole circulant
+    search that ends below kp.  The guard kq <= 2n reads only intervals the
+    table holds, so loose early bounds jump no further than the table has
+    grown, and kq <= n + max(S) keeps the misses few and cheap; a jump to a
+    proper multiple (k >= 2) also gives up after _MULTIPLE_JUMP_NODES nodes
+    (_circulant_jump), so its misses cost a search that stays bounded
+    little of its budget.
 
     Each interval step is proved before it is searched
     (AlphaTable.ensure_interval): by subadditivity, a(j) + a(m-j) <= a(m-1)
@@ -431,8 +461,8 @@ def compute_ratio(distances: DistanceSet, budget: Optional[SearchBudget] = None)
     result to certified bounds (status 'bounded'), never an error.
     circulant_rounds counts the regular circulant rounds that raised the
     lower bound, circulant_cut those that could not reach need, and
-    circulant_jumps the jumps run, hit or miss; their nodes count against
-    the budget all the same.
+    circulant_jumps the jumps to some Z_kq run, hit, miss or given up; their
+    nodes count against the budget all the same.
     """
     budget = budget or SearchBudget()
     table = AlphaTable(distances)
@@ -442,7 +472,7 @@ def compute_ratio(distances: DistanceSet, budget: Optional[SearchBudget] = None)
     upper = Fraction(1)
     upper_n: Optional[int] = None
     circulant_rounds = circulant_cut = 0
-    jumped: set[int] = set()  # the q of every jump that ran to its end
+    jumped: set[Fraction] = set()  # the upper bound of every jump run; one the budget cut short is not
     exact = False
     try:
         for n in range(1, _MAX_ROUNDS + 1):
@@ -461,12 +491,14 @@ def compute_ratio(distances: DistanceSet, budget: Optional[SearchBudget] = None)
                     r = Fraction(a, m)
                     if r < upper:
                         upper, upper_n = r, m
-                q = upper.denominator
-                if max(n, s) < q <= n + s and q not in jumped:
-                    found = _alpha_circulant_solution(distances, q, table, budget, upper.numerator)
-                    jumped.add(q)
-                    if found is not None:  # alpha(Z_q)/q <= ratio <= upper: exactly upper
-                        lower, lower_witness = _circulant_lower(distances, q, found)
+                k = max(n, s) // upper.denominator + 1
+                kq = k * upper.denominator
+                if lower < upper and kq <= min(2 * n, n + s) and upper not in jumped:
+                    limit = budget.max_nodes if k == 1 else _MULTIPLE_JUMP_NODES
+                    found = _circulant_jump(distances, kq, table, budget, k * upper.numerator, limit)
+                    jumped.add(upper)
+                    if found is not None:  # alpha(Z_kq)/kq <= ratio <= upper: exactly upper
+                        lower, lower_witness = _circulant_lower(distances, kq, found)
             if lower == upper:
                 exact = True
                 break

@@ -333,9 +333,10 @@ def searched_interval_alpha(distances: DistanceSet, n: int) -> list:
 
 
 def round_by_round_ratio(distances: DistanceSet, budget: SearchBudget) -> tuple:
-    """compute_ratio's schedule without its jump to Z_q: round n runs the
-    circulant on Z_n once n > max(S), cut below floor(lower*n) + 1
-    vertices, then the intervals 2n-1 and 2n while the bounds differ.
+    """compute_ratio's schedule without its jumps to Z_kq, the multiples of
+    the upper bound's denominator q: round n runs the circulant on Z_n once
+    n > max(S), cut below floor(lower*n) + 1 vertices, then the intervals
+    2n-1 and 2n while the bounds differ.
     Returns (status, value, lower, upper, lower_witness, upper_witness_n)."""
     table = AlphaTable(distances)
     s = distances.max_element

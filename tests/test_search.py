@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -9,12 +10,14 @@ import pytest
 
 from dgratio.core import BlockList, DistanceSet, verify_periodic_independent
 from dgratio.registry import closed_form
+from dgratio.stategraph import independence_ratio_exact
 from dgratio.search import (
     FALLBACK_NODE_BUDGET,
     AlphaTable,
     BudgetExceeded,
     SearchBudget,
     _alpha_circulant_solution,
+    _circulant_jump,
     _circulant_lower,
     _circulant_masks,
     _split_runs,
@@ -440,7 +443,8 @@ def test_interval_proofs_keep_the_searched_table_on_search_sets(combo, budget):
     distances = DistanceSet(combo)
     searched = searched_interval_alpha(distances, 120)
     report = compute_ratio(distances, budget and SearchBudget(max_nodes=budget))
-    assert report.counters["interval_proved"] > 0
+    # {10,11,29} closes on Z_40 in round 20, before a step needs a proof
+    assert (report.counters["interval_proved"] > 0) == (combo != (10, 11, 29))
     witness = report.lower_witness
     assert verify_periodic_independent(witness, distances).ok
     proved = []
@@ -471,6 +475,29 @@ def test_window_spans_match_a_count_over_every_window():
             assert windows.span(best) < m <= windows.span(best + 1), (gaps, m)
 
 
+def test_search_agrees_with_the_gap_engine_where_jumps_to_multiples_fire():
+    # max(S) in 10..16: most ratios p/q have q <= max(S), so the jumps to
+    # multiples of q run, hit or miss, in the rounds before max(S); an exact
+    # answer must be the engine's value, and a bounded one must bracket it
+    rng = random.Random(29)
+    sets = set()
+    while len(sets) < 60:
+        combo = tuple(sorted(rng.sample(range(1, 17), rng.randint(2, 4))))
+        if combo[-1] >= 10 and math.gcd(*combo) == 1 and not all(d % 2 for d in combo):
+            sets.add(combo)
+    exact = 0
+    for combo in sorted(sets):
+        distances = DistanceSet(combo)
+        value, _ = independence_ratio_exact(distances)
+        report = compute_ratio(distances, SearchBudget(max_nodes=100_000))
+        if report.status == "exact":
+            assert report.value == value, combo
+            exact += 1
+        else:
+            assert report.lower <= value <= report.upper, combo
+    assert exact >= 50
+
+
 def test_interval_resistant_sets_stay_bounded():
     # for this set alpha(G(S)[m])/m exceeds 4/11 at every m (the boundary
     # defect never vanishes), so interval bounds never meet the circulant
@@ -491,7 +518,7 @@ def test_search_counters_report_the_work_done():
     assert report.status == "exact"
     assert report.counters["circulant_rounds"] == 5
     assert report.counters["circulant_cut"] == 1
-    assert report.counters["circulant_jumps"] == 0  # no upper bound p/q with 24 < q <= n + 24
+    assert report.counters["circulant_jumps"] == 2  # Z_28 for 3/7 and Z_25 for 2/5, both misses
     assert report.counters["interval_proved"] > 0
     assert set(report.counters) == {
         "nodes", "interval_max_n", "interval_proved", "circulant_rounds", "circulant_cut", "circulant_jumps"
@@ -500,17 +527,21 @@ def test_search_counters_report_the_work_done():
 
 
 # the ten light sets of the search benchmark that cost the round-by-round
-# schedule the fewest nodes (388 to 2,631), and sets it closes only past
-# round max(S), where a jump can close them sooner
+# schedule the fewest nodes (388 to 2,631), sets it closes only past round
+# max(S), where a jump can close them sooner, light sets whose ratio p/q
+# has q <= max(S), which a jump to a multiple of q closes, and one whose
+# interval bound meets a circulant lower bound (no jump may then replace
+# the round's witness by one of a longer period)
 _JUMP_SETS = [
     (1, 2, 25), (1, 4, 32), (1, 4, 26), (2, 5, 23), (2, 33), (3, 10, 25), (5, 8, 24), (5, 14, 23),
     (3, 24, 25), (4, 7, 23), (19, 22), (21, 22), (12, 19), (17, 22), (1, 31, 36), (5, 6, 24),
+    (10, 11, 29), (7, 10, 39), (9, 17, 30), (11, 20, 25), (5, 17, 28), (1, 23, 36), (3, 14, 23),
 ]
 
 
 @pytest.mark.parametrize("combo", _JUMP_SETS, ids=lambda combo: ",".join(map(str, combo)))
 def test_jumps_keep_the_round_by_round_answers(combo):
-    # a jump to Z_q that hits finds the witness round q would have found,
+    # a jump to Z_kq that hits finds the witness round kq would have found,
     # and one that misses changes no bound
     distances = DistanceSet(combo)
     report = compute_ratio(distances, SearchBudget(max_nodes=FALLBACK_NODE_BUDGET))
@@ -519,13 +550,16 @@ def test_jumps_keep_the_round_by_round_answers(combo):
 
 
 @pytest.mark.parametrize(
-    "combo, value, nodes, jumps", [((19, 22), Fraction(20, 41), 364_204, 8), ((21, 22), Fraction(21, 43), 805_623, 6)]
+    "combo, value, nodes, jumps",
+    [((19, 22), Fraction(20, 41), 364_312, 9), ((21, 22), Fraction(21, 43), 806_178, 11)],
+    ids=["19,22", "21,22"],
 )
 def test_jumps_close_the_capped_pairs_in_round_max_s(combo, value, nodes, jumps):
     # the round-by-round schedule spends 772,638 and 1,560,626 nodes and
     # closes these in round q, after the intervals up to 2q - 2; a jump hit
     # on Z_q closes them once an interval of round max(S) or just before
-    # reads the value: {21,22} in round 22, after five misses
+    # reads the value: {21,22} in round 22, after ten misses (four of them
+    # on Z_24, a multiple of the loose early bounds 7/8, 3/4, 7/12 and 1/2)
     distances = DistanceSet(combo)
     report = compute_ratio(distances, SearchBudget(max_nodes=FALLBACK_NODE_BUDGET))
     assert report.status == "exact" and report.value == value
@@ -538,6 +572,64 @@ def test_jumps_close_the_capped_pairs_in_round_max_s(combo, value, nodes, jumps)
         "circulant_cut": 0,
         "circulant_jumps": jumps,
     }
+
+
+@pytest.mark.parametrize(
+    "combo, z_q_nodes",
+    [((10, 11, 29), 28_218), ((7, 10, 39), 32_032), ((9, 17, 30), 27_387), ((11, 20, 25), 23_764), ((5, 17, 28), 5_113),
+     ((1, 23, 36), 5_281)],
+    ids=lambda arg: ",".join(map(str, arg)) if isinstance(arg, tuple) else str(arg),
+)
+def test_jumps_to_multiples_close_light_sets_sooner(combo, z_q_nodes):
+    # the ratio p/q has q <= max(S), so Z_q is never searched; once the
+    # upper bound reads p/q, a jump to the least multiple kq > max(n, max(S))
+    # closes the set with fewer nodes than a search that jumps only to Z_q
+    # (z_q_nodes), which waits for round kq or an interval of length 3q
+    distances = DistanceSet(combo)
+    report = compute_ratio(distances, SearchBudget(max_nodes=FALLBACK_NODE_BUDGET))
+    assert report.status == "exact" and report.value.denominator <= distances.max_element
+    assert report.lower_witness.period % report.value.denominator == 0
+    assert report.counters["nodes"] < z_q_nodes
+
+
+def test_a_jump_gives_up_after_its_node_limit():
+    # for {22,23,29}, Z_48 holds fewer than 22 vertices (11/24 is an upper
+    # bound of round 24, not the ratio), and its search takes 104,986 nodes
+    # to show it; nodes spent under the limit count against the budget
+    distances = DistanceSet([22, 23, 29])
+    table = AlphaTable(distances)
+    alpha_interval(distances, 48, table)
+    budget = SearchBudget(max_nodes=FALLBACK_NODE_BUDGET)
+    assert _circulant_jump(distances, 48, table, budget, 22, FALLBACK_NODE_BUDGET) is None
+    assert budget.nodes == 104_986
+    budget = SearchBudget(max_nodes=FALLBACK_NODE_BUDGET, nodes=7)
+    assert _circulant_jump(distances, 48, table, budget, 22, 10_000) is None
+    assert budget.nodes == 7 + 10_001
+    budget = SearchBudget(max_nodes=5_000)
+    with pytest.raises(BudgetExceeded):
+        _circulant_jump(distances, 48, table, budget, 22, 10_000)
+    assert budget.nodes == 5_001
+    # a hit within the limit is the circulant's own answer
+    distances = DistanceSet([10, 11, 29])
+    table = AlphaTable(distances)
+    alpha_interval(distances, 40, table)
+    found = _circulant_jump(distances, 40, table, SearchBudget(), 18, 10_000)
+    assert found is not None and found == _alpha_circulant_solution(distances, 40, table, SearchBudget(), 18)
+
+
+@pytest.mark.parametrize(
+    "combo, budget, lower, upper",
+    [((8, 17, 28, 29), 200_000, Fraction(1, 3), Fraction(7, 19)), ((16, 22, 27), 500_000, Fraction(11, 31), Fraction(9, 22))],
+    ids=["8,17,28,29", "16,22,27"],
+)
+def test_jump_misses_leave_a_bounded_search_its_bounds(combo, budget, lower, upper):
+    # the bounds a search that jumps only to Z_q reaches within the budget;
+    # with no node limit on the jumps to multiples, their misses (Z_46 for
+    # {8,17,28,29}, Z_38 and Z_44 for {16,22,27}) spend the budget before
+    # the first circulant round, and the lower bound stays 1/(max(S) + 1)
+    report = compute_ratio(DistanceSet(combo), SearchBudget(max_nodes=budget))
+    assert report.status == "bounded"
+    assert (report.lower, report.upper) == (lower, upper)
 
 
 @pytest.mark.parametrize("combo, value", [((1, 6, 31), Fraction(13, 32)), ((1, 31, 36), Fraction(28, 67))])
