@@ -10,7 +10,7 @@ from .core import (
     parse_block_notation,
     verify_periodic_independent,
 )
-from .ratio import InexactResultError, fractional_chromatic, independence_ratio
+from .ratio import InexactResultError, fractional_chromatic, independence_ratio, independence_ratios
 from .registry import (
     Family,
     FormulaVerdict,

@@ -34,7 +34,7 @@ from .core import (
     parse_block_notation,
     verify_periodic_independent,
 )
-from .ratio import InexactResultError, fractional_chromatic, independence_ratio
+from .ratio import InexactResultError, fractional_chromatic, independence_ratio, independence_ratios
 from .registry import get_family, list_families, verify_family, UnknownFamilyError
 from .search import FALLBACK_NODE_BUDGET, SearchBudget, default_node_budget
 from .stategraph import (
@@ -224,36 +224,40 @@ def _cmd_table(args):
 
 
 def _table_rows(args, k_lo: int, k_hi: int, i_lo: int, i_hi: int) -> list[dict]:
-    """One row per cell (k, i), the set {1, 1+k, 1+k+i}, in row-major order."""
+    """One row per cell (k, i), the set {1, 1+k, 1+k+i}, in row-major order.
+    The cells are asked together, so they share the gap engine's Howard
+    runs; a cell that goes to the search gets a budget of its own, and a
+    malformed budget is refused before any cell is solved."""
+    max_nodes = _budget(args).max_nodes
+    cells = [(k, i) for k in range(k_lo, k_hi + 1) for i in range(i_lo, i_hi + 1)]
+    sets = [DistanceSet([1, 1 + k, 1 + k + i]) for k, i in cells]
+    reports = independence_ratios(sets, lambda: SearchBudget(max_nodes=max_nodes))
     rows = []
-    for k in range(k_lo, k_hi + 1):
-        for i in range(i_lo, i_hi + 1):
-            distances = DistanceSet([1, 1 + k, 1 + k + i])
-            report = independence_ratio(distances, budget=_budget(args))
-            if report.status == "exact":
-                status = "exact"
-                value = report.value
-            elif any(report.counters.get(name, 0) for name in ("circulant_rounds", "circulant_cut", "circulant_jumps")):
-                status = "lower_bound"
-                value = None
-            else:
-                status = "inconclusive"
-                value = None
-            rows.append(
-                {
-                    "k": k,
-                    "i": i,
-                    "set": ",".join(str(d) for d in distances.distances),
-                    "status": status,
-                    "value_num": value.numerator if value is not None else "",
-                    "value_den": value.denominator if value is not None else "",
-                    "lower_num": report.lower.numerator,
-                    "lower_den": report.lower.denominator,
-                    "upper_num": report.upper.numerator,
-                    "upper_den": report.upper.denominator,
-                    "witness_blocks": report.lower_witness.notation(),
-                }
-            )
+    for (k, i), distances, report in zip(cells, sets, reports):
+        if report.status == "exact":
+            status = "exact"
+            value = report.value
+        elif any(report.counters.get(name, 0) for name in ("circulant_rounds", "circulant_cut", "circulant_jumps")):
+            status = "lower_bound"
+            value = None
+        else:
+            status = "inconclusive"
+            value = None
+        rows.append(
+            {
+                "k": k,
+                "i": i,
+                "set": ",".join(str(d) for d in distances.distances),
+                "status": status,
+                "value_num": value.numerator if value is not None else "",
+                "value_den": value.denominator if value is not None else "",
+                "lower_num": report.lower.numerator,
+                "lower_den": report.lower.denominator,
+                "upper_num": report.upper.numerator,
+                "upper_den": report.upper.denominator,
+                "witness_blocks": report.lower_witness.notation(),
+            }
+        )
     return rows
 
 

@@ -35,7 +35,25 @@ caller may supply (CyclePinning).  By default a cycle is pinned at its
 smallest node, and the returned cycle starts at the first cycle node a walk
 from the smallest node of least mean meets.  The gap engine supplies a rule
 under which Howard on its quotient graph retraces, value for value, the run
-on the graph it is the quotient of.
+on the graph it is the quotient of.  The rule is offered only the policy
+cycles that hold a node whose arc changed since the last evaluation (every
+cycle at the first).  A cycle whose arcs all stayed was a cycle of the last
+policy too, so the previous biases already satisfy its relations
+bias[u] = den*w(u) - num + bias[succ[u]]; pinning it at any of its nodes
+then gives the same biases as pinning it at its smallest node, a shift of
+zero, and the rule need not be asked.
+
+Several disjoint graphs laid end to end can be solved in one run (the
+`parts` of min_mean_cycle_howard), which shares numpy's fixed per-call cost
+among small graphs.  No arc leaves its graph, so every per-node quantity
+(policy, gain, bias, basin) is that graph's own, and gains compare only
+within a graph: the ranks of the union's gains order each graph's gains as
+its own ranks do.  A graph whose rank pass switches skips the bias pass, as
+it would alone, and a graph in which neither pass switches has converged;
+its arcs no longer change, so later evaluations give it the same biases
+(no cycle of it is offered to the pinning rule) and it stays as it is while
+the others go on.  So each graph goes through the policies of its own run,
+and its result is that run's.
 """
 
 from __future__ import annotations
@@ -57,6 +75,9 @@ _INF = np.int64(2**62)
 _SAFE = 2**62
 # above every value a policy improvement pass compares, _INF included
 _NEVER = np.int64(np.iinfo(np.int64).max)
+# below every value a policy improvement pass compares: a row whose current
+# value is _FLOOR never switches
+_FLOOR = np.int64(np.iinfo(np.int64).min)
 # the most arcs a policy improvement pass, or a walk over CSRAdjacency rows,
 # turns into per-arc scratch at a time
 _ARC_BLOCK = 1 << 16
@@ -171,23 +192,36 @@ class CyclePinning:
     cycle and where the cycle it returns starts.  The default rule is
     spelled None.
 
-    pins(succ, wsel, handle) returns the cycle nodes that pin their cycles
-    elsewhere than at the handle (the cycle's smallest node); None when
-    there are none.  start(succ, wsel, v, cycle, weights) is the index in
-    `cycle`, the returned policy cycle listed from the first node a walk
-    from v meets, at which the returned cycle starts.
+    pins(succ, wsel, handle, heads) returns the cycle nodes that pin their
+    cycles elsewhere than at the handle (the cycle's smallest node); None
+    when there are none.  heads lists, in increasing order, the handles of
+    the cycles it may pin elsewhere: those that hold a node whose arc
+    changed since the last evaluation, every cycle at the first; pins is
+    not asked when there are none.  Every
+    other cycle is pinned at its handle, which for such a cycle gives the
+    biases that a pin at any of its nodes gives (see the module docstring).
+    start(succ, wsel, v, cycle, weights) is the index in `cycle`, the
+    returned policy cycle listed from the first node a walk from v meets,
+    at which the returned cycle starts.  part(lo, hi) is the rule for nodes
+    lo..hi-1 of a run on several graphs (min_mean_cycle_howard's parts),
+    numbered from 0, for a run on that graph alone; a rule that reads only
+    the order of nodes within a cycle is its own part.
     """
 
-    def pins(self, succ: np.ndarray, wsel: np.ndarray, handle: np.ndarray):
+    def pins(self, succ: np.ndarray, wsel: np.ndarray, handle: np.ndarray,
+             heads: np.ndarray):
         raise NotImplementedError
 
     def start(self, succ: np.ndarray, wsel: np.ndarray, v: int, cycle: list,
               weights: list) -> int:
         raise NotImplementedError
 
+    def part(self, lo: int, hi: int) -> CyclePinning:
+        return self
+
 
 def _evaluate(succ: np.ndarray, wsel: np.ndarray, prev_bias: np.ndarray, max_w: int,
-              pinning: CyclePinning | None = None):
+              pinning: CyclePinning | None = None, changed: np.ndarray | None = None):
     """Evaluate a policy (functional graph): per-node cycle mean and bias.
 
     Each policy cycle is pinned at a node p, by default its smallest node
@@ -195,10 +229,11 @@ def _evaluate(succ: np.ndarray, wsel: np.ndarray, prev_bias: np.ndarray, max_w: 
     den*W - num*L, where W and L are the weight and arc count of v's path
     to p and num/den is its cycle's mean.  The path to p is the path to h
     and then on round the cycle, so pinning at p shifts h's basin by
-    prev_bias[p] minus p's bias under the pin at h.  Returns (lam_num,
-    lam_den, bias, handle, on_cycle) as int64 and bool arrays, or None when
-    a bias or a candidate bias built from one (an arc weight up to max_w in
-    magnitude, times den) could reach _SAFE.
+    prev_bias[p] minus p's bias under the pin at h.  The pinning rule is
+    offered the cycles that hold a node marked in `changed` (None: every
+    cycle).  Returns (lam_num, lam_den, bias, handle, on_cycle) as int64
+    and bool arrays, or None when a bias or a candidate bias built from one
+    (an arc weight up to max_w in magnitude, times den) could reach _SAFE.
     """
     handle, on_cycle, dist_w, dist_n, lam_num, lam_den = _policy_cycles(succ, wsel)
     n = len(succ)
@@ -206,7 +241,13 @@ def _evaluate(succ: np.ndarray, wsel: np.ndarray, prev_bias: np.ndarray, max_w: 
     if reach >= _SAFE:
         return None
     bias = prev_bias[handle] + lam_den * dist_w - lam_num * dist_n
-    pinned = None if pinning is None else pinning.pins(succ, wsel, handle)
+    pinned = None
+    if pinning is not None:
+        offered = np.zeros(n, dtype=bool)
+        offered[handle[on_cycle if changed is None else on_cycle & changed]] = True
+        heads = offered.nonzero()[0]
+        if len(heads):
+            pinned = pinning.pins(succ, wsel, handle, heads)
     if pinned is not None:
         shift = np.zeros(n, dtype=np.int64)
         shift[handle[pinned]] = prev_bias[pinned] - bias[pinned]
@@ -228,14 +269,15 @@ def _gain_rank(lam_num: np.ndarray, lam_den: np.ndarray, handle: np.ndarray) -> 
 
 
 def _best_cycle(succ: np.ndarray, wsel: np.ndarray, rank: np.ndarray,
-                on_cycle: np.ndarray) -> tuple[list, list]:
-    """The policy cycle of least mean whose basin has the smallest node.
+                on_cycle: np.ndarray, lo: int = 0, hi: int | None = None) -> tuple[list, list]:
+    """The policy cycle of least mean, among nodes lo..hi-1 (a graph of a
+    run on several), whose basin has the smallest node.
 
     Walks from that node to the first cycle node it meets, and lists the
     cycle from there: the order in which a walk over the nodes in increasing
     order meets the cycles and their nodes.
     """
-    v = int(rank.argmin())  # rank 0 is the least mean; argmin takes the smallest node
+    v = lo + int(rank[lo:hi].argmin())  # the least rank is the least mean; argmin takes the smallest node
     while not on_cycle[v]:
         v = int(succ[v])
     cyc = [v]
@@ -246,14 +288,16 @@ def _best_cycle(succ: np.ndarray, wsel: np.ndarray, rank: np.ndarray,
     return cyc, wsel[cyc].tolist()
 
 
-def _segment_argmin_switch(blocks: list, values_of,
-                           current: np.ndarray, pol: np.ndarray) -> bool:
+def _segment_argmin_switch(blocks: list, values_of, current: np.ndarray,
+                           pol: np.ndarray, changed: np.ndarray) -> bool:
     """Switch each node to its first best edge where values beat `current`.
 
     values_of(a, b, lo, hi, deg) gives the values of edges lo..hi-1, the
     out-edges of nodes a..b-1 (below _NEVER; +_INF to exclude), one block
-    of _row_blocks at a time; current is per-node.  Returns whether any switch
-    happened.  Deterministic: first minimal edge in CSR order wins.
+    of _row_blocks at a time; current is per-node.  Marks the switched
+    nodes in `changed`, unless it is None, and returns whether any switch
+    happened.
+    Deterministic: first minimal edge in CSR order wins.
     """
     switched = False
     for a, b, lo, hi, starts, deg in blocks:
@@ -268,6 +312,8 @@ def _segment_argmin_switch(blocks: list, values_of,
         hits = (values == goal.repeat(deg)).nonzero()[0]
         rows = better.nonzero()[0]
         pol[a + rows] = lo + hits[hits.searchsorted(starts[rows])]
+        if changed is not None:
+            changed[a + rows] = True
         switched = True
     return switched
 
@@ -283,7 +329,7 @@ def _initial_policy(num_nodes: int, w: np.ndarray, blocks: list) -> np.ndarray:
 
 
 def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray,
-                          pinning: CyclePinning | None = None):
+                          pinning: CyclePinning | None = None, parts: Sequence[int] | None = None):
     """Minimum mean cycle of a digraph in CSR form; every node needs an out-edge.
 
     The arrays may have any integer dtypes; they are read, never widened.
@@ -292,21 +338,42 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray,
     cycle_weights[j] its weight.  Deterministic for a fixed CSR layout and
     pinning rule (None: the default rule).  The descent rescue ignores the
     rule.
+
+    parts, when given, are the node offsets 0 = o_0 < o_1 < ... < o_P = n
+    of P disjoint graphs laid end to end: nodes o_i..o_(i+1)-1 with no arc
+    leaving them.  They are solved in one run, and the result is a list of
+    P triples, each in its graph's own numbering and equal to the result of
+    a run on that graph alone under pinning.part(o_i, o_(i+1)).  A run that
+    reaches _MAX_ITERATIONS, or whose biases could leave the int64-safe
+    range, solves each graph it has not finished alone, rescue included.
     """
     num_nodes = len(indptr) - 1
     if num_nodes == 0:
         raise NoCycleError("empty graph")
     if (indptr[1:] <= indptr[:-1]).any():
         raise ValueError("every node must have at least one outgoing edge")
+    offsets = [0, num_nodes] if parts is None else [int(o) for o in parts]
+    if parts is not None and (offsets[0] != 0 or offsets[-1] != num_nodes
+                              or any(a >= b for a, b in zip(offsets, offsets[1:]))):
+        raise ValueError("parts must rise strictly from 0 to the node count")
+    several = len(offsets) > 2
+    if several:
+        starts, sizes = np.array(offsets[:-1]), np.diff(offsets)
+    # the nodes a pass switched: their cycles are offered to the pinning
+    # rule, and they tell which graphs of a run on several moved
+    track = several or pinning is not None
     blocks = _row_blocks(indptr)
     pol = _initial_policy(num_nodes, w, blocks)
     max_w = max(int(w.max()), -int(w.min()))
     prev_bias = np.zeros(num_nodes, dtype=np.int64)
+    results: list = [None] * (len(offsets) - 1)
+    unsolved = list(range(len(results)))
+    changed = None  # every arc is new to the first evaluation
 
     for _ in range(_MAX_ITERATIONS):
         succ = dst[pol]
         wsel = w[pol]
-        evaluated = _evaluate(succ, wsel, prev_bias, max_w, pinning)
+        evaluated = _evaluate(succ, wsel, prev_bias, max_w, pinning, changed)
         if evaluated is None:
             break  # biases could leave the int64-safe range: take the safe path
         lam_num, lam_den, bias, handle, on_cycle = evaluated
@@ -330,17 +397,47 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray,
                 cand[rank[tgt] != rank[a:b].repeat(deg)] = _INF
             return cand
 
-        if ranked and _segment_argmin_switch(blocks, rank_of_targets, rank, pol):
+        changed = np.zeros(num_nodes, dtype=bool) if track else None
+        held = None
+        if ranked and _segment_argmin_switch(blocks, rank_of_targets, rank, pol, changed):
+            # a graph that switched to a better gain skips the bias pass
+            if not several:
+                continue
+            held = np.logical_or.reduceat(changed, starts)
+            if held.all():
+                continue
+        current = bias + lam_num
+        if held is not None:
+            current[held.repeat(sizes)] = _FLOOR
+        switched = _segment_argmin_switch(blocks, candidate_bias, current, pol, changed)
+        if switched and not several:
             continue
-        if _segment_argmin_switch(blocks, candidate_bias, bias + lam_num, pol):
-            continue
-        # Bellman optimality reached: the best policy cycle is extremal.
-        cyc, weights = _best_cycle(succ, wsel, rank, on_cycle)
-        if pinning is not None:
-            k = pinning.start(succ, wsel, int(rank.argmin()), cyc, weights)
-            cyc, weights = cyc[k:] + cyc[:k], weights[k:] + weights[:k]
-        return Fraction(int(lam_num[cyc[0]]), int(lam_den[cyc[0]])), cyc, weights
-    return _min_mean_cycle_descent(indptr, dst, w)
+        settled = unsolved
+        if several and (switched or held is not None):
+            moved = np.logical_or.reduceat(changed, starts).tolist()
+            settled = [i for i in unsolved if not moved[i]]
+        # Bellman optimality reached in these graphs: their best policy
+        # cycles are extremal
+        for i in settled:
+            lo, hi = offsets[i], offsets[i + 1]
+            cyc, weights = _best_cycle(succ, wsel, rank, on_cycle, lo, hi)
+            if pinning is not None:
+                k = pinning.start(succ, wsel, lo + int(rank[lo:hi].argmin()), cyc, weights)
+                cyc, weights = cyc[k:] + cyc[:k], weights[k:] + weights[:k]
+            mean = Fraction(int(lam_num[cyc[0]]), int(lam_den[cyc[0]]))
+            results[i] = (mean, [v - lo for v in cyc], weights)
+        unsolved = [i for i in unsolved if results[i] is None]
+        if not unsolved:
+            return results[0] if parts is None else results
+    if not several:
+        rescued = _min_mean_cycle_descent(indptr, dst, w)
+        return rescued if parts is None else [rescued]
+    for i in unsolved:
+        lo, hi = offsets[i], offsets[i + 1]
+        a, b = int(indptr[lo]), int(indptr[hi])
+        results[i] = min_mean_cycle_howard(
+            indptr[lo:hi + 1] - a, dst[a:b] - lo, w[a:b], None if pinning is None else pinning.part(lo, hi))
+    return results
 
 
 def _cycle_from_parents(parent_edge: list, dst_l: list, src_l: list, start: int,

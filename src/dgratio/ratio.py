@@ -6,14 +6,15 @@ exactly with the gap-state engine, and run the two-sided interval/circulant
 search only when that engine refuses the set, with a note that names the
 refusal.  Witnesses found for the reduced set are rescaled so the report's
 witness is always a verified periodic independent set for the set that was
-asked about.
+asked about.  Several questions asked together share the gap engine's
+Howard runs (independence_ratios); one question is a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .core import (
     DEFAULT_EXPANSION_CAP,
@@ -24,7 +25,13 @@ from .core import (
     verify_periodic_independent,
 )
 from .search import RatioReport, SearchBudget, compute_ratio
-from .stategraph import DEFAULT_CAPS, EngineCaps, StateSpaceError, independence_ratio_exact
+from .stategraph import (  # noqa: F401  perfbench/spans.py hooks independence_ratio_exact here
+    DEFAULT_CAPS,
+    EngineCaps,
+    StateSpaceError,
+    independence_ratio_exact,
+    independence_ratios_exact,
+)
 
 
 class InexactResultError(RuntimeError):
@@ -73,33 +80,52 @@ def _exact_report(distances: DistanceSet, value: Fraction, witness: BlockList, m
     )
 
 
+def independence_ratios(
+    sets: Sequence[DistanceSet],
+    new_budget: Callable[[], Optional[SearchBudget]] = SearchBudget,
+    caps: EngineCaps = DEFAULT_CAPS,
+) -> list[RatioReport]:
+    """The report independence_ratio gives for each set, in set order.
+
+    The gap-engine sets are solved together (independence_ratios_exact).
+    Then, in set order, a set the engine refused goes to the search with a
+    budget of its own from new_budget(), and every witness is rescaled and
+    verified, so an error is raised at the set that meets it first.
+    """
+    normalized = [normalize(distances) for distances in sets]
+    exact = iter(independence_ratios_exact([ns.reduced for ns in normalized if not ns.all_odd], caps))
+    reports = []
+    for distances, ns in zip(sets, normalized):
+        reduced, divisor = ns.reduced, ns.divisor
+        if ns.all_odd:
+            # the even integers, scaled by the divisor below
+            report = _exact_report(reduced, Fraction(1, 2), BlockList([2]), "shortcut")
+            notes = []
+        else:
+            notes = [f"gcd {divisor} factored out; computed on {reduced}"] if divisor > 1 else []
+            answer = next(exact)
+            if isinstance(answer, StateSpaceError):
+                report = compute_ratio(reduced, budget=new_budget())
+                notes.append(f"gap-state engine refused: {answer}")
+            else:
+                report = _exact_report(reduced, *answer, "stategraph")
+
+        witness = scale_block_witness(report.lower_witness, divisor)
+        if not verify_periodic_independent(witness, distances).ok:
+            raise AssertionError(f"internal error: witness for {distances} failed verification")
+        reports.append(replace(report, distances=distances, lower_witness=witness,
+                               note="; ".join(notes) or None))
+    return reports
+
+
 def independence_ratio(
     distances: DistanceSet,
     budget: Optional[SearchBudget] = None,
     caps: EngineCaps = DEFAULT_CAPS,
 ) -> RatioReport:
     """Independence ratio of G(S): exact where possible, else certified bounds."""
-    ns = normalize(distances)
-    reduced, divisor = ns.reduced, ns.divisor
-
-    if ns.all_odd:
-        # the even integers, scaled by the divisor below
-        report = _exact_report(reduced, Fraction(1, 2), BlockList([2]), "shortcut")
-        notes = []
-    else:
-        notes = [f"gcd {divisor} factored out; computed on {reduced}"] if divisor > 1 else []
-        try:
-            value, witness = independence_ratio_exact(reduced, caps)
-        except StateSpaceError as exc:
-            report = compute_ratio(reduced, budget=budget)
-            notes.append(f"gap-state engine refused: {exc}")
-        else:
-            report = _exact_report(reduced, value, witness, "stategraph")
-
-    witness = scale_block_witness(report.lower_witness, divisor)
-    if not verify_periodic_independent(witness, distances).ok:
-        raise AssertionError(f"internal error: witness for {distances} failed verification")
-    return replace(report, distances=distances, lower_witness=witness, note="; ".join(notes) or None)
+    [report] = independence_ratios([distances], lambda: budget, caps)
+    return report
 
 
 def fractional_chromatic(

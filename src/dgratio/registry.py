@@ -31,7 +31,7 @@ from math import gcd
 from typing import Callable, Optional
 
 from .core import BlockList, DistanceSet, verify_periodic_independent
-from .ratio import independence_ratio
+from .ratio import independence_ratios
 from .search import RatioReport, SearchBudget
 
 THEOREM = "theorem"
@@ -1026,19 +1026,22 @@ def verify_family(
 ) -> list[FormulaVerdict]:
     """Check every in-domain parameter point of a family in [lo, hi].
 
-    The engine value comes from the usual pipeline (state graph when the set
-    is small, two-sided search otherwise).  Witness block lists, when present,
-    are verified independent and compared against the stated density.  budget_nodes caps the search nodes spent per parameter point.
+    The engine values come from one independence_ratios call on every
+    point's set, so the gap-engine points share Howard runs.  A set the gap
+    engine refuses still goes to the two-sided search, in set order, and
+    each searched point gets a fresh SearchBudget: budget_nodes caps the
+    search nodes spent per point (None: the default budget), and a
+    malformed budget is refused before any point is solved.  Witness block
+    lists, when present, are verified independent and compared against the
+    stated density.
     """
     fam = get_family(family_id)
+    points = list(fam.sweep(lo, hi))
+    sets = [fam.build_set(params) for params in points]
+    max_nodes = (SearchBudget() if budget_nodes is None else SearchBudget(max_nodes=budget_nodes)).max_nodes
     verdicts = []
-    for params in fam.sweep(lo, hi):
-        distances = fam.build_set(params)
+    for params, distances, report in zip(points, sets, independence_ratios(sets, lambda: SearchBudget(max_nodes=max_nodes))):
         predicted = fam.predicted(params)
-        point_budget = (
-            SearchBudget() if budget_nodes is None else SearchBudget(max_nodes=budget_nodes)
-        )
-        report = independence_ratio(distances, budget=point_budget)
         witness_ok = None
         blocks = fam.witness(params)
         if blocks is not None:

@@ -22,6 +22,9 @@ witnesses and evaluation counts are the mask engine's: states are numbered
 by their least mask in its breadth-first order, which is the order by
 popcount and then by the gap word read from the oldest element, and each
 policy cycle is pinned where the mask engine pinned it (_MaskPinning).
+Several sets asked together share Howard runs on unions of their graphs
+(independence_ratios_exact); each graph still goes through its own run's
+policies, so this holds per graph.
 
 The other problems share one sliding-window automaton (build_state_graph):
 a state is the last L positions, an arc appends one position, and an arc is
@@ -39,7 +42,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -552,18 +555,33 @@ class _MaskPinning(meancycle.CyclePinning):
     window of max(S) positions behind its element, in the cycle's periodic
     word.  The mask engine pins that cycle at the cycle mask it numbered
     first, and returns the cycle from the first cycle mask that a walk of
-    masks from the least mask of Howard's start node meets.  least[i] is
-    node i's least mask; shared lists the nodes with more than one.
+    masks from the least mask of Howard's start node meets.  width[i] is
+    max(S) for node i's graph (a run on several gap graphs holds several),
+    least[i] is node i's least mask, and shared lists the nodes with more
+    than one.
     """
 
-    def __init__(self, s: int, least: np.ndarray, shared: np.ndarray):
-        self.s, self.least, self.shared = s, least, shared
+    def __init__(self, width: np.ndarray, least: np.ndarray, shared: np.ndarray):
+        self.width, self.least, self.shared = width, least, shared
 
-    def _cycle_masks(self, gaps: list) -> list:
+    @classmethod
+    def joined(cls, rules: list, offsets: list) -> _MaskPinning:
+        """The rule for graphs laid end to end, the one of rules[i] starting
+        at node offsets[i]."""
+        return cls(np.concatenate([r.width for r in rules]),
+                   np.concatenate([r.least for r in rules]),
+                   np.concatenate([r.shared + o for r, o in zip(rules, offsets)]))
+
+    def part(self, lo, hi):
+        keep = (self.shared >= lo) & (self.shared < hi)
+        return _MaskPinning(self.width[lo:hi], self.least[lo:hi], self.shared[keep] - lo)
+
+    @staticmethod
+    def _cycle_masks(s: int, gaps: list) -> list:
         """The cycle masks of a policy cycle's nodes, where gaps[j] leads
         from node j to node j + 1.  A walk of masks from mask 1 at node 0
         holds the cycle mask once its gaps span max(S) - 1 positions."""
-        s, window, length = self.s, (1 << self.s) - 1, len(gaps)
+        window, length = (1 << s) - 1, len(gaps)
         mask, span, j = 1, 0, 0
         while span < s - 1:
             span += gaps[j % length]
@@ -575,26 +593,30 @@ class _MaskPinning(meancycle.CyclePinning):
             mask = ((mask << gaps[j % length]) & window) | 1
         return masks
 
-    def pins(self, succ, wsel, handle):
+    def pins(self, succ, wsel, handle, heads):
         # nodes are numbered by least mask, so a cycle whose smallest node
         # has one mask is pinned there: that mask is numbered before every
-        # mask of the cycle's other nodes
+        # mask of the cycle's other nodes.  Walked: the shared nodes that
+        # are offered heads (both lists are increasing)
         pinned = []
-        for head in self.shared[handle[self.shared] == self.shared].tolist():
+        at = heads.searchsorted(self.shared)
+        for head in self.shared[heads.take(at, mode="clip") == self.shared].tolist():
             cycle, gaps, v = [], [], head
             while not cycle or v != head:
                 cycle.append(v)
                 gaps.append(int(wsel[v]))
                 v = int(succ[v])
-            keys = [_mask_key(mask, self.s) for mask in self._cycle_masks(gaps)]
+            s = int(self.width[head])
+            keys = [_mask_key(mask, s) for mask in self._cycle_masks(s, gaps)]
             k = keys.index(min(keys))
             if k:  # pinned elsewhere than at the head
                 pinned.append(cycle[k])
         return np.array(pinned, dtype=np.int64) if pinned else None
 
     def start(self, succ, wsel, v, cycle, weights):
-        window = (1 << self.s) - 1
-        cycle_masks = self._cycle_masks(weights)
+        s = int(self.width[v])
+        window = (1 << s) - 1
+        cycle_masks = self._cycle_masks(s, weights)
         at = {u: i for i, u in enumerate(cycle)}
         mask, node = int(self.least[v]), v
         while at.get(node) is None or mask != cycle_masks[at[node]]:
@@ -652,7 +674,7 @@ def _independence_gap_graph(distances: DistanceSet, max_states: int):
     number[node_of] = np.arange(n, dtype=index)
     order = values[node_of]
     shared = np.flatnonzero(np.diff(np.append(starts, len(masks)))[node_of] > 1)
-    pinning = _MaskPinning(s, masks[by_key[least[node_of]]], shared)
+    pinning = _MaskPinning(np.full(n, s, dtype=np.uint8), masks[by_key[least[node_of]]], shared)
     gaps = np.arange(1, s + 2, dtype=np.int64)
     per_block = max(1, meancycle._ARC_BLOCK // len(gaps))
     deg, dst, gap_of = [], [], []
@@ -674,6 +696,87 @@ def _independence_gap_graph(distances: DistanceSet, max_states: int):
     return order, _GapArcs(indptr, np.concatenate(dst), np.concatenate(gap_of), pinning)
 
 
+def _gap_arcs(distances: DistanceSet, caps: EngineCaps) -> _GapArcs:
+    """The gap graph's arcs, or StateSpaceError when a cap refuses it."""
+    if distances.max_element > caps.independence_max_element:
+        raise StateSpaceError(
+            f"max(S) = {distances.max_element} exceeds the independence cap "
+            f"{caps.independence_max_element}",
+            required=distances.max_element,
+        )
+    return _independence_gap_graph(distances, caps.independence_max_states)[1]
+
+
+def _unions(graphs: Iterable[tuple]) -> Iterator[list]:
+    """Consecutive (index, arcs) pairs in groups of at most
+    meancycle._ARC_BLOCK arcs in all; a larger graph makes a group of its
+    own.  A generator, so only one group's graphs are held at a time."""
+    group, held = [], 0
+    for index, arcs in graphs:
+        if group and held + len(arcs.dst) > meancycle._ARC_BLOCK:
+            yield group
+            group, held = [], 0
+        group.append((index, arcs))
+        held += len(arcs.dst)
+    if group:
+        yield group
+
+
+def _solve_together(graphs: list) -> list:
+    """Howard's (mean, cycle, gaps) for each gap graph, from one run on
+    the graphs laid end to end under their joined pinning rules."""
+    csrs = [meancycle.csr_from_adjacency(arcs) for arcs in graphs]
+    if len(csrs) == 1:
+        return [meancycle.min_mean_cycle_howard(*csrs[0], graphs[0].pinning)]
+    # Python int offsets keep the int32 targets int32 under either numpy
+    nodes = np.cumsum([0] + [len(indptr) - 1 for indptr, _, _ in csrs]).tolist()
+    arcs_before = np.cumsum([0] + [len(dst) for _, dst, _ in csrs]).tolist()
+    indptr = np.concatenate([[0]] + [indptr[1:] + a for (indptr, _, _), a in zip(csrs, arcs_before)])
+    dst = np.concatenate([dst + o for (_, dst, _), o in zip(csrs, nodes)])
+    w = np.concatenate([w for _, _, w in csrs])
+    pinning = _MaskPinning.joined([arcs.pinning for arcs in graphs], nodes[:-1])
+    return meancycle.min_mean_cycle_howard(indptr, dst, w, pinning, nodes)
+
+
+def independence_ratios_exact(sets: Sequence[DistanceSet], caps: EngineCaps = DEFAULT_CAPS) -> list:
+    """independence_ratio_exact for each set: its (value, witness), or the
+    StateSpaceError that refused it, in set order.
+
+    Each set's gap graph is built on its own.  Consecutive graphs are then
+    solved together, in one Howard run on unions of at most
+    meancycle._ARC_BLOCK arcs, so a union needs no more per-arc scratch
+    than one graph of a block; a larger graph runs alone.  Every graph's
+    result is that of its own run (see the meancycle module docstring), and
+    every witness is verified on its own.
+    """
+    answers: list = [None] * len(sets)
+
+    def built():
+        for index, distances in enumerate(sets):
+            try:
+                arcs = _gap_arcs(distances, caps)
+            except StateSpaceError as exc:
+                # kept without its traceback, whose frames hold the refused
+                # build's arrays
+                answers[index] = exc.with_traceback(None)
+                continue
+            yield index, arcs
+
+    for group in _unions(built()):
+        solved = _solve_together([arcs for _, arcs in group])
+        for (index, _), (mean, _, gaps) in zip(group, solved):
+            distances = sets[index]
+            value = 1 / mean
+            witness = BlockList(gaps)
+            verdict = verify_periodic_independent(witness, distances)
+            if not verdict.ok or witness.density() != value:
+                raise AssertionError(
+                    f"internal error: witness for {distances} failed verification"
+                )
+            answers[index] = (value, witness)
+    return answers
+
+
 def independence_ratio_exact(
     distances: DistanceSet, caps: EngineCaps = DEFAULT_CAPS
 ) -> tuple[Fraction, BlockList]:
@@ -681,25 +784,13 @@ def independence_ratio_exact(
 
     Minimizes the mean element gap over cycles of the compressed state
     graph; the ratio is the reciprocal and the witness is the cycle's gap
-    sequence.  Requires max(S) within the configured cap.
+    sequence.  Requires max(S) within the configured cap.  A batch of one
+    of independence_ratios_exact.
     """
-    if distances.max_element > caps.independence_max_element:
-        raise StateSpaceError(
-            f"max(S) = {distances.max_element} exceeds the independence cap "
-            f"{caps.independence_max_element}",
-            required=distances.max_element,
-        )
-    _, adjacency = _independence_gap_graph(distances, caps.independence_max_states)
-    indptr, dst, w = meancycle.csr_from_adjacency(adjacency)
-    mean, _, gaps = meancycle.min_mean_cycle_howard(indptr, dst, w, adjacency.pinning)
-    value = 1 / mean
-    witness = BlockList(gaps)
-    verdict = verify_periodic_independent(witness, distances)
-    if not verdict.ok or witness.density() != value:
-        raise AssertionError(
-            f"internal error: witness for {distances} failed verification"
-        )
-    return value, witness
+    [answer] = independence_ratios_exact([distances], caps)
+    if isinstance(answer, StateSpaceError):
+        raise answer
+    return answer
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,9 @@ against.  None of them is used by the package itself.
   on every arc and all arcs in each improvement pass, whose CSR arrays,
   results and evaluation counts the block-wise mask graph and the lean
   Howard must keep;
+- the pinning rule offered every policy cycle at every evaluation,
+  whichever changed, whose biases, values, cycles and evaluation counts
+  Howard's changed-cycle offer must keep;
 - window graphs with list adjacency, pruned by a Python loop, whose arcs
   may add several positions, with their extremal mean cycles in either
   direction:
@@ -584,6 +587,23 @@ def wide_min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarra
         cyc, weights = meancycle._best_cycle(succ, wsel, rank, on_cycle)
         return Fraction(int(lam_num[cyc[0]]), int(lam_den[cyc[0]])), cyc, weights, evaluations
     return (*meancycle._min_mean_cycle_descent(indptr, dst, w), evaluations)
+
+
+class PinEveryCycle(meancycle.CyclePinning):
+    """A pinning rule that asks `rule` about every policy cycle at every
+    evaluation, ignoring which cycles Howard offers it."""
+
+    def __init__(self, rule: meancycle.CyclePinning):
+        self.rule = rule
+
+    def pins(self, succ, wsel, handle, heads):
+        return self.rule.pins(succ, wsel, handle, np.unique(handle))
+
+    def start(self, succ, wsel, v, cycle, weights):
+        return self.rule.start(succ, wsel, v, cycle, weights)
+
+    def part(self, lo, hi):
+        return PinEveryCycle(self.rule.part(lo, hi))
 
 
 # ---------------------------------------------------------------------------

@@ -350,7 +350,7 @@ def test_table_that_stops_partway_keeps_the_old_output(tmp_path, monkeypatch, ca
     kept = tmp_path / "kept.csv"
     kept.write_text("kept\n")
     argv = ["table", "--k", "1..2", "--i", "1..2", "--out", str(kept)]
-    # a malformed budget is refused at the first cell
+    # a malformed budget is refused before any cell is solved
     monkeypatch.setenv("DGRATIO_BUDGET", "0")
     code, _, err = _capture(capsys, argv)
     assert code == 2 and "DGRATIO_BUDGET" in err
@@ -360,7 +360,7 @@ def test_table_that_stops_partway_keeps_the_old_output(tmp_path, monkeypatch, ca
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(dgratio.cli, "independence_ratio", interrupted)
+    monkeypatch.setattr(dgratio.cli, "independence_ratios", interrupted)
     with pytest.raises(KeyboardInterrupt):
         run(argv)
     assert kept.read_text() == "kept\n"

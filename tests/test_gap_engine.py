@@ -25,7 +25,14 @@ from dgratio.stategraph import (
     independence_ratio_exact,
 )
 
-from oracles import f_state_bfs, mask_gap_graph, scan_gap_state_masks, wide_gap_graph, wide_min_mean_cycle_howard
+from oracles import (
+    PinEveryCycle,
+    f_state_bfs,
+    mask_gap_graph,
+    scan_gap_state_masks,
+    wide_gap_graph,
+    wide_min_mean_cycle_howard,
+)
 
 REFERENCE_TABLE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "table_k1-10_i1-12.csv"
 
@@ -201,6 +208,76 @@ def test_lean_engine_matches_the_wide_oracle(evaluate_calls):
         assert (got_mean, got_gaps) == (mean, gaps), combo
         assert len(evaluate_calls) == evaluations, combo
         assert independence_ratio_exact(distances)[1].sizes == tuple(gaps), combo
+
+
+def test_pinning_only_the_changed_cycles_shifts_no_bias(monkeypatch):
+    # a cycle whose arcs all stayed already satisfies its bias relations, so
+    # the rule asked about every cycle gives the same biases at every
+    # evaluation, hence the same policies, value, cycle and weights
+    biases = []
+    evaluate = meancycle._evaluate
+
+    def recorded(*args):
+        result = evaluate(*args)
+        biases.append(None if result is None else result[2].tolist())
+        return result
+
+    monkeypatch.setattr(meancycle, "_evaluate", recorded)
+    offered = [0, 0]
+
+    class Counted(meancycle.CyclePinning):
+        def __init__(self, rule, slot):
+            self.rule, self.slot = rule, slot
+
+        def pins(self, succ, wsel, handle, heads):
+            offered[self.slot] += len(heads)
+            return self.rule.pins(succ, wsel, handle, heads)
+
+        def start(self, succ, wsel, v, cycle, weights):
+            return self.rule.start(succ, wsel, v, cycle, weights)
+
+    combos = [c for size in range(1, 11) for c in combinations(range(1, 11), size)]
+    for combo in combos + GAP_LARGE_POOL:
+        _, arcs = _independence_gap_graph(DistanceSet(combo), 10**6)
+        runs = []
+        for rule in (Counted(arcs.pinning, 0), PinEveryCycle(Counted(arcs.pinning, 1))):
+            biases.clear()
+            result = meancycle.min_mean_cycle_howard(arcs.indptr, arcs.dst, arcs.w, rule)
+            runs.append((result, list(biases)))
+        assert runs[0] == runs[1], combo
+    assert offered[0] < offered[1]
+
+
+def test_a_joined_mask_rule_parts_back_into_each_graphs_rule():
+    graphs = [_independence_gap_graph(DistanceSet(combo), 10**6)[1] for combo in TABLE_SETS[:12]]
+    offsets = np.cumsum([0] + [len(arcs) for arcs in graphs]).tolist()
+    joined = stategraph._MaskPinning.joined([arcs.pinning for arcs in graphs], offsets[:-1])
+    for arcs, lo, hi in zip(graphs, offsets, offsets[1:]):
+        part = joined.part(lo, hi)
+        for name in ("width", "least", "shared"):
+            assert np.array_equal(getattr(part, name), getattr(arcs.pinning, name))
+
+
+def test_a_union_past_the_safe_range_solves_each_gap_graph_alone(monkeypatch):
+    # every evaluation of a union reads as past the int64-safe range, so
+    # each graph is solved alone under its part of the joined rule, with
+    # the value and witness of the shared run
+    sets = [DistanceSet(combo) for combo in TABLE_SETS]
+    want = stategraph.independence_ratios_exact(sets)
+    largest = max(len(_independence_gap_graph(s, 10**6)[0]) for s in sets)
+    refused = []
+    evaluate = meancycle._evaluate
+
+    def unsafe_unions(succ, *rest):
+        if len(succ) > largest:
+            refused.append(1)
+            return None
+        return evaluate(succ, *rest)
+
+    monkeypatch.setattr(meancycle, "_evaluate", unsafe_unions)
+    monkeypatch.setattr(meancycle, "_min_mean_cycle_descent", lambda *args: pytest.fail("descent"))
+    assert stategraph.independence_ratios_exact(sets) == want
+    assert len(refused) > 1
 
 
 def test_grown_masks_equal_the_scan():

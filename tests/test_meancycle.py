@@ -90,9 +90,9 @@ class _PinAtLargest(meancycle.CyclePinning):
     """Pins each policy cycle at its largest node and returns the cycle from
     its largest node."""
 
-    def pins(self, succ, wsel, handle):
+    def pins(self, succ, wsel, handle, heads):
         pinned = []
-        for head in np.unique(handle).tolist():
+        for head in heads.tolist():
             cycle, v = [head], int(succ[head])
             while v != head:
                 cycle.append(v)
@@ -117,6 +117,84 @@ def test_any_pinning_rule_keeps_the_minimum_mean():
         assert cyc[0] == max(cyc) and Fraction(sum(weights), len(cyc)) == got
         for j, u in enumerate(cyc):
             assert (weights[j], cyc[(j + 1) % len(cyc)]) in adjacency[u]
+
+
+def _union(graphs):
+    """The CSR arrays of adjacency lists laid end to end, and their node
+    offsets."""
+    adjacency, offsets = [], [0]
+    for graph in graphs:
+        adjacency += [[(wt, v + offsets[-1]) for wt, v in row] for row in graph]
+        offsets.append(len(adjacency))
+    return _csr(adjacency), offsets
+
+
+@pytest.mark.parametrize("rule", [None, _PinAtLargest()])
+def test_a_run_on_several_graphs_equals_a_run_on_each(evaluate_calls, rule):
+    rng = random.Random(23)
+    for _ in range(200):
+        graphs = [_random_graph(rng, rng.randint(1, 12))[0] for _ in range(rng.randint(1, 6))]
+        alone, longest = [], 0
+        for graph in graphs:
+            evaluate_calls.clear()
+            alone.append(meancycle.min_mean_cycle_howard(*_csr(graph), rule))
+            longest = max(longest, len(evaluate_calls))
+        csr, offsets = _union(graphs)
+        for arrays in (csr, _narrow(*csr)):
+            evaluate_calls.clear()
+            assert meancycle.min_mean_cycle_howard(*arrays, rule, offsets) == alone
+            # no graph waits for another: the run takes the evaluations of
+            # the longest run on one
+            assert len(evaluate_calls) == longest
+
+
+def test_parts_must_rise_from_zero_to_the_node_count():
+    (indptr, dst, w), _ = _union([[[(1, 0)]], [[(2, 0)]]])
+    assert meancycle.min_mean_cycle_howard(indptr, dst, w, parts=[0, 1, 2]) == [
+        (1, [0], [1]), (2, [0], [2])]
+    for parts in ([0, 2, 2], [1, 2], [0, 1], [0, 1, 3]):
+        with pytest.raises(ValueError):
+            meancycle.min_mean_cycle_howard(indptr, dst, w, parts=parts)
+
+
+def test_an_unfinished_run_on_several_graphs_solves_each_graph_alone(monkeypatch):
+    # cut at two evaluations, a run on several graphs leaves some unfinished,
+    # and weights near 2^60 in one graph put every bias of a run on several
+    # past the int64-safe range at once: each unfinished graph is then
+    # solved alone, descent rescue included, as a run on it alone is
+    descents = []
+    descent = meancycle._min_mean_cycle_descent
+
+    def counted(*args):
+        descents.append(1)
+        return descent(*args)
+
+    monkeypatch.setattr(meancycle, "_min_mean_cycle_descent", counted)
+    rng = random.Random(31)
+    for cut, huge in ((2, False), (meancycle._MAX_ITERATIONS, True)):
+        monkeypatch.setattr(meancycle, "_MAX_ITERATIONS", cut)
+        unfinished = 0
+        for rule in (None, _PinAtLargest()):
+            for _ in range(60):
+                graphs = [_random_graph(rng, rng.randint(1, 10))[0] for _ in range(rng.randint(2, 5))]
+                if huge:
+                    graphs[-1] = [[(rng.choice((-1, 1)) * 2**60 + wt, v) for wt, v in row]
+                                  for row in _random_graph(rng, rng.randint(2, 8))[0]]
+                descents.clear()
+                alone = [meancycle.min_mean_cycle_howard(*_csr(graph), rule) for graph in graphs]
+                rescued = len(descents)
+                descents.clear()
+                csr, offsets = _union(graphs)
+                assert meancycle.min_mean_cycle_howard(*csr, rule, offsets) == alone
+                assert len(descents) == rescued
+                unfinished += rescued
+                if huge:
+                    assert rescued == 1  # the graph with weights near 2^60
+                for (mean, cyc, weights), graph in zip(alone, graphs):
+                    assert Fraction(sum(weights), len(cyc)) == mean
+                    for j, u in enumerate(cyc):
+                        assert (weights[j], cyc[(j + 1) % len(cyc)]) in graph[u]
+        assert unfinished > 100
 
 
 def _narrow(indptr, dst, w):

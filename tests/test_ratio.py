@@ -6,14 +6,16 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import dgratio
-from dgratio.core import DistanceSet, verify_periodic_independent
-from dgratio.ratio import independence_ratio, scale_block_witness
+from dgratio import meancycle
+from dgratio.core import DistanceSet, ExpansionLimitError, verify_periodic_independent
+from dgratio.ratio import independence_ratio, independence_ratios, scale_block_witness
 from dgratio.search import SearchBudget, compute_ratio
-from dgratio.stategraph import EngineCaps, StateSpaceError, independence_ratio_exact
+from dgratio.stategraph import EngineCaps, StateSpaceError, _independence_gap_graph, independence_ratio_exact
 
 
 def test_all_odd_shortcut():
@@ -146,6 +148,69 @@ def test_the_search_never_asks_the_gap_engine(monkeypatch):
     assert set(report.counters) == {
         "nodes", "interval_max_n", "interval_proved", "circulant_rounds", "circulant_cut", "circulant_jumps"
     }
+
+
+def test_a_batch_gives_each_set_the_report_it_gets_alone():
+    # the gap-engine sets of a batch share Howard runs, in unions of at most
+    # _ARC_BLOCK arcs, and a larger graph runs alone; every report is still
+    # the one its set gets alone, field for field
+    subsets = [DistanceSet(c) for size in range(1, 11) for c in combinations(range(1, 11), size)]
+    rng = random.Random(29)
+    copies = [DistanceSet([d * x for x in rng.choice(subsets).distances]) for d in (2, 3, 4, 5) * 10]
+    large = DistanceSet([2, 21])
+    assert len(_independence_gap_graph(large, 10**6)[1].dst) > meancycle._ARC_BLOCK
+    batch = subsets + copies + [large, DistanceSet([1, 4, 25]), DistanceSet([2, 8, 50])]
+    rng.shuffle(batch)
+    reports = independence_ratios(batch)
+    assert len(reports) == len(batch)
+    for distances, report in zip(batch, reports):
+        assert report == independence_ratio(distances), distances  # every dataclass field
+    assert {r.method for r in reports} == {"stategraph", "shortcut", "search"}
+    assert any(r.distances.distances[0] > 1 and r.method == "stategraph" for r in reports)
+
+
+def test_a_batch_under_a_small_mask_cap_searches_the_refused_sets_in_order():
+    # each searched set gets a budget of its own, made when it is searched
+    small = EngineCaps(independence_max_states=40)
+    batch = [DistanceSet(c) for size in (2, 3) for c in combinations(range(1, 8), size)]
+    made = []
+
+    def new_budget():
+        made.append(SearchBudget(max_nodes=2000))
+        return made[-1]
+
+    reports = independence_ratios(batch, new_budget, small)
+    searched = [r for r in reports if r.method == "search"]
+    assert len(made) == len(searched) and len({id(b) for b in made}) == len(made)
+    assert all("gap masks, over the cap of 40 masks" in r.note for r in searched)
+    assert any(r.method == "stategraph" for r in reports)
+    for distances, report in zip(batch, reports):
+        assert report == independence_ratio(distances, SearchBudget(max_nodes=2000), small), distances
+
+
+def test_a_batch_raises_where_one_set_at_a_time_raised(monkeypatch):
+    # {10^6, 4*10^6} reduces to {1,4}, a gap-engine set, whose witness
+    # scaled by 10^6 is past the expansion cap: the refused set before it
+    # is searched first, the one after it never
+    searched = []
+
+    def recorded(distances, budget=None):
+        searched.append(distances)
+        return compute_ratio(distances, budget=budget)
+
+    monkeypatch.setattr(dgratio.ratio, "compute_ratio", recorded)
+    batch = [DistanceSet([1, 4, 7]), DistanceSet([1, 4, 25]), DistanceSet([10**6, 4 * 10**6]),
+             DistanceSet([2, 8, 50]), DistanceSet([1, 5])]
+    with pytest.raises(ExpansionLimitError) as info:
+        independence_ratios(batch)
+    assert info.value.needed > info.value.cap
+    assert searched == [DistanceSet([1, 4, 25])]
+    searched.clear()
+    with pytest.raises(ExpansionLimitError) as alone:
+        for distances in batch:
+            independence_ratio(distances)
+    assert (alone.value.needed, alone.value.cap) == (info.value.needed, info.value.cap)
+    assert searched == [DistanceSet([1, 4, 25])]
 
 
 def test_bounded_status_propagates():
