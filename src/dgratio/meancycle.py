@@ -46,14 +46,22 @@ zero, and the rule need not be asked.
 Several disjoint graphs laid end to end can be solved in one run (the
 `parts` of min_mean_cycle_howard), which shares numpy's fixed per-call cost
 among small graphs.  No arc leaves its graph, so every per-node quantity
-(policy, gain, bias, basin) is that graph's own, and gains compare only
-within a graph: the ranks of the union's gains order each graph's gains as
-its own ranks do.  A graph whose rank pass switches skips the bias pass, as
-it would alone, and a graph in which neither pass switches has converged;
-its arcs no longer change, so later evaluations give it the same biases
-(no cycle of it is offered to the pinning rule) and it stays as it is while
-the others go on.  So each graph goes through the policies of its own run,
-and its result is that run's.
+(policy, gain, bias, basin) is that graph's own, and two rules make each
+improvement pass do for each graph what the graph's own run does, no more.
+Gains are ranked within each graph: only a graph that holds more than one
+gain takes the gain pass, and only its edges into a cycle of another gain
+are left out of the bias pass, while a graph of one gain takes the bias
+pass with its own den and nothing left out, as alone.  A graph whose gain
+pass switches skips the bias pass, as it would alone.  And only the graphs
+still running are read: a graph in which neither pass switches has
+converged and its result is recorded, and from then on both passes read
+only the rows of the others, taken out with copies of their arcs (the
+targets in int64) each time a graph settles; the gap engine's unions hold
+at most _ARC_BLOCK arcs, so that is one block's scratch.  A settled graph's
+arcs no longer change, so later evaluations give it the same biases (no
+cycle of it is offered to the pinning rule).  So each graph goes through
+the policies of its own run, in as many evaluations, and its result is
+that run's.
 """
 
 from __future__ import annotations
@@ -255,11 +263,15 @@ def _evaluate(succ: np.ndarray, wsel: np.ndarray, prev_bias: np.ndarray, max_w: 
     return lam_num, lam_den, bias, handle, on_cycle
 
 
-def _gain_rank(lam_num: np.ndarray, lam_den: np.ndarray, handle: np.ndarray) -> np.ndarray:
-    """Per node, the rank of its cycle's mean among the policy's distinct means."""
-    if (lam_num == lam_num[0]).all() and (lam_den == lam_den[0]).all():
-        return np.zeros(len(handle), dtype=np.int64)  # one gain: nothing to sort
-    heads = (handle == np.arange(len(handle))).nonzero()[0]
+def _gain_rank(lam_num: np.ndarray, lam_den: np.ndarray, handle: np.ndarray,
+               heads: np.ndarray | None = None) -> np.ndarray:
+    """Per node, the rank of its cycle's mean among the policy's distinct
+    means, or among those of the cycles whose handles are `heads` only (a
+    node of any other cycle ranks 0)."""
+    if heads is None:
+        if (lam_num == lam_num[0]).all() and (lam_den == lam_den[0]).all():
+            return np.zeros(len(handle), dtype=np.int64)  # one gain: nothing to sort
+        heads = (handle == np.arange(len(handle))).nonzero()[0]
     pairs = list(zip(lam_num[heads].tolist(), lam_den[heads].tolist()))
     distinct = sorted(set(pairs), key=lambda t: Fraction(t[0], t[1]))
     rank_of = {t: i for i, t in enumerate(distinct)}
@@ -289,14 +301,17 @@ def _best_cycle(succ: np.ndarray, wsel: np.ndarray, rank: np.ndarray,
 
 
 def _segment_argmin_switch(blocks: list, values_of, current: np.ndarray,
-                           pol: np.ndarray, changed: np.ndarray) -> bool:
+                           pol: np.ndarray, changed: np.ndarray, nodes: np.ndarray | None = None,
+                           shift: np.ndarray | None = None) -> bool:
     """Switch each node to its first best edge where values beat `current`.
 
     values_of(a, b, lo, hi, deg) gives the values of edges lo..hi-1, the
     out-edges of nodes a..b-1 (below _NEVER; +_INF to exclude), one block
-    of _row_blocks at a time; current is per-node.  Marks the switched
-    nodes in `changed`, unless it is None, and returns whether any switch
-    happened.
+    of _row_blocks at a time; current is per-node.  With `nodes`, the
+    blocks are those of a _Rows, numbered as there: node a there is
+    nodes[a] in pol, and its edge e there is edge e + shift[a].  Marks the
+    switched nodes in `changed`, unless it is None, and returns whether any
+    switch happened.
     Deterministic: first minimal edge in CSR order wins.
     """
     switched = False
@@ -310,10 +325,13 @@ def _segment_argmin_switch(blocks: list, values_of, current: np.ndarray,
         # first of them from a row's start on is that row's first best edge
         goal = np.where(better, seg_min, _NEVER)
         hits = (values == goal.repeat(deg)).nonzero()[0]
-        rows = better.nonzero()[0]
-        pol[a + rows] = lo + hits[hits.searchsorted(starts[rows])]
+        up = better.nonzero()[0]
+        at, picked = a + up, lo + hits[hits.searchsorted(starts[up])]
+        if nodes is not None:
+            at, picked = nodes[at], picked + shift[at]
+        pol[at] = picked
         if changed is not None:
-            changed[a + rows] = True
+            changed[at] = True
         switched = True
     return switched
 
@@ -328,11 +346,133 @@ def _initial_policy(num_nodes: int, w: np.ndarray, blocks: list) -> np.ndarray:
     return pol
 
 
+def _improve(blocks: list, dst: np.ndarray, w: np.ndarray, lam_num: np.ndarray,
+             lam_den: np.ndarray, bias: np.ndarray, rank: np.ndarray, pol: np.ndarray,
+             changed: np.ndarray | None) -> bool:
+    """One policy improvement of a run on one graph: the gain pass when the
+    policy holds more than one gain, and the bias pass unless it switched.
+    Returns whether any node switched."""
+    ranked = bool(rank.any())  # else one gain everywhere: no edge improves it
+
+    # a block's targets are widened before they index anything, since
+    # numpy would convert a narrow index array on every gather
+    def rank_of_targets(a, b, lo, hi, deg):
+        return rank[dst[lo:hi].astype(np.int64)]
+
+    def candidate_bias(a, b, lo, hi, deg):
+        """w*den + bias[target] per edge, with the source's gain; with
+        several gains, only edges into a cycle of the same gain.  A node's
+        num is added to its bias instead of taken off here."""
+        tgt = dst[lo:hi].astype(np.int64)
+        den = lam_den[a:b].repeat(deg) if ranked else lam_den[0]
+        cand = w[lo:hi].astype(np.int64) * den + bias[tgt]
+        if ranked:
+            cand[rank[tgt] != rank[a:b].repeat(deg)] = _INF
+        return cand
+
+    if ranked and _segment_argmin_switch(blocks, rank_of_targets, rank, pol, changed):
+        return True
+    return _segment_argmin_switch(blocks, candidate_bias, bias + lam_num, pol, changed)
+
+
+class _Rows:
+    """Whole graphs of a CSR graph that holds several laid end to end,
+    taken as a graph of their own.
+
+    Graph i's rows starts[i]..starts[i]+sizes[i]-1 of indptr are numbered
+    here from lo[i] on, graph after graph, and so are their edges: row r
+    here is node nodes[r] there, and its edge e here is edge e + shift[r]
+    there, the same shift for every row of a graph.  indptr and blocks are
+    the CSR offsets and the _row_blocks of these rows; tgt holds each edge's
+    target from `dst`, widened to int64, and w, when given, its weight.
+    """
+
+    __slots__ = ("nodes", "shift", "indptr", "blocks", "lo", "sizes", "tgt", "w")
+
+    def __init__(self, indptr: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
+                 dst: np.ndarray, w: np.ndarray | None = None):
+        self.lo, self.sizes = np.cumsum(sizes) - sizes, sizes
+        a, z, n = int(starts[0]), int(starts[-1] + sizes[-1]), int(self.lo[-1] + sizes[-1])
+        if z - a == n:  # consecutive graphs: one run of rows
+            x = int(indptr[a])
+            self.nodes = np.arange(a, z, dtype=np.int64)
+            self.shift = np.full(n, x, dtype=np.int64)
+            self.indptr = indptr[a:z + 1] - x
+            spans = [(x, int(indptr[z]))]
+        else:
+            first, last = indptr[starts], indptr[starts + sizes]
+            counts = last - first
+            ends = np.cumsum(counts)
+            self.nodes = np.arange(n, dtype=np.int64) + (starts - self.lo).repeat(sizes)
+            self.shift = (first - (ends - counts)).repeat(sizes)
+            self.indptr = np.concatenate((indptr[self.nodes] - self.shift, ends[-1:]))
+            spans = list(zip(first.tolist(), last.tolist()))
+        self.blocks = _row_blocks(self.indptr)
+        self.tgt = np.concatenate([dst[x:y] for x, y in spans]).astype(np.int64, copy=False)
+        if w is not None:
+            self.w = np.concatenate([w[x:y] for x, y in spans])
+
+
+def _improve_live(live: _Rows, lam_num: np.ndarray, lam_den: np.ndarray, bias: np.ndarray,
+                  handle: np.ndarray, pol: np.ndarray, changed: np.ndarray) -> np.ndarray:
+    """For each graph of a run on several that is still running (their
+    rows are `live`), the policy improvement that its own run makes.
+
+    Gains are ranked within each graph, so only the graphs that hold more
+    than one gain take the gain pass, and only their edges into a cycle of
+    another gain are left out of the bias pass; a graph that switches in
+    the gain pass skips the bias pass.  Marks the switched nodes in
+    `changed`.  Returns the ranks, 0 throughout a graph of one gain.
+    """
+    num, den = lam_num[live.nodes], lam_den[live.nodes]
+    mixed = (num != num[live.lo].repeat(live.sizes)) | (den != den[live.lo].repeat(live.sizes))
+    multi = np.logical_or.reduceat(mixed, live.lo).nonzero()[0]  # the graphs of several gains
+    current = bias[live.nodes] + num
+    cut = None
+    if not len(multi):
+        rank = np.zeros(len(bias), dtype=np.int64)
+    else:
+        if len(multi) < len(live.lo):
+            ranked = _Rows(live.indptr, live.lo[multi], live.sizes[multi], live.tgt)
+            nodes, shift = live.nodes[ranked.nodes], ranked.shift + live.shift[ranked.nodes]
+        else:  # every graph holds several gains
+            ranked, nodes, shift = live, live.nodes, live.shift
+        rank = _gain_rank(lam_num, lam_den, handle, nodes[handle[nodes] == nodes])
+        tgt_rank = rank[ranked.tgt]
+        # the edges into a cycle of another gain, numbered as in live
+        cut = (tgt_rank != rank[nodes].repeat(np.diff(ranked.indptr))).nonzero()[0]
+        if ranked is not live:
+            cut += ranked.shift[ranked.indptr.searchsorted(cut, side="right") - 1]
+
+        def rank_of_targets(a, b, lo, hi, deg):
+            return tgt_rank[lo:hi]
+
+        if _segment_argmin_switch(ranked.blocks, rank_of_targets, rank[nodes], pol, changed,
+                                  nodes, shift):
+            # a graph that switched to a better gain skips the bias pass
+            held = np.logical_or.reduceat(changed[live.nodes], live.lo)
+            if held.all():
+                return rank
+            current[held.repeat(live.sizes)] = _FLOOR
+
+    def candidate_bias(a, b, lo, hi, deg):
+        cand = live.w[lo:hi] * den[a:b].repeat(deg) + bias[live.tgt[lo:hi]]
+        if cut is not None:
+            i, j = cut.searchsorted((lo, hi))
+            cand[cut[i:j] - lo] = _INF
+        return cand
+
+    _segment_argmin_switch(live.blocks, candidate_bias, current, pol, changed, live.nodes, live.shift)
+    return rank
+
+
 def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray,
                           pinning: CyclePinning | None = None, parts: Sequence[int] | None = None):
     """Minimum mean cycle of a digraph in CSR form; every node needs an out-edge.
 
-    The arrays may have any integer dtypes; they are read, never widened.
+    The arrays may have any integer dtypes; they are read, never widened
+    as a whole (a run on several graphs copies the targets of the graphs
+    still running to int64, see the module docstring).
     Returns (mean: Fraction, cycle_nodes: list[int], cycle_weights: list[int])
     where cycle_nodes[j] -> cycle_nodes[(j+1) % L] is the j-th cycle edge and
     cycle_weights[j] its weight.  Deterministic for a fixed CSR layout and
@@ -359,6 +499,7 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray,
     several = len(offsets) > 2
     if several:
         starts, sizes = np.array(offsets[:-1]), np.diff(offsets)
+        live = None  # the rows of the graphs still running, built at need
     # the nodes a pass switched: their cycles are offered to the pinning
     # rule, and they tell which graphs of a run on several moved
     track = several or pinning is not None
@@ -378,44 +519,20 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray,
             break  # biases could leave the int64-safe range: take the safe path
         lam_num, lam_den, bias, handle, on_cycle = evaluated
         prev_bias = bias
-        rank = _gain_rank(lam_num, lam_den, handle)
-        ranked = bool(rank.any())  # else one gain everywhere: no edge improves it
-
-        # a block's targets are widened before they index anything, since
-        # numpy would convert a narrow index array on every gather
-        def rank_of_targets(a, b, lo, hi, deg):
-            return rank[dst[lo:hi].astype(np.int64)]
-
-        def candidate_bias(a, b, lo, hi, deg):
-            """w*den + bias[target] per edge, with the source's gain; with
-            several gains, only edges into a cycle of the same gain.  A
-            node's num is added to its bias instead of taken off here."""
-            tgt = dst[lo:hi].astype(np.int64)
-            den = lam_den[a:b].repeat(deg) if ranked else lam_den[0]
-            cand = w[lo:hi].astype(np.int64) * den + bias[tgt]
-            if ranked:
-                cand[rank[tgt] != rank[a:b].repeat(deg)] = _INF
-            return cand
-
         changed = np.zeros(num_nodes, dtype=bool) if track else None
-        held = None
-        if ranked and _segment_argmin_switch(blocks, rank_of_targets, rank, pol, changed):
-            # a graph that switched to a better gain skips the bias pass
-            if not several:
-                continue
-            held = np.logical_or.reduceat(changed, starts)
-            if held.all():
-                continue
-        current = bias + lam_num
-        if held is not None:
-            current[held.repeat(sizes)] = _FLOOR
-        switched = _segment_argmin_switch(blocks, candidate_bias, current, pol, changed)
-        if switched and not several:
-            continue
-        settled = unsolved
-        if several and (switched or held is not None):
+        if several:
+            if live is None:
+                live = _Rows(indptr, starts[unsolved], sizes[unsolved], dst, w)
+            rank = _improve_live(live, lam_num, lam_den, bias, handle, pol, changed)
             moved = np.logical_or.reduceat(changed, starts).tolist()
             settled = [i for i in unsolved if not moved[i]]
+            if settled:
+                live = None
+        else:
+            rank = _gain_rank(lam_num, lam_den, handle)
+            if _improve(blocks, dst, w, lam_num, lam_den, bias, rank, pol, changed):
+                continue
+            settled = unsolved
         # Bellman optimality reached in these graphs: their best policy
         # cycles are extremal
         for i in settled:

@@ -280,6 +280,25 @@ def test_a_union_past_the_safe_range_solves_each_gap_graph_alone(monkeypatch):
     assert len(refused) > 1
 
 
+def test_small_unions_keep_each_sets_own_answer(monkeypatch):
+    # at 4096 arcs a union holds a few table graphs, which settle at
+    # different evaluations of the shared run, and the gap-large graphs run
+    # alone in many blocks; each value and witness is the set's own run's
+    sets = [DistanceSet(combo) for combo in TABLE_SETS + GAP_LARGE_POOL]
+    alone = [independence_ratio_exact(s) for s in sets]
+    monkeypatch.setattr(meancycle, "_ARC_BLOCK", 4096)
+    sizes = []
+    howard = meancycle.min_mean_cycle_howard
+
+    def counted(indptr, dst, w, pinning=None, parts=None):
+        sizes.append(1 if parts is None else len(parts) - 1)
+        return howard(indptr, dst, w, pinning, parts)
+
+    monkeypatch.setattr(meancycle, "min_mean_cycle_howard", counted)
+    assert stategraph.independence_ratios_exact(sets) == alone
+    assert sum(sizes) == len(sets) and sum(size > 1 for size in sizes) >= 10
+
+
 def test_grown_masks_equal_the_scan():
     assert len(TABLE_SETS) == 90
     for combo in _small_sets(14) + GAP_LARGE_POOL + TABLE_SETS:

@@ -130,22 +130,115 @@ def _union(graphs):
 
 
 @pytest.mark.parametrize("rule", [None, _PinAtLargest()])
-def test_a_run_on_several_graphs_equals_a_run_on_each(evaluate_calls, rule):
-    rng = random.Random(23)
-    for _ in range(200):
-        graphs = [_random_graph(rng, rng.randint(1, 12))[0] for _ in range(rng.randint(1, 6))]
-        alone, longest = [], 0
-        for graph in graphs:
-            evaluate_calls.clear()
-            alone.append(meancycle.min_mean_cycle_howard(*_csr(graph), rule))
-            longest = max(longest, len(evaluate_calls))
+def test_a_run_on_several_graphs_equals_a_run_on_each(monkeypatch, evaluate_calls, rule):
+    # an arc block of 3 splits a union into blocks that hold rows of graphs
+    # that have settled beside rows of graphs still running
+    for arc_block in (meancycle._ARC_BLOCK, 3):
+        monkeypatch.setattr(meancycle, "_ARC_BLOCK", arc_block)
+        rng = random.Random(23)
+        for _ in range(200):
+            graphs = [_random_graph(rng, rng.randint(1, 12))[0] for _ in range(rng.randint(1, 6))]
+            alone, longest = [], 0
+            for graph in graphs:
+                evaluate_calls.clear()
+                alone.append(meancycle.min_mean_cycle_howard(*_csr(graph), rule))
+                longest = max(longest, len(evaluate_calls))
+            csr, offsets = _union(graphs)
+            for arrays in (csr, _narrow(*csr)):
+                evaluate_calls.clear()
+                assert meancycle.min_mean_cycle_howard(*arrays, rule, offsets) == alone
+                # no graph waits for another: the run takes the evaluations
+                # of the longest run on one
+                assert len(evaluate_calls) == longest
+
+
+def _record_passes(monkeypatch) -> list:
+    """A list that gains, per policy evaluation Howard makes, the list of the
+    improvement passes that follow it, each as (whether it is the gain pass,
+    the set of nodes whose rows it reads)."""
+    evaluations = []
+    evaluate, switch = meancycle._evaluate, meancycle._segment_argmin_switch
+
+    def counted(*args):
+        evaluations.append([])
+        return evaluate(*args)
+
+    def recorded(blocks, values_of, current, pol, changed, *numbering):
+        rows = [v for a, b, *_ in blocks for v in range(a, b)]
+        read = set(numbering[0][rows].tolist() if numbering else rows)
+        evaluations[-1].append((values_of.__name__ == "rank_of_targets", read))
+        return switch(blocks, values_of, current, pol, changed, *numbering)
+
+    monkeypatch.setattr(meancycle, "_evaluate", counted)
+    monkeypatch.setattr(meancycle, "_segment_argmin_switch", recorded)
+    return evaluations
+
+
+def _gain_rows(evaluations: list, shift: int = 0) -> list:
+    """Per evaluation, the nodes whose rows its gain pass reads, plus shift."""
+    return [{v + shift for gain, read in passes if gain for v in read} for passes in evaluations]
+
+
+@pytest.mark.parametrize("arc_block", [meancycle._ARC_BLOCK, 3])
+@pytest.mark.parametrize("rule", [None, _PinAtLargest()])
+def test_a_shared_run_reads_only_the_graphs_still_running(monkeypatch, rule, arc_block):
+    # a pass after a graph's last evaluation of its own run reads none of
+    # its rows, and the gain pass reads the rows of the graphs whose own
+    # runs take one at that evaluation, those that hold several gains
+    monkeypatch.setattr(meancycle, "_ARC_BLOCK", arc_block)
+    evaluations = _record_passes(monkeypatch)
+    rng = random.Random(37)
+    staggered = 0
+    for _ in range(150):
+        graphs = [_random_graph(rng, rng.randint(1, 12))[0] for _ in range(rng.randint(2, 6))]
         csr, offsets = _union(graphs)
-        for arrays in (csr, _narrow(*csr)):
-            evaluate_calls.clear()
-            assert meancycle.min_mean_cycle_howard(*arrays, rule, offsets) == alone
-            # no graph waits for another: the run takes the evaluations of
-            # the longest run on one
-            assert len(evaluate_calls) == longest
+        alone, length, gain_rows = [], [], []
+        for graph, lo in zip(graphs, offsets):
+            evaluations.clear()
+            alone.append(meancycle.min_mean_cycle_howard(*_csr(graph), rule))
+            length.append(len(evaluations))
+            gain_rows.append(_gain_rows(evaluations, lo))
+        evaluations.clear()
+        assert meancycle.min_mean_cycle_howard(*csr, rule, offsets) == alone
+        assert len(evaluations) == max(length)
+        for j, passes in enumerate(evaluations, 1):
+            running = {v for i, n in enumerate(length) if n >= j for v in range(offsets[i], offsets[i + 1])}
+            assert all(read <= running for _, read in passes)
+        assert _gain_rows(evaluations) == [
+            set().union(*(rows[j] for rows in gain_rows if j < len(rows))) for j in range(max(length))]
+        staggered += len(set(length)) > 1
+    assert staggered > 100
+
+
+@pytest.mark.parametrize("rule", [None, _PinAtLargest()])
+def test_one_gain_graphs_run_no_gain_pass_beside_a_graph_of_several(monkeypatch, rule):
+    # graphs whose own runs hold one gain at every evaluation, alone in a
+    # union or beside one graph whose run holds several: the union's gain
+    # passes read that graph's rows only, and every graph keeps its result
+    evaluations = _record_passes(monkeypatch)
+    rng = random.Random(41)
+    one, several = [], []
+    while len(one) < 60 or len(several) < 20:
+        graph = _random_graph(rng, rng.randint(1, 12))[0]
+        evaluations.clear()
+        solved = meancycle.min_mean_cycle_howard(*_csr(graph), rule)
+        gains = any(_gain_rows(evaluations))
+        (several if gains else one).append((graph, solved, len(evaluations)))
+    for k in range(20):
+        graphs = rng.sample(one, rng.randint(2, 5))
+        for mixed in (False, True):
+            if mixed:
+                graphs.insert(rng.randint(0, len(graphs)), several[k])
+            csr, offsets = _union([graph for graph, _, _ in graphs])
+            evaluations.clear()
+            assert meancycle.min_mean_cycle_howard(*csr, rule, offsets) == [solved for _, solved, _ in graphs]
+            assert len(evaluations) == max(length for _, _, length in graphs)
+            gain_rows = set().union(*_gain_rows(evaluations))
+            if not mixed:
+                assert not gain_rows
+            else:
+                i = next(i for i, graph in enumerate(graphs) if graph is several[k])
+                assert gain_rows and gain_rows <= set(range(offsets[i], offsets[i + 1]))
 
 
 def test_parts_must_rise_from_zero_to_the_node_count():
