@@ -18,10 +18,11 @@ integer dtype they come in (the gap engine passes int32 targets and int8
 gaps) and are never widened as a whole: only per-node arrays (the policy's
 successors and weights, gains and biases) are int64, and each policy
 improvement pass reads the arcs in blocks of whole rows with at most
-_ARC_BLOCK arcs, so the int64 candidate values of one block are all the
-per-arc scratch there is.  A small graph is a single block.  Biases stay in
-int64; an evaluation whose biases could leave the safe range hands over to
-the descent rescue below instead of wrapping.
+_ARC_BLOCK arcs, widening one block at a time, so in every run the int64
+values of one block are all the per-arc int64 scratch there is.  A small
+graph is a single block.  Biases stay in int64; an evaluation whose biases
+could leave the safe range hands over to the descent rescue below instead
+of wrapping.
 
 Termination needs care when several policy cycles share a gain, because
 biases are only defined up to a constant per cycle.  Two measures handle
@@ -43,25 +44,27 @@ bias[u] = den*w(u) - num + bias[succ[u]]; pinning it at any of its nodes
 then gives the same biases as pinning it at its smallest node, a shift of
 zero, and the rule need not be asked.
 
-Several disjoint graphs laid end to end can be solved in one run (the
-`parts` of min_mean_cycle_howard), which shares numpy's fixed per-call cost
-among small graphs.  No arc leaves its graph, so every per-node quantity
+Every run solves one or several disjoint graphs laid end to end (the
+`parts` of min_mean_cycle_howard; a run without parts is a run of one),
+so several small graphs share numpy's fixed per-call cost, and one path
+serves every run.  No arc leaves its graph, so every per-node quantity
 (policy, gain, bias, basin) is that graph's own, and two rules make each
-improvement pass do for each graph what the graph's own run does, no more.
-Gains are ranked within each graph: only a graph that holds more than one
-gain takes the gain pass, and only its edges into a cycle of another gain
-are left out of the bias pass, while a graph of one gain takes the bias
-pass with its own den and nothing left out, as alone.  A graph whose gain
-pass switches skips the bias pass, as it would alone.  And only the graphs
-still running are read: a graph in which neither pass switches has
-converged and its result is recorded, and from then on both passes read
-only the rows of the others, taken out with copies of their arcs (the
-targets in int64) each time a graph settles; the gap engine's unions hold
-at most _ARC_BLOCK arcs, so that is one block's scratch.  A settled graph's
-arcs no longer change, so later evaluations give it the same biases (no
-cycle of it is offered to the pinning rule).  So each graph goes through
-the policies of its own run, in as many evaluations, and its result is
-that run's.
+improvement pass do for each graph what the graph's own run does, no
+more.  Gains are ranked within each graph: only a graph that holds more
+than one gain takes the gain pass, and only its edges into a cycle of
+another gain are left out of the bias pass, while a graph of one gain
+takes the bias pass with its own den and nothing left out.  A graph whose
+gain pass switches skips the bias pass.  And only the graphs still
+running are read: a graph in which neither pass switches has converged
+and its result is recorded, and from then on both passes read only the
+rows of the others.  Rows that lie together are read in place, and
+others are copied out in their own dtypes: the live rows each time a
+settled graph splits them, and the rows of the graphs of several gains
+for their gain pass (the gap engine's unions hold at most _ARC_BLOCK
+arcs).  A settled graph's arcs no longer change, so later evaluations give
+it the same biases (no cycle of it is offered to the pinning rule).  So
+each graph goes through the policies of its own run, in as many
+evaluations, and its result is that run's.
 """
 
 from __future__ import annotations
@@ -300,22 +303,21 @@ def _best_cycle(succ: np.ndarray, wsel: np.ndarray, rank: np.ndarray,
     return cyc, wsel[cyc].tolist()
 
 
-def _segment_argmin_switch(blocks: list, values_of, current: np.ndarray,
-                           pol: np.ndarray, changed: np.ndarray, nodes: np.ndarray | None = None,
-                           shift: np.ndarray | None = None) -> bool:
-    """Switch each node to its first best edge where values beat `current`.
+def _segment_argmin_switch(rows: _Rows, values_of, current: np.ndarray, pol: np.ndarray,
+                           changed: np.ndarray) -> bool:
+    """Switch each row of `rows` (a _Rows, as every pass of every run
+    reads its graphs) to its first best edge where values beat `current`.
 
     values_of(a, b, lo, hi, deg) gives the values of edges lo..hi-1, the
-    out-edges of nodes a..b-1 (below _NEVER; +_INF to exclude), one block
-    of _row_blocks at a time; current is per-node.  With `nodes`, the
-    blocks are those of a _Rows, numbered as there: node a there is
-    nodes[a] in pol, and its edge e there is edge e + shift[a].  Marks the
-    switched nodes in `changed`, unless it is None, and returns whether any
+    out-edges of rows a..b-1 (below _NEVER; +_INF to exclude), one block
+    of rows.blocks at a time; current is per row.  Rows and edges are
+    numbered as in `rows`; a switch is written to pol, and marked in
+    `changed`, at the row's node and edge in the run.  Returns whether any
     switch happened.
     Deterministic: first minimal edge in CSR order wins.
     """
     switched = False
-    for a, b, lo, hi, starts, deg in blocks:
+    for a, b, lo, hi, starts, deg in rows.blocks:
         values = values_of(a, b, lo, hi, deg)
         seg_min = np.minimum.reduceat(values, starts)
         better = seg_min < current[a:b]
@@ -326,12 +328,13 @@ def _segment_argmin_switch(blocks: list, values_of, current: np.ndarray,
         goal = np.where(better, seg_min, _NEVER)
         hits = (values == goal.repeat(deg)).nonzero()[0]
         up = better.nonzero()[0]
-        at, picked = a + up, lo + hits[hits.searchsorted(starts[up])]
-        if nodes is not None:
-            at, picked = nodes[at], picked + shift[at]
+        picked = lo + hits[hits.searchsorted(starts[up])]
+        if isinstance(rows.nodes, slice):
+            at = up + (a + rows.nodes.start)
+        else:
+            at, picked = rows.nodes[a + up], picked + rows.shift[a + up]
         pol[at] = picked
-        if changed is not None:
-            changed[at] = True
+        changed[at] = True
         switched = True
     return switched
 
@@ -346,124 +349,114 @@ def _initial_policy(num_nodes: int, w: np.ndarray, blocks: list) -> np.ndarray:
     return pol
 
 
-def _improve(blocks: list, dst: np.ndarray, w: np.ndarray, lam_num: np.ndarray,
-             lam_den: np.ndarray, bias: np.ndarray, rank: np.ndarray, pol: np.ndarray,
-             changed: np.ndarray | None) -> bool:
-    """One policy improvement of a run on one graph: the gain pass when the
-    policy holds more than one gain, and the bias pass unless it switched.
-    Returns whether any node switched."""
-    ranked = bool(rank.any())  # else one gain everywhere: no edge improves it
-
-    # a block's targets are widened before they index anything, since
-    # numpy would convert a narrow index array on every gather
-    def rank_of_targets(a, b, lo, hi, deg):
-        return rank[dst[lo:hi].astype(np.int64)]
-
-    def candidate_bias(a, b, lo, hi, deg):
-        """w*den + bias[target] per edge, with the source's gain; with
-        several gains, only edges into a cycle of the same gain.  A node's
-        num is added to its bias instead of taken off here."""
-        tgt = dst[lo:hi].astype(np.int64)
-        den = lam_den[a:b].repeat(deg) if ranked else lam_den[0]
-        cand = w[lo:hi].astype(np.int64) * den + bias[tgt]
-        if ranked:
-            cand[rank[tgt] != rank[a:b].repeat(deg)] = _INF
-        return cand
-
-    if ranked and _segment_argmin_switch(blocks, rank_of_targets, rank, pol, changed):
-        return True
-    return _segment_argmin_switch(blocks, candidate_bias, bias + lam_num, pol, changed)
-
-
 class _Rows:
-    """Whole graphs of a CSR graph that holds several laid end to end,
-    taken as a graph of their own.
+    """The rows of some whole graphs of a run, which solves one or several
+    laid end to end (offsets as min_mean_cycle_howard's parts), taken as a
+    graph of their own: the graphs still running, or some of them.
 
-    Graph i's rows starts[i]..starts[i]+sizes[i]-1 of indptr are numbered
-    here from lo[i] on, graph after graph, and so are their edges: row r
-    here is node nodes[r] there, and its edge e here is edge e + shift[r]
-    there, the same shift for every row of a graph.  indptr and blocks are
-    the CSR offsets and the _row_blocks of these rows; tgt holds each edge's
-    target from `dst`, widened to int64, and w, when given, its weight.
+    `graphs` lists the run's graphs taken, in order; graph graphs[i] is
+    numbered here from row lo[i] on and holds sizes[i] rows.  Row r here is
+    node nodes[r] of the run, and its edge e here is the run's edge
+    e + shift[r].  Graphs whose rows lie together in the run are read in
+    place: nodes is then a slice, edges keep the run's numbering (no
+    shift), indptr is a view of the run's and tgt and w (each edge's target
+    and weight) are the run's own arrays.  Others are copied, with nodes
+    and shift per row and their edges numbered from 0.  Either way tgt and
+    w keep the run's dtypes, and the passes widen them one block at a
+    time.  blocks are the _row_blocks of indptr.
     """
 
-    __slots__ = ("nodes", "shift", "indptr", "blocks", "lo", "sizes", "tgt", "w")
+    __slots__ = ("run", "offsets", "graphs", "lo", "sizes", "nodes", "shift", "indptr", "blocks",
+                 "tgt", "w")
 
-    def __init__(self, indptr: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
-                 dst: np.ndarray, w: np.ndarray | None = None):
-        self.lo, self.sizes = np.cumsum(sizes) - sizes, sizes
-        a, z, n = int(starts[0]), int(starts[-1] + sizes[-1]), int(self.lo[-1] + sizes[-1])
-        if z - a == n:  # consecutive graphs: one run of rows
-            x = int(indptr[a])
-            self.nodes = np.arange(a, z, dtype=np.int64)
-            self.shift = np.full(n, x, dtype=np.int64)
-            self.indptr = indptr[a:z + 1] - x
-            spans = [(x, int(indptr[z]))]
+    def __init__(self, run: tuple, offsets: list, graphs: list):
+        indptr, dst, w = self.run = run
+        self.offsets, self.graphs = offsets, graphs
+        a, z = offsets[graphs[0]], offsets[graphs[-1] + 1]
+        if len(graphs) == 1:
+            self.lo, self.sizes = [0], [z - a]
+        else:  # arrays, as numpy reads them at every evaluation
+            starts = np.array([offsets[i] for i in graphs])
+            self.sizes = np.array([offsets[i + 1] for i in graphs]) - starts
+            self.lo = np.cumsum(self.sizes) - self.sizes
+        if graphs[-1] - graphs[0] == len(graphs) - 1:  # rows that lie together: read in place
+            self.nodes, self.indptr, self.tgt, self.w = slice(a, z), indptr[a:z + 1], dst, w
         else:
+            sizes = self.sizes
             first, last = indptr[starts], indptr[starts + sizes]
             counts = last - first
             ends = np.cumsum(counts)
-            self.nodes = np.arange(n, dtype=np.int64) + (starts - self.lo).repeat(sizes)
+            self.nodes = np.arange(int(sizes.sum()), dtype=np.int64) + (starts - self.lo).repeat(sizes)
             self.shift = (first - (ends - counts)).repeat(sizes)
             self.indptr = np.concatenate((indptr[self.nodes] - self.shift, ends[-1:]))
             spans = list(zip(first.tolist(), last.tolist()))
-        self.blocks = _row_blocks(self.indptr)
-        self.tgt = np.concatenate([dst[x:y] for x, y in spans]).astype(np.int64, copy=False)
-        if w is not None:
+            self.tgt = np.concatenate([dst[x:y] for x, y in spans])
             self.w = np.concatenate([w[x:y] for x, y in spans])
+        self.blocks = _row_blocks(self.indptr)
+
+    def alone(self, which) -> _Rows:
+        """The rows of graphs `which` (numbered here) alone."""
+        return _Rows(self.run, self.offsets, [self.graphs[i] for i in which])
 
 
 def _improve_live(live: _Rows, lam_num: np.ndarray, lam_den: np.ndarray, bias: np.ndarray,
-                  handle: np.ndarray, pol: np.ndarray, changed: np.ndarray) -> np.ndarray:
-    """For each graph of a run on several that is still running (their
-    rows are `live`), the policy improvement that its own run makes.
+                  handle: np.ndarray, pol: np.ndarray, changed: np.ndarray) -> tuple[np.ndarray, list]:
+    """For each graph still running (their rows are `live`), the policy
+    improvement that its own run makes.
 
     Gains are ranked within each graph, so only the graphs that hold more
     than one gain take the gain pass, and only their edges into a cycle of
     another gain are left out of the bias pass; a graph that switches in
     the gain pass skips the bias pass.  Marks the switched nodes in
-    `changed`.  Returns the ranks, 0 throughout a graph of one gain.
+    `changed`.  Returns the ranks, 0 throughout a graph of one gain, and
+    the graphs of live in which no node switched: they have converged.
     """
     num, den = lam_num[live.nodes], lam_den[live.nodes]
-    mixed = (num != num[live.lo].repeat(live.sizes)) | (den != den[live.lo].repeat(live.sizes))
-    multi = np.logical_or.reduceat(mixed, live.lo).nonzero()[0]  # the graphs of several gains
     current = bias[live.nodes] + num
-    cut = None
-    if not len(multi):
-        rank = np.zeros(len(bias), dtype=np.int64)
+    one = len(live.lo) == 1  # one graph: no flags per graph to keep
+    if one:
+        multi = [0] if ((num != num[0]) | (den != den[0])).any() else []
     else:
-        if len(multi) < len(live.lo):
-            ranked = _Rows(live.indptr, live.lo[multi], live.sizes[multi], live.tgt)
-            nodes, shift = live.nodes[ranked.nodes], ranked.shift + live.shift[ranked.nodes]
-        else:  # every graph holds several gains
-            ranked, nodes, shift = live, live.nodes, live.shift
-        rank = _gain_rank(lam_num, lam_den, handle, nodes[handle[nodes] == nodes])
-        tgt_rank = rank[ranked.tgt]
-        # the edges into a cycle of another gain, numbered as in live
-        cut = (tgt_rank != rank[nodes].repeat(np.diff(ranked.indptr))).nonzero()[0]
-        if ranked is not live:
-            cut += ranked.shift[ranked.indptr.searchsorted(cut, side="right") - 1]
+        mixed = (num != num[live.lo].repeat(live.sizes)) | (den != den[live.lo].repeat(live.sizes))
+        multi = np.logical_or.reduceat(mixed, live.lo).nonzero()[0]  # the graphs of several gains
+    rank = np.zeros(len(bias), dtype=np.int64)
+    if len(multi):
+        ranked = live if len(multi) == len(live.lo) else live.alone(multi.tolist())
+        nodes = np.arange(len(bias))[ranked.nodes]
+        rank = _gain_rank(lam_num, lam_den, handle, nodes[handle[ranked.nodes] == nodes])
 
+        # a block's targets are widened before they index anything, since
+        # numpy would convert a narrow index array on every gather
         def rank_of_targets(a, b, lo, hi, deg):
-            return tgt_rank[lo:hi]
+            return rank[ranked.tgt[lo:hi].astype(np.int64, copy=False)]
 
-        if _segment_argmin_switch(ranked.blocks, rank_of_targets, rank[nodes], pol, changed,
-                                  nodes, shift):
+        if _segment_argmin_switch(ranked, rank_of_targets, rank[ranked.nodes], pol, changed):
             # a graph that switched to a better gain skips the bias pass
+            if one:
+                return rank, []
             held = np.logical_or.reduceat(changed[live.nodes], live.lo)
             if held.all():
-                return rank
+                return rank, []
             current[held.repeat(live.sizes)] = _FLOOR
+    flat = one and not len(multi)  # one den for every row
+    row_rank = rank[live.nodes] if len(multi) else None
 
     def candidate_bias(a, b, lo, hi, deg):
-        cand = live.w[lo:hi] * den[a:b].repeat(deg) + bias[live.tgt[lo:hi]]
-        if cut is not None:
-            i, j = cut.searchsorted((lo, hi))
-            cand[cut[i:j] - lo] = _INF
+        """w*den + bias[target] per edge, with the source's gain; in a
+        graph of several gains, only edges into a cycle of the same gain.
+        A node's num is added to its bias instead of taken off here."""
+        tgt = live.tgt[lo:hi].astype(np.int64, copy=False)
+        cand = np.multiply(live.w[lo:hi], den[a] if flat else den[a:b].repeat(deg), dtype=np.int64)
+        cand += bias[tgt]
+        if len(multi):
+            cand[rank[tgt] != row_rank[a:b].repeat(deg)] = _INF
         return cand
 
-    _segment_argmin_switch(live.blocks, candidate_bias, current, pol, changed, live.nodes, live.shift)
-    return rank
+    switched = _segment_argmin_switch(live, candidate_bias, current, pol, changed)
+    if one:
+        return rank, [] if switched else live.graphs
+    moved = np.logical_or.reduceat(changed[live.nodes], live.lo).tolist()
+    return rank, [i for i, m in zip(live.graphs, moved) if not m]
 
 
 def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray,
@@ -471,8 +464,7 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray,
     """Minimum mean cycle of a digraph in CSR form; every node needs an out-edge.
 
     The arrays may have any integer dtypes; they are read, never widened
-    as a whole (a run on several graphs copies the targets of the graphs
-    still running to int64, see the module docstring).
+    as a whole (see the module docstring).
     Returns (mean: Fraction, cycle_nodes: list[int], cycle_weights: list[int])
     where cycle_nodes[j] -> cycle_nodes[(j+1) % L] is the j-th cycle edge and
     cycle_weights[j] its weight.  Deterministic for a fixed CSR layout and
@@ -483,9 +475,11 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray,
     of P disjoint graphs laid end to end: nodes o_i..o_(i+1)-1 with no arc
     leaving them.  They are solved in one run, and the result is a list of
     P triples, each in its graph's own numbering and equal to the result of
-    a run on that graph alone under pinning.part(o_i, o_(i+1)).  A run that
-    reaches _MAX_ITERATIONS, or whose biases could leave the int64-safe
-    range, solves each graph it has not finished alone, rescue included.
+    a run on that graph alone under pinning.part(o_i, o_(i+1)).  A run
+    without parts is the run with parts [0, n], its one triple returned
+    bare.  A run that reaches _MAX_ITERATIONS, or whose biases could leave
+    the int64-safe range, solves each graph it has not finished alone,
+    rescue included; a run on one graph goes on to the rescue at once.
     """
     num_nodes = len(indptr) - 1
     if num_nodes == 0:
@@ -496,19 +490,12 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray,
     if parts is not None and (offsets[0] != 0 or offsets[-1] != num_nodes
                               or any(a >= b for a, b in zip(offsets, offsets[1:]))):
         raise ValueError("parts must rise strictly from 0 to the node count")
-    several = len(offsets) > 2
-    if several:
-        starts, sizes = np.array(offsets[:-1]), np.diff(offsets)
-        live = None  # the rows of the graphs still running, built at need
-    # the nodes a pass switched: their cycles are offered to the pinning
-    # rule, and they tell which graphs of a run on several moved
-    track = several or pinning is not None
-    blocks = _row_blocks(indptr)
-    pol = _initial_policy(num_nodes, w, blocks)
-    max_w = max(int(w.max()), -int(w.min()))
-    prev_bias = np.zeros(num_nodes, dtype=np.int64)
     results: list = [None] * (len(offsets) - 1)
     unsolved = list(range(len(results)))
+    live = _Rows((indptr, dst, w), offsets, unsolved)  # the rows of the graphs still running
+    pol = _initial_policy(num_nodes, w, live.blocks)
+    max_w = max(int(w.max()), -int(w.min()))
+    prev_bias = np.zeros(num_nodes, dtype=np.int64)
     changed = None  # every arc is new to the first evaluation
 
     for _ in range(_MAX_ITERATIONS):
@@ -519,20 +506,12 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray,
             break  # biases could leave the int64-safe range: take the safe path
         lam_num, lam_den, bias, handle, on_cycle = evaluated
         prev_bias = bias
-        changed = np.zeros(num_nodes, dtype=bool) if track else None
-        if several:
-            if live is None:
-                live = _Rows(indptr, starts[unsolved], sizes[unsolved], dst, w)
-            rank = _improve_live(live, lam_num, lam_den, bias, handle, pol, changed)
-            moved = np.logical_or.reduceat(changed, starts).tolist()
-            settled = [i for i in unsolved if not moved[i]]
-            if settled:
-                live = None
-        else:
-            rank = _gain_rank(lam_num, lam_den, handle)
-            if _improve(blocks, dst, w, lam_num, lam_den, bias, rank, pol, changed):
-                continue
-            settled = unsolved
+        # the nodes a pass switched: their cycles are offered to the
+        # pinning rule
+        changed = np.zeros(num_nodes, dtype=bool)
+        rank, settled = _improve_live(live, lam_num, lam_den, bias, handle, pol, changed)
+        if not settled:
+            continue
         # Bellman optimality reached in these graphs: their best policy
         # cycles are extremal
         for i in settled:
@@ -546,7 +525,8 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray,
         unsolved = [i for i in unsolved if results[i] is None]
         if not unsolved:
             return results[0] if parts is None else results
-    if not several:
+        live = _Rows(live.run, offsets, unsolved)
+    if len(results) == 1:  # a run on the graph alone: this one
         rescued = _min_mean_cycle_descent(indptr, dst, w)
         return rescued if parts is None else [rescued]
     for i in unsolved:

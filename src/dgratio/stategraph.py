@@ -726,15 +726,16 @@ def _solve_together(graphs: list) -> list:
     """Howard's (mean, cycle, gaps) for each gap graph, from one run on
     the graphs laid end to end under their joined pinning rules."""
     csrs = [meancycle.csr_from_adjacency(arcs) for arcs in graphs]
-    if len(csrs) == 1:
-        return [meancycle.min_mean_cycle_howard(*csrs[0], graphs[0].pinning)]
-    # Python int offsets keep the int32 targets int32 under either numpy
     nodes = np.cumsum([0] + [len(indptr) - 1 for indptr, _, _ in csrs]).tolist()
-    arcs_before = np.cumsum([0] + [len(dst) for _, dst, _ in csrs]).tolist()
-    indptr = np.concatenate([[0]] + [indptr[1:] + a for (indptr, _, _), a in zip(csrs, arcs_before)])
-    dst = np.concatenate([dst + o for (_, dst, _), o in zip(csrs, nodes)])
-    w = np.concatenate([w for _, _, w in csrs])
-    pinning = _MaskPinning.joined([arcs.pinning for arcs in graphs], nodes[:-1])
+    if len(csrs) == 1:  # a group of one: its own arrays and rule, uncopied
+        (indptr, dst, w), pinning = csrs[0], graphs[0].pinning
+    else:
+        # Python int offsets keep the int32 targets int32 under either numpy
+        arcs_before = np.cumsum([0] + [len(dst) for _, dst, _ in csrs]).tolist()
+        indptr = np.concatenate([[0]] + [indptr[1:] + a for (indptr, _, _), a in zip(csrs, arcs_before)])
+        dst = np.concatenate([dst + o for (_, dst, _), o in zip(csrs, nodes)])
+        w = np.concatenate([w for _, _, w in csrs])
+        pinning = _MaskPinning.joined([arcs.pinning for arcs in graphs], nodes[:-1])
     return meancycle.min_mean_cycle_howard(indptr, dst, w, pinning, nodes)
 
 

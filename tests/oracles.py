@@ -546,9 +546,9 @@ def _wide_switch(values, src_per_edge, indptr, current, pol) -> bool:
 def wide_min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray) -> tuple:
     """Howard's minimum mean cycle with int64 dst, w and source on every arc.
 
-    Returns (mean, cycle, weights, evaluations): the package's result and
-    the number of policy evaluations it made, including one that hands
-    over to the descent rescue.
+    Returns (mean, cycle, weights, several): the package's result and, for
+    each policy evaluation it made (one that hands over to the descent
+    rescue included), whether that policy held more than one gain.
     """
     num_nodes = len(indptr) - 1
     indptr = np.asarray(indptr).astype(np.int64)
@@ -561,19 +561,19 @@ def wide_min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarra
     pol = np.minimum.reduceat(np.where(w == seg_min[src_per_edge], edges, len(w)), indptr[:-1])
     max_w = max(int(w.max()), -int(w.min()))
     prev_bias = np.zeros(num_nodes, dtype=np.int64)
-    evaluations = 0
+    several = []
     for _ in range(meancycle._MAX_ITERATIONS):
         succ = dst[pol]
         wsel = w[pol]
-        evaluations += 1
         handle, on_cycle, dist_w, dist_n, lam_num, lam_den = meancycle._policy_cycles(succ, wsel)
+        rank = meancycle._gain_rank(lam_num, lam_den, handle)
+        several.append(bool(rank.any()))
         reach = int(np.abs(prev_bias).max()) + 2 * (num_nodes + 1) * int(lam_den.max()) * max_w
         if reach >= meancycle._SAFE:
             break
         bias = prev_bias[handle] + lam_den * dist_w - lam_num * dist_n
         prev_bias = bias
-        rank = meancycle._gain_rank(lam_num, lam_den, handle)
-        if rank.any():
+        if several[-1]:
             rank_dst = rank[dst]
             if _wide_switch(rank_dst, src_per_edge, indptr, rank, pol):
                 continue
@@ -585,8 +585,8 @@ def wide_min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarra
         if _wide_switch(cand, src_per_edge, indptr, bias, pol):
             continue
         cyc, weights = meancycle._best_cycle(succ, wsel, rank, on_cycle)
-        return Fraction(int(lam_num[cyc[0]]), int(lam_den[cyc[0]])), cyc, weights, evaluations
-    return (*meancycle._min_mean_cycle_descent(indptr, dst, w), evaluations)
+        return Fraction(int(lam_num[cyc[0]]), int(lam_den[cyc[0]])), cyc, weights, several
+    return (*meancycle._min_mean_cycle_descent(indptr, dst, w), several)
 
 
 class PinEveryCycle(meancycle.CyclePinning):

@@ -201,12 +201,12 @@ def test_lean_engine_matches_the_wide_oracle(evaluate_calls):
         masks = mask_gap_graph(distances, 10**6)
         for got, expected in zip((masks[0], masks[1].indptr, masks[1].dst, masks[1].w), want):
             assert np.array_equal(got.astype(np.int64), expected), combo
-        mean, _, gaps, evaluations = wide_min_mean_cycle_howard(*want[1:])
+        mean, _, gaps, several = wide_min_mean_cycle_howard(*want[1:])
         _, arcs = _independence_gap_graph(distances, 10**6)
         evaluate_calls.clear()
         got_mean, _, got_gaps = meancycle.min_mean_cycle_howard(arcs.indptr, arcs.dst, arcs.w, arcs.pinning)
         assert (got_mean, got_gaps) == (mean, gaps), combo
-        assert len(evaluate_calls) == evaluations, combo
+        assert len(evaluate_calls) == len(several), combo
         assert independence_ratio_exact(distances)[1].sizes == tuple(gaps), combo
 
 

@@ -1,6 +1,7 @@
 """Exact mean-cycle solvers: policy iteration against Karp's recurrence."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -163,11 +164,10 @@ def _record_passes(monkeypatch) -> list:
         evaluations.append([])
         return evaluate(*args)
 
-    def recorded(blocks, values_of, current, pol, changed, *numbering):
-        rows = [v for a, b, *_ in blocks for v in range(a, b)]
-        read = set(numbering[0][rows].tolist() if numbering else rows)
+    def recorded(rows, values_of, current, pol, changed):
+        read = set(np.arange(len(pol))[rows.nodes].tolist())
         evaluations[-1].append((values_of.__name__ == "rank_of_targets", read))
-        return switch(blocks, values_of, current, pol, changed, *numbering)
+        return switch(rows, values_of, current, pol, changed)
 
     monkeypatch.setattr(meancycle, "_evaluate", counted)
     monkeypatch.setattr(meancycle, "_segment_argmin_switch", recorded)
@@ -177,6 +177,21 @@ def _record_passes(monkeypatch) -> list:
 def _gain_rows(evaluations: list, shift: int = 0) -> list:
     """Per evaluation, the nodes whose rows its gain pass reads, plus shift."""
     return [{v + shift for gain, read in passes if gain for v in read} for passes in evaluations]
+
+
+def _alone(graph, rule, evaluations: list, shift: int = 0) -> tuple:
+    """A run on graph alone: its result, its evaluation count and, per
+    evaluation, the nodes (plus shift) whose rows its gain pass reads.
+    Under the default rule they come from the wide oracle, whose gain pass
+    reads every row of a policy of several gains; the package's own runs
+    on one graph share the code of runs on several."""
+    if rule is None:
+        mean, cyc, weights, several = wide_min_mean_cycle_howard(*_csr(graph))
+        rows = set(range(shift, shift + len(graph)))
+        return (mean, cyc, weights), len(several), [rows if gains else set() for gains in several]
+    evaluations.clear()
+    solved = meancycle.min_mean_cycle_howard(*_csr(graph), rule)
+    return solved, len(evaluations), _gain_rows(evaluations, shift)
 
 
 @pytest.mark.parametrize("arc_block", [meancycle._ARC_BLOCK, 3])
@@ -192,14 +207,10 @@ def test_a_shared_run_reads_only_the_graphs_still_running(monkeypatch, rule, arc
     for _ in range(150):
         graphs = [_random_graph(rng, rng.randint(1, 12))[0] for _ in range(rng.randint(2, 6))]
         csr, offsets = _union(graphs)
-        alone, length, gain_rows = [], [], []
-        for graph, lo in zip(graphs, offsets):
-            evaluations.clear()
-            alone.append(meancycle.min_mean_cycle_howard(*_csr(graph), rule))
-            length.append(len(evaluations))
-            gain_rows.append(_gain_rows(evaluations, lo))
+        alone, length, gain_rows = zip(*(_alone(graph, rule, evaluations, lo)
+                                         for graph, lo in zip(graphs, offsets)))
         evaluations.clear()
-        assert meancycle.min_mean_cycle_howard(*csr, rule, offsets) == alone
+        assert meancycle.min_mean_cycle_howard(*csr, rule, offsets) == list(alone)
         assert len(evaluations) == max(length)
         for j, passes in enumerate(evaluations, 1):
             running = {v for i, n in enumerate(length) if n >= j for v in range(offsets[i], offsets[i + 1])}
@@ -220,10 +231,8 @@ def test_one_gain_graphs_run_no_gain_pass_beside_a_graph_of_several(monkeypatch,
     one, several = [], []
     while len(one) < 60 or len(several) < 20:
         graph = _random_graph(rng, rng.randint(1, 12))[0]
-        evaluations.clear()
-        solved = meancycle.min_mean_cycle_howard(*_csr(graph), rule)
-        gains = any(_gain_rows(evaluations))
-        (several if gains else one).append((graph, solved, len(evaluations)))
+        solved, length, gain_rows = _alone(graph, rule, evaluations)
+        (several if any(gain_rows) else one).append((graph, solved, length))
     for k in range(20):
         graphs = rng.sample(one, rng.randint(2, 5))
         for mixed in (False, True):
@@ -304,11 +313,34 @@ def test_lean_howard_matches_the_wide_oracle(monkeypatch, evaluate_calls, arc_bl
         n = rng.randint(1, 12)
         adjacency, _ = _random_graph(rng, n)
         csr = _csr(adjacency)
-        *want, evaluations = wide_min_mean_cycle_howard(*csr)
+        *want, several = wide_min_mean_cycle_howard(*csr)
         for arrays in (csr, _narrow(*csr)):
             evaluate_calls.clear()
             assert meancycle.min_mean_cycle_howard(*arrays) == tuple(want)
-            assert len(evaluate_calls) == evaluations
+            assert len(evaluate_calls) == len(several)
+
+
+def test_a_run_widens_no_more_than_one_arc_block(monkeypatch):
+    # 2,000 nodes of 200 arcs each, int32 targets and int8 weights, in
+    # blocks of 1,024 arcs: a run that widened every target or weight to
+    # int64 would take 8 bytes per arc, and the run with parts [0, n] is
+    # the run without parts
+    monkeypatch.setattr(meancycle, "_ARC_BLOCK", 1024)
+    n, deg = 2000, 200
+    rng = np.random.default_rng(3)
+    indptr = np.arange(0, n * deg + 1, deg, dtype=np.int64)
+    dst = rng.integers(0, n, n * deg).astype(np.int32)
+    w = rng.integers(-100, 101, n * deg).astype(np.int8)
+    solved = []
+    for parts in (None, [0, n]):
+        tracemalloc.start()
+        try:
+            solved.append(meancycle.min_mean_cycle_howard(indptr, dst, w, parts=parts))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(dst), (parts, peak / len(dst))
+    assert [solved[0]] == solved[1]
 
 
 def test_int8_weights_near_their_limits_against_karp(evaluate_calls):
@@ -328,8 +360,8 @@ def test_int8_weights_near_their_limits_against_karp(evaluate_calls):
         indptr, dst, w = _narrow(*_csr(adjacency))
         evaluate_calls.clear()
         mean, cyc, weights = meancycle.min_mean_cycle_howard(indptr, dst, w)
-        *want, evaluations = wide_min_mean_cycle_howard(indptr, dst, w)
-        assert (mean, cyc, weights) == tuple(want) and len(evaluate_calls) == evaluations
+        *want, several = wide_min_mean_cycle_howard(indptr, dst, w)
+        assert (mean, cyc, weights) == tuple(want) and len(evaluate_calls) == len(several)
         assert mean == min_mean_cycle_karp(n, edges)
         assert Fraction(sum(weights), len(weights)) == mean
         assert max_mean_cycle_howard(indptr, dst, w)[0] == max_mean_cycle_karp(n, edges)
