@@ -21,6 +21,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -421,7 +422,16 @@ def run(argv: Optional[list] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout went away: what is left unwritten goes to
+        # devnull, so the flush at exit cannot fail again, and the exit code
+        # is 128 + SIGPIPE, as cat's is
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

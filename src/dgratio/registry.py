@@ -7,15 +7,19 @@ density attains the stated value.  Kinds are tagged faithfully: conjectured
 formulas are never reported as theorems, and a verification mismatch is a
 failure only for proven statements.
 
-A family states its set once, in its set builder: matching decodes candidate
+A family states its set once, in build_set: matching decodes candidate
 parameters from the sorted elements and keeps them only inside the domain
 and when they rebuild the set, at O(|S|) cost per family.  closed_form
 settles every all-odd set by the parity theorem before it asks the families.
 
-The seven one-parameter families whose answer depends on k mod m (1-4-k,
-1-k-kp1, 1-k-kp3, 1-6-k, 1-8-k, 1-k-kp5, 1-k-kp7) hold it as a ResidueRule:
-per class, the value (a k + b)/(c k + d) and a block pattern of the witness,
-read by one evaluator, so rules compare as plain data.
+A family's set, domain, value and witness rules are its fields; a family
+that states no value or no witness holds _no_rule there.  The eleven
+one-parameter families with a closed form in their parameter hold it as a
+ResidueRule: per class of the parameter mod m, the value (a k + b)/(c k + d)
+and a block pattern of the witness, read by one evaluator, so rules compare
+as plain data.  Seven depend on k mod m (1-4-k, 1-k-kp1, 1-k-kp3, 1-6-k,
+1-8-k, 1-k-kp5, 1-k-kp7); all-odd, 1-2-3k, 1-3-2i and 1-5-2i are rules of
+modulus 1.
 
 Residue tables are transcribed literally; the few places where a printed
 extremal structure disagrees with its own stated density use a corrected
@@ -61,47 +65,37 @@ def _bs(*parts) -> BlockList:
     return BlockList(sizes)
 
 
+def _no_rule(params: dict) -> None:
+    """The rule of a family that states no value or no witness."""
+    return None
+
+
 @dataclass(frozen=True)
 class Family:
-    """One parameterized family: set builder, value rule, witness, decoder.
+    """One parameterized family: its set, domain, value and witness rules,
+    and decoder, each a function of the parameters.
 
     decode reads candidate parameters off a set's sorted elements; match keeps
-    them only in the domain and when set_builder rebuilds the set."""
+    them only in the domain and when build_set rebuilds the set."""
 
     id: str
     kind: str
     description: str
     parameters: tuple[str, ...]
-    set_builder: Callable[[dict], DistanceSet]
-    domain: Callable[[dict], bool]
-    value_rule: Optional[Callable[[dict], Fraction]] = None
-    witness_builder: Optional[Callable[[dict], Optional[BlockList]]] = None
+    build_set: Callable[[dict], DistanceSet]
+    in_domain: Callable[[dict], bool]
+    predicted: Callable[[dict], Optional[Fraction]] = _no_rule
+    witness: Callable[[dict], Optional[BlockList]] = _no_rule
     decode: Optional[Callable[[tuple[int, ...]], Optional[dict]]] = None
     strict: bool = False  # bound families: paper states a strict inequality
     findings_only: bool = False  # mismatches are findings, never failures
-
-    def in_domain(self, params: dict) -> bool:
-        return self.domain(params)
-
-    def build_set(self, params: dict) -> DistanceSet:
-        return self.set_builder(params)
-
-    def predicted(self, params: dict) -> Optional[Fraction]:
-        if self.value_rule is None:
-            return None
-        return self.value_rule(params)
-
-    def witness(self, params: dict) -> Optional[BlockList]:
-        if self.witness_builder is None:
-            return None
-        return self.witness_builder(params)
 
     def match(self, distances: DistanceSet) -> Optional[dict]:
         """The in-domain parameters whose set is `distances`, or None."""
         if self.decode is None:
             return None
         params = self.decode(distances.distances)
-        if params is None or not self.domain(params) or self.set_builder(params) != distances:
+        if params is None or not self.in_domain(params) or self.build_set(params) != distances:
             return None
         return params
 
@@ -110,7 +104,7 @@ class Family:
         points: list[dict] = [{}]
         for name in self.parameters:
             points = [dict(p, **{name: v}) for p in points for v in range(lo, hi + 1)]
-        return [p for p in points if self.domain(p)]
+        return [p for p in points if self.in_domain(p)]
 
     def catalog_entry(self) -> dict:
         return {
@@ -128,7 +122,8 @@ def _least_missing(t: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class ResidueRule:
-    """A rule in one parameter k by its residue r = k mod modulus.
+    """A rule in a family's one parameter k, whatever its name, by its
+    residue r = k mod modulus.
 
     values[r] = (a, b, c, d) gives the value (a k + b)/(c k + d).  witnesses[r]
     is a block pattern: an int is one block, and a pair (body, j) is body
@@ -141,23 +136,25 @@ class ResidueRule:
     witnesses: Optional[tuple] = None
 
     def value(self, params: dict) -> Fraction:
-        k = params["k"]
+        [k] = params.values()
         a, b, c, d = self.values[k % self.modulus]
         return Fraction(a * k + b, c * k + d)
 
     def witness(self, params: dict) -> Optional[BlockList]:
         if self.witnesses is None:
             return None
-        q, r = divmod(params["k"], self.modulus)
+        [k] = params.values()
+        q, r = divmod(k, self.modulus)
         parts = [p if isinstance(p, int) else (p[0], q + p[1]) for p in self.witnesses[r]]
         if any(not isinstance(p, int) and p[1] < 0 for p in parts):
             return None
         return _bs(*parts)
 
 
-def _residue_family(family_id, kind, description, elements, domain, decode, rule) -> Family:
-    """A family in k whose set is elements(k) and whose value and witness are rule's."""
-    return Family(family_id, kind, description, ("k",), lambda p: DistanceSet(elements(p["k"])),
+def _residue_family(family_id, kind, description, name, elements, domain, decode, rule) -> Family:
+    """A family in one parameter called name: at the parameter value x its
+    set is elements(x), and its value and witness are rule's."""
+    return Family(family_id, kind, description, (name,), lambda p: DistanceSet(elements(p[name])),
                   domain, rule.value, rule.witness, decode=decode)
 
 
@@ -167,16 +164,10 @@ def _residue_family(family_id, kind, description, elements, domain, decode, rule
 
 
 def _family_all_odd() -> Family:
-    return Family(
-        id="all-odd",
-        kind=THEOREM,
-        description="every generator odd: ratio 1/2 (even integers)",
-        parameters=("k",),
-        set_builder=lambda p: DistanceSet([1, 2 * p["k"] + 1, 2 * p["k"] + 3]),
-        domain=lambda p: p["k"] >= 1,
-        value_rule=lambda p: Fraction(1, 2),
-        witness_builder=lambda p: _bs(2),
-        decode=lambda t: {"k": (t[-1] - 3) // 2},
+    return _residue_family(
+        "all-odd", THEOREM, "every generator odd: ratio 1/2 (even integers)", "k",
+        lambda k: [1, 2 * k + 1, 2 * k + 3], lambda p: p["k"] >= 1, lambda t: {"k": (t[-1] - 3) // 2},
+        ResidueRule(1, ((0, 1, 0, 2),), ((2,),)),
     )
 
 
@@ -186,10 +177,10 @@ def _family_consecutive() -> Family:
         kind=THEOREM,
         description="{1,...,l}: ratio 1/(l+1)",
         parameters=("l",),
-        set_builder=lambda p: DistanceSet(range(1, p["l"] + 1)),
-        domain=lambda p: p["l"] >= 1,
-        value_rule=lambda p: Fraction(1, p["l"] + 1),
-        witness_builder=lambda p: _bs(p["l"] + 1),
+        build_set=lambda p: DistanceSet(range(1, p["l"] + 1)),
+        in_domain=lambda p: p["l"] >= 1,
+        predicted=lambda p: Fraction(1, p["l"] + 1),
+        witness=lambda p: _bs(p["l"] + 1),
         decode=lambda t: {"l": len(t)},
     )
 
@@ -214,10 +205,10 @@ def _family_two_generators() -> Family:
         kind=THEOREM,
         description="{a,b}, gcd 1: 1/2 if both odd, else (a+b-1)/(2a+2b)",
         parameters=("a", "b"),
-        set_builder=lambda p: DistanceSet([p["a"], p["b"]]),
-        domain=lambda p: 1 <= p["a"] < p["b"] and gcd(p["a"], p["b"]) == 1,
-        value_rule=value,
-        witness_builder=witness,
+        build_set=lambda p: DistanceSet([p["a"], p["b"]]),
+        in_domain=lambda p: 1 <= p["a"] < p["b"] and gcd(p["a"], p["b"]) == 1,
+        predicted=value,
+        witness=witness,
         decode=lambda t: {"a": t[0], "b": t[-1]},
     )
 
@@ -240,59 +231,34 @@ def _family_interval_and_k() -> Family:
         kind=THEOREM,
         description="{1,...,l-1,k}, k>l: 1/l, or k/(l(k+1)) when l divides k",
         parameters=("l", "k"),
-        set_builder=lambda p: DistanceSet(list(range(1, p["l"])) + [p["k"]]),
-        domain=lambda p: p["l"] >= 2 and p["k"] > p["l"],
-        value_rule=value,
-        witness_builder=witness,
+        build_set=lambda p: DistanceSet(list(range(1, p["l"])) + [p["k"]]),
+        in_domain=lambda p: p["l"] >= 2 and p["k"] > p["l"],
+        predicted=value,
+        witness=witness,
         decode=lambda t: {"l": len(t), "k": t[-1]},
     )
 
 
 def _family_one_two_3k() -> Family:
-    return Family(
-        id="1-2-3k",
-        kind=THEOREM,
-        description="{1,2,3k}: ratio k/(3k+1)",
-        parameters=("k",),
-        set_builder=lambda p: DistanceSet([1, 2, 3 * p["k"]]),
-        domain=lambda p: p["k"] >= 1,
-        value_rule=lambda p: Fraction(p["k"], 3 * p["k"] + 1),
-        witness_builder=lambda p: _bs(([3], p["k"] - 1), 4),
-        decode=lambda t: {"k": t[-1] // 3},
+    return _residue_family(
+        "1-2-3k", THEOREM, "{1,2,3k}: ratio k/(3k+1)", "k",
+        lambda k: [1, 2, 3 * k], lambda p: p["k"] >= 1, lambda t: {"k": t[-1] // 3},
+        ResidueRule(1, ((1, 0, 3, 1),), ((((3,), -1), 4),)),
     )
 
 
-def _family_1_3_2i() -> Family:
-    return Family(
-        id="1-3-2i",
-        kind=THEOREM,
-        description="{1,3,2i}, i>=2: ratio i/(2i+3)",
-        parameters=("i",),
-        set_builder=lambda p: DistanceSet([1, 3, 2 * p["i"]]),
-        domain=lambda p: p["i"] >= 2,
-        value_rule=lambda p: Fraction(p["i"], 2 * p["i"] + 3),
-        witness_builder=lambda p: _bs(([2], p["i"] - 1), 5),
-        decode=lambda t: {"i": t[-1] // 2},
-    )
-
-
-def _family_1_5_2i() -> Family:
-    return Family(
-        id="1-5-2i",
-        kind=THEOREM,
-        description="{1,5,2i}, i>=5: ratio i/(2i+5)",
-        parameters=("i",),
-        set_builder=lambda p: DistanceSet([1, 5, 2 * p["i"]]),
-        domain=lambda p: p["i"] >= 5,
-        value_rule=lambda p: Fraction(p["i"], 2 * p["i"] + 5),
-        witness_builder=lambda p: _bs(([2], p["i"] - 1), 7),
-        decode=lambda t: {"i": t[-1] // 2},
+def _family_1_l_2i(l: int, least: int) -> Family:
+    """{1,l,2i} for i >= least: the theorems for l = 3 and l = 5."""
+    return _residue_family(
+        f"1-{l}-2i", THEOREM, f"{{1,{l},2i}}, i>={least}: ratio i/(2i+{l})", "i",
+        lambda i: [1, l, 2 * i], lambda p: p["i"] >= least, lambda t: {"i": t[-1] // 2},
+        ResidueRule(1, ((1, 0, 2, l),), ((((2,), -1), l + 2),)),
     )
 
 
 def _family_1_4_k() -> Family:
     return _residue_family(
-        "1-4-k", THEOREM, "{1,4,k}, k>4: five residue classes of k mod 5",
+        "1-4-k", THEOREM, "{1,4,k}, k>4: five residue classes of k mod 5", "k",
         lambda k: [1, 4, k], lambda p: p["k"] > 4, lambda t: {"k": t[-1]},
         ResidueRule(
             5, ((2, 0, 5, 5), (0, 2, 0, 5), (2, 1, 5, 5), (2, -1, 5, 5), (0, 2, 0, 5)),
@@ -303,7 +269,7 @@ def _family_1_4_k() -> Family:
 
 def _family_1_k_kp1() -> Family:
     return _residue_family(
-        "1-k-kp1", THEOREM, "{1,k,k+1}, k>=2: three residue classes of k mod 3",
+        "1-k-kp1", THEOREM, "{1,k,k+1}, k>=2: three residue classes of k mod 3", "k",
         lambda k: [1, k, k + 1], lambda p: p["k"] >= 2, lambda t: {"k": t[-1] - 1},
         ResidueRule(
             3, ((2, 0, 6, 3), (0, 1, 0, 3), (1, 1, 3, 6)),
@@ -314,7 +280,7 @@ def _family_1_k_kp1() -> Family:
 
 def _family_1_k_kp3() -> Family:
     return _residue_family(
-        "1-k-kp3", THEOREM, "{1,k,k+3}, k>=3: five residue classes of k mod 5",
+        "1-k-kp3", THEOREM, "{1,k,k+3}, k>=3: five residue classes of k mod 5", "k",
         lambda k: [1, k, k + 3], lambda p: p["k"] >= 3, lambda t: {"k": t[-1] - 3},
         ResidueRule(
             5, ((2, 5, 5, 20), (0, 2, 0, 5), (2, 6, 5, 20), (4, 3, 10, 15), (2, 7, 5, 20)),
@@ -337,10 +303,10 @@ def _family_1_2k_2kp2l() -> Family:
         kind=THEOREM,
         description="{1,2k,2k+2l}, 1<=l<=3, k>=l: ratio 2k/(4k+2l)",
         parameters=("k", "l"),
-        set_builder=lambda p: DistanceSet([1, 2 * p["k"], 2 * p["k"] + 2 * p["l"]]),
-        domain=lambda p: 1 <= p["l"] <= 3 and p["k"] >= p["l"],
-        value_rule=lambda p: Fraction(2 * p["k"], 4 * p["k"] + 2 * p["l"]),
-        witness_builder=_witness_1_2k_2kp2l,
+        build_set=lambda p: DistanceSet([1, 2 * p["k"], 2 * p["k"] + 2 * p["l"]]),
+        in_domain=lambda p: 1 <= p["l"] <= 3 and p["k"] >= p["l"],
+        predicted=lambda p: Fraction(2 * p["k"], 4 * p["k"] + 2 * p["l"]),
+        witness=_witness_1_2k_2kp2l,
         decode=lambda t: {"k": t[1] // 2, "l": (t[2] - t[1]) // 2} if len(t) == 3 else None,
     )
 
@@ -359,10 +325,10 @@ def _family_one_and_multiples() -> Family:
         kind=THEOREM,
         description="{1,k,2k,...,lk}, k,l>=2: ratio 1/(l+1)",
         parameters=("k", "l"),
-        set_builder=lambda p: DistanceSet([1] + [p["k"] * j for j in range(1, p["l"] + 1)]),
-        domain=lambda p: p["k"] >= 2 and p["l"] >= 2,
-        value_rule=lambda p: Fraction(1, p["l"] + 1),
-        witness_builder=witness,
+        build_set=lambda p: DistanceSet([1] + [p["k"] * j for j in range(1, p["l"] + 1)]),
+        in_domain=lambda p: p["k"] >= 2 and p["l"] >= 2,
+        predicted=lambda p: Fraction(1, p["l"] + 1),
+        witness=witness,
         decode=lambda t: {"k": t[1], "l": len(t) - 1} if len(t) > 1 else None,
     )
 
@@ -393,11 +359,11 @@ def _family_arith_plus_b() -> Family:
         kind=THEOREM,
         description="{a,2a,...,(m-1)a,b}, gcd(a,b)=1: (b/m)/(b+1) if m|b (a=1) else 1/m",
         parameters=("a", "m", "b"),
-        set_builder=lambda p: DistanceSet([p["a"] * j for j in range(1, p["m"])] + [p["b"]]),
+        build_set=lambda p: DistanceSet([p["a"] * j for j in range(1, p["m"])] + [p["b"]]),
         # the m | b clause is restricted to a = 1 and the m = 2 case to a = 1:
         # for a >= 2 both printed branches are contradicted by exact
         # computation (e.g. {2,3,4} is 1/3, {2,5} is 3/7)
-        domain=lambda p: (
+        in_domain=lambda p: (
             p["a"] >= 1
             and p["m"] >= 2
             and p["b"] > p["a"]
@@ -406,8 +372,8 @@ def _family_arith_plus_b() -> Family:
             and (p["m"] >= 3 or p["a"] == 1)
             and (p["b"] % p["m"] != 0 or p["a"] == 1)
         ),
-        value_rule=value,
-        witness_builder=witness,
+        predicted=value,
+        witness=witness,
         decode=decode,
     )
 
@@ -434,10 +400,10 @@ def _family_triple_sum() -> Family:
         kind=THEOREM,
         description="{a,b,a+b}, gcd(a,b)=1: three cases by (b-a) mod 3",
         parameters=("a", "b"),
-        set_builder=lambda p: DistanceSet([p["a"], p["b"], p["a"] + p["b"]]),
-        domain=lambda p: 1 <= p["a"] < p["b"] and gcd(p["a"], p["b"]) == 1,
-        value_rule=value,
-        witness_builder=witness,
+        build_set=lambda p: DistanceSet([p["a"], p["b"], p["a"] + p["b"]]),
+        in_domain=lambda p: 1 <= p["a"] < p["b"] and gcd(p["a"], p["b"]) == 1,
+        predicted=value,
+        witness=witness,
         decode=lambda t: {"a": t[0], "b": t[-1] - t[0]},
     )
 
@@ -448,16 +414,16 @@ def _family_four_mixed() -> Family:
         kind=THEOREM,
         description="{a,b,b-a,a+b}, a+b odd, gcd 1: ratio 1/4",
         parameters=("a", "b"),
-        set_builder=lambda p: DistanceSet(
+        build_set=lambda p: DistanceSet(
             [p["a"], p["b"], p["b"] - p["a"], p["a"] + p["b"]]
         ),
-        domain=lambda p: (
+        in_domain=lambda p: (
             1 <= p["a"] < p["b"]
             and (p["a"] + p["b"]) % 2 == 1
             and gcd(p["a"], p["b"]) == 1
             and p["b"] - p["a"] != p["a"]
         ),
-        value_rule=lambda p: Fraction(1, 4),
+        predicted=lambda p: Fraction(1, 4),
         # b-a < b and a < b < a+b, so b is the second largest element
         decode=lambda t: {"a": t[3] - t[2], "b": t[2]} if len(t) == 4 else None,
     )
@@ -469,10 +435,10 @@ def _family_1_2m_range() -> Family:
         kind=THEOREM,
         description="{1,2m,2m+1,2m+2}: ratio m/(4m+1)",
         parameters=("m",),
-        set_builder=lambda p: DistanceSet([1, 2 * p["m"], 2 * p["m"] + 1, 2 * p["m"] + 2]),
-        domain=lambda p: p["m"] >= 1,
-        value_rule=lambda p: Fraction(p["m"], 4 * p["m"] + 1),
-        witness_builder=lambda p: _bs(([2], p["m"] - 1), 2 * p["m"] + 3),
+        build_set=lambda p: DistanceSet([1, 2 * p["m"], 2 * p["m"] + 1, 2 * p["m"] + 2]),
+        in_domain=lambda p: p["m"] >= 1,
+        predicted=lambda p: Fraction(p["m"], 4 * p["m"] + 1),
+        witness=lambda p: _bs(([2], p["m"] - 1), 2 * p["m"] + 3),
         decode=lambda t: {"m": (t[-1] - 2) // 2},
     )
 
@@ -483,10 +449,10 @@ def _family_interval_block() -> Family:
         kind=THEOREM,
         description="[k,k'], 4k'>=5k: ratio k/(k+k')",
         parameters=("k", "kp"),
-        set_builder=lambda p: DistanceSet(range(p["k"], p["kp"] + 1)),
-        domain=lambda p: 2 <= p["k"] <= p["kp"] and 4 * p["kp"] >= 5 * p["k"],
-        value_rule=lambda p: Fraction(p["k"], p["k"] + p["kp"]),
-        witness_builder=lambda p: _bs(([1], p["k"] - 1), p["kp"] + 1),
+        build_set=lambda p: DistanceSet(range(p["k"], p["kp"] + 1)),
+        in_domain=lambda p: 2 <= p["k"] <= p["kp"] and 4 * p["kp"] >= 5 * p["k"],
+        predicted=lambda p: Fraction(p["k"], p["k"] + p["kp"]),
+        witness=lambda p: _bs(([1], p["k"] - 1), p["kp"] + 1),
         # counted first, so a sparse set never builds its whole span
         decode=lambda t: {"k": t[0], "kp": t[-1]} if len(t) == t[-1] - t[0] + 1 else None,
     )
@@ -514,10 +480,10 @@ def _family_punctured_multiples() -> Family:
         kind=THEOREM,
         description="[m] minus {k,...,sk}: 1/k when 2k>m (s=1), (s+1)/(m+sk+1) when m>=(s+1)k",
         parameters=("m", "k", "s"),
-        set_builder=lambda p: DistanceSet(
+        build_set=lambda p: DistanceSet(
             sorted(set(range(1, p["m"] + 1)) - {p["k"] * j for j in range(1, p["s"] + 1)})
         ),
-        domain=lambda p: (
+        in_domain=lambda p: (
             p["k"] >= 2
             and p["s"] >= 1
             and p["s"] * p["k"] < p["m"]
@@ -526,8 +492,8 @@ def _family_punctured_multiples() -> Family:
                 or p["m"] >= (p["s"] + 1) * p["k"]
             )
         ),
-        value_rule=lambda p: clause(p),
-        witness_builder=witness,
+        predicted=lambda p: clause(p),
+        witness=witness,
         # the domain's s k < m with k >= 2 keeps m below 2|S|
         decode=lambda t: {"m": t[-1], "k": _least_missing(t), "s": t[-1] - len(t)},
     )
@@ -594,10 +560,10 @@ def _family_punctured_interval() -> Family:
         kind=THEOREM,
         description="[m] minus [k,k']: five clauses by m against multiples of k",
         parameters=("m", "k", "kp"),
-        set_builder=lambda p: DistanceSet([*range(1, p["k"]), *range(p["kp"] + 1, p["m"] + 1)]),
-        domain=in_domain,
-        value_rule=clause,
-        witness_builder=witness,
+        build_set=lambda p: DistanceSet([*range(1, p["k"]), *range(p["kp"] + 1, p["m"] + 1)]),
+        in_domain=in_domain,
+        predicted=clause,
+        witness=witness,
         decode=decode,
     )
 
@@ -616,7 +582,7 @@ _EXC_1_K_KP7 = {9, 11, 16, 18, 25}
 def _family_1_6_k() -> Family:
     # the classes 0, 2, 3 and 5 need k // 7 >= 2, 1, 3 and 2 for their (2 2 3) runs
     return _residue_family(
-        "1-6-k", CONJECTURE, "{1,6,k}, k>6, k not in {7,10,12,17}: seven residue classes mod 7",
+        "1-6-k", CONJECTURE, "{1,6,k}, k>6, k not in {7,10,12,17}: seven residue classes mod 7", "k",
         lambda k: [1, 6, k], lambda p: p["k"] > 6 and p["k"] not in _EXC_1_6_K,
         lambda t: {"k": t[-1]},
         ResidueRule(
@@ -631,7 +597,7 @@ def _family_1_6_k() -> Family:
 
 def _family_1_8_k() -> Family:
     return _residue_family(
-        "1-8-k", CONJECTURE, "{1,8,k}, k>8, eight exceptions: nine residue classes mod 9",
+        "1-8-k", CONJECTURE, "{1,8,k}, k>8, eight exceptions: nine residue classes mod 9", "k",
         lambda k: [1, 8, k], lambda p: p["k"] > 8 and p["k"] not in _EXC_1_8_K,
         lambda t: {"k": t[-1]},
         ResidueRule(
@@ -643,7 +609,7 @@ def _family_1_8_k() -> Family:
 
 def _family_1_k_kp5() -> Family:
     return _residue_family(
-        "1-k-kp5", CONJECTURE, "{1,k,k+5}, k>=6, k not in {7,12}: seven residue classes mod 7",
+        "1-k-kp5", CONJECTURE, "{1,k,k+5}, k>=6, k not in {7,12}: seven residue classes mod 7", "k",
         lambda k: [1, k, k + 5], lambda p: p["k"] >= 6 and p["k"] not in _EXC_1_K_KP5,
         lambda t: {"k": t[-1] - 5},
         ResidueRule(
@@ -655,7 +621,7 @@ def _family_1_k_kp5() -> Family:
 
 def _family_1_k_kp7() -> Family:
     return _residue_family(
-        "1-k-kp7", CONJECTURE, "{1,k,k+7}, k>=8, five exceptions: nine residue classes mod 9",
+        "1-k-kp7", CONJECTURE, "{1,k,k+7}, k>=8, five exceptions: nine residue classes mod 9", "k",
         lambda k: [1, k, k + 7], lambda p: p["k"] >= 8 and p["k"] not in _EXC_1_K_KP7,
         lambda t: {"k": t[-1] - 7},
         ResidueRule(
@@ -671,10 +637,10 @@ def _family_1_odd_2i() -> Family:
         kind=CONJECTURE,
         description="{1,l,2i}, odd l>=7, 2i>=3l: ratio i/(2i+l)",
         parameters=("l", "i"),
-        set_builder=lambda p: DistanceSet([1, p["l"], 2 * p["i"]]),
-        domain=lambda p: p["l"] >= 7 and p["l"] % 2 == 1 and 2 * p["i"] >= 3 * p["l"],
-        value_rule=lambda p: Fraction(p["i"], 2 * p["i"] + p["l"]),
-        witness_builder=lambda p: _bs(([2], p["i"] - 1), p["l"] + 2),
+        build_set=lambda p: DistanceSet([1, p["l"], 2 * p["i"]]),
+        in_domain=lambda p: p["l"] >= 7 and p["l"] % 2 == 1 and 2 * p["i"] >= 3 * p["l"],
+        predicted=lambda p: Fraction(p["i"], 2 * p["i"] + p["l"]),
+        witness=lambda p: _bs(([2], p["i"] - 1), p["l"] + 2),
         decode=lambda t: {"l": t[1], "i": t[2] // 2} if len(t) == 3 else None,
     )
 
@@ -686,10 +652,10 @@ def _family_1_2k_2kp2l_conj() -> Family:
         kind=CONJECTURE,
         description="{1,2k,2k+2l}, 4<=l<=k: conjectured ratio 2k/(4k+2l)",
         parameters=("k", "l"),
-        set_builder=base.set_builder,
-        domain=lambda p: p["l"] >= 4 and p["k"] >= p["l"],
-        value_rule=lambda p: Fraction(2 * p["k"], 4 * p["k"] + 2 * p["l"]),
-        witness_builder=_witness_1_2k_2kp2l,
+        build_set=base.build_set,
+        in_domain=lambda p: p["l"] >= 4 and p["k"] >= p["l"],
+        predicted=lambda p: Fraction(2 * p["k"], 4 * p["k"] + 2 * p["l"]),
+        witness=_witness_1_2k_2kp2l,
         decode=base.decode,
     )
 
@@ -699,51 +665,26 @@ def _family_1_2k_2kp2l_conj() -> Family:
 # ---------------------------------------------------------------------------
 
 
-def _family_zhu_3k1(side: str) -> Family:
-    kind = LOWER if side == "lower" else UPPER
+# x/(3y+1) per (r, side) for {a, a+3k+r, 2a+3k+r}: the (u, v) with
+# x = a + u k + v, then the same for y
+_ZHU_3K = {
+    (1, "lower"): ((1, 0), (1, 0)),
+    (1, "upper"): ((2, 0), (2, 0)),
+    (2, "lower"): ((2, 1), (2, 2)),
+    (2, "upper"): ((2, 2), (2, 2)),
+}
 
-    def value(p):
-        a, k = p["a"], p["k"]
-        if side == "lower":
-            return Fraction(a + k, 3 * (a + k) + 1)
-        return Fraction(a + 2 * k, 3 * (a + 2 * k) + 1)
 
+def _family_zhu_3k(r: int, side: str) -> Family:
+    (ux, vx), (uy, vy) = _ZHU_3K[r, side]
     return Family(
-        id=f"zhu-3k1-{side}",
-        kind=kind,
-        description=f"{{a,a+3k+1,2a+3k+1}}: proven {side} bound",
+        id=f"zhu-3k{r}-{side}",
+        kind=LOWER if side == "lower" else UPPER,
+        description=f"{{a,a+3k+{r},2a+3k+{r}}}: proven {side} bound",
         parameters=("a", "k"),
-        set_builder=lambda p: DistanceSet(
-            [p["a"], p["a"] + 3 * p["k"] + 1, 2 * p["a"] + 3 * p["k"] + 1]
-        ),
-        domain=lambda p: p["a"] >= 1
-        and p["k"] >= 1
-        and gcd(p["a"], p["a"] + 3 * p["k"] + 1) == 1,
-        value_rule=value,
-    )
-
-
-def _family_zhu_3k2(side: str) -> Family:
-    kind = LOWER if side == "lower" else UPPER
-
-    def value(p):
-        a, k = p["a"], p["k"]
-        if side == "lower":
-            return Fraction(a + 2 * k + 1, 3 * (a + 2 * k + 2) + 1)
-        return Fraction(a + 2 * k + 2, 3 * (a + 2 * k + 2) + 1)
-
-    return Family(
-        id=f"zhu-3k2-{side}",
-        kind=kind,
-        description=f"{{a,a+3k+2,2a+3k+2}}: proven {side} bound",
-        parameters=("a", "k"),
-        set_builder=lambda p: DistanceSet(
-            [p["a"], p["a"] + 3 * p["k"] + 2, 2 * p["a"] + 3 * p["k"] + 2]
-        ),
-        domain=lambda p: p["a"] >= 1
-        and p["k"] >= 1
-        and gcd(p["a"], p["a"] + 3 * p["k"] + 2) == 1,
-        value_rule=value,
+        build_set=lambda p: DistanceSet([p["a"], p["a"] + 3 * p["k"] + r, 2 * p["a"] + 3 * p["k"] + r]),
+        in_domain=lambda p: p["a"] >= 1 and p["k"] >= 1 and gcd(p["a"], p["a"] + 3 * p["k"] + r) == 1,
+        predicted=lambda p: Fraction(p["a"] + ux * p["k"] + vx, 3 * (p["a"] + uy * p["k"] + vy) + 1),
     )
 
 
@@ -762,22 +703,6 @@ def _zhu_mixed_domain(p) -> bool:
     return True
 
 
-def _family_zhu_mixed(side: str) -> Family:
-    kind = LOWER if side == "lower" else UPPER
-    value = Fraction(1, 3) if side == "lower" else Fraction(1, 2)
-    return Family(
-        id=f"zhu-mixed-{side}",
-        kind=kind,
-        description=f"not-all-odd triples, c != a+b: {side} bound "
-        + ("1/3" if side == "lower" else "1/2 (strict)"),
-        parameters=("a", "b", "c"),
-        set_builder=lambda p: DistanceSet([p["a"], p["b"], p["c"]]),
-        domain=_zhu_mixed_domain,
-        value_rule=lambda p: value,
-        strict=(side == "upper"),
-    )
-
-
 def _zhu_generic_domain(p) -> bool:
     a, b, c = p["a"], p["b"], p["c"]
     if not _zhu_mixed_domain(p):
@@ -785,21 +710,19 @@ def _zhu_generic_domain(p) -> bool:
     return c != 2 * b and b != 2 * a and c != 2 * a
 
 
-def _family_zhu_generic(side: str) -> Family:
-    kind = LOWER if side == "lower" else UPPER
-    value = Fraction(3, 8) if side == "lower" else Fraction(1, 2)
+def _family_zhu_triples(name, triples, domain, lower, side, findings_only, tail) -> Family:
+    """Triples {a,b,c} in domain: at least `lower`, or strictly below 1/2."""
+    value = lower if side == "lower" else Fraction(1, 2)
     return Family(
-        id=f"zhu-generic-{side}",
-        kind=kind,
-        description=f"nondegenerate triples: {side} bound "
-        + ("3/8" if side == "lower" else "1/2 (strict)")
-        + ", finitely many unlisted exceptions",
+        id=f"zhu-{name}-{side}",
+        kind=LOWER if side == "lower" else UPPER,
+        description=f"{triples}: {side} bound " + (str(lower) if side == "lower" else "1/2 (strict)") + tail,
         parameters=("a", "b", "c"),
-        set_builder=lambda p: DistanceSet([p["a"], p["b"], p["c"]]),
-        domain=_zhu_generic_domain,
-        value_rule=lambda p: value,
+        build_set=lambda p: DistanceSet([p["a"], p["b"], p["c"]]),
+        in_domain=domain,
+        predicted=lambda p: value,
         strict=(side == "upper"),
-        findings_only=True,
+        findings_only=findings_only,
     )
 
 
@@ -814,10 +737,10 @@ def _family_lim_1_odd_2k() -> Family:
         kind=LIMIT,
         description="{1,2i+1,2k} -> 1/2 as k grows; lower witness per k",
         parameters=("i", "k"),
-        set_builder=lambda p: DistanceSet([1, 2 * p["i"] + 1, 2 * p["k"]]),
-        domain=lambda p: p["i"] >= 1 and 2 * p["k"] > 2 * p["i"] + 1,
-        value_rule=lambda p: Fraction(p["k"], 2 * p["k"] + 2 * p["i"] + 1),
-        witness_builder=lambda p: _bs(([2], p["k"] - 1), 2 * p["i"] + 3),
+        build_set=lambda p: DistanceSet([1, 2 * p["i"] + 1, 2 * p["k"]]),
+        in_domain=lambda p: p["i"] >= 1 and 2 * p["k"] > 2 * p["i"] + 1,
+        predicted=lambda p: Fraction(p["k"], 2 * p["k"] + 2 * p["i"] + 1),
+        witness=lambda p: _bs(([2], p["k"] - 1), 2 * p["i"] + 3),
     )
 
 
@@ -843,12 +766,12 @@ def _family_lim_1_2i_k() -> Family:
         kind=LIMIT,
         description="{1,2i,k} -> i/(2i+1) as k grows; lower witness per k",
         parameters=("i", "k"),
-        set_builder=lambda p: DistanceSet([1, 2 * p["i"], p["k"]]),
-        domain=lambda p: p["i"] >= 1
+        build_set=lambda p: DistanceSet([1, 2 * p["i"], p["k"]]),
+        in_domain=lambda p: p["i"] >= 1
         and p["k"] > 2 * p["i"] + 1
         and p["k"] % (2 * p["i"] + 1) != 0,
-        value_rule=value,
-        witness_builder=witness,
+        predicted=value,
+        witness=witness,
     )
 
 
@@ -872,10 +795,10 @@ def _family_lim_1_k_kpodd() -> Family:
         kind=LIMIT,
         description="{1,k,k+2i+1} -> (i+1)/(2i+3) as k grows; lower witness per k",
         parameters=("i", "k"),
-        set_builder=lambda p: DistanceSet([1, p["k"], p["k"] + 2 * p["i"] + 1]),
-        domain=lambda p: p["i"] >= 0 and p["k"] >= 2,
-        value_rule=value,
-        witness_builder=witness,
+        build_set=lambda p: DistanceSet([1, p["k"], p["k"] + 2 * p["i"] + 1]),
+        in_domain=lambda p: p["i"] >= 0 and p["k"] >= 2,
+        predicted=value,
+        witness=witness,
     )
 
 
@@ -885,8 +808,8 @@ _FAMILIES: tuple[Family, ...] = (
     _family_two_generators(),
     _family_interval_and_k(),
     _family_one_two_3k(),
-    _family_1_3_2i(),
-    _family_1_5_2i(),
+    _family_1_l_2i(3, 2),
+    _family_1_l_2i(5, 5),
     _family_1_4_k(),
     _family_1_k_kp1(),
     _family_1_k_kp3(),
@@ -905,14 +828,11 @@ _FAMILIES: tuple[Family, ...] = (
     _family_1_k_kp7(),
     _family_1_odd_2i(),
     _family_1_2k_2kp2l_conj(),
-    _family_zhu_3k1("lower"),
-    _family_zhu_3k1("upper"),
-    _family_zhu_3k2("lower"),
-    _family_zhu_3k2("upper"),
-    _family_zhu_mixed("lower"),
-    _family_zhu_mixed("upper"),
-    _family_zhu_generic("lower"),
-    _family_zhu_generic("upper"),
+    *(_family_zhu_3k(r, side) for r, side in _ZHU_3K),
+    *(_family_zhu_triples("mixed", "not-all-odd triples, c != a+b", _zhu_mixed_domain,
+                          Fraction(1, 3), side, False, "") for side in ("lower", "upper")),
+    *(_family_zhu_triples("generic", "nondegenerate triples", _zhu_generic_domain, Fraction(3, 8),
+                          side, True, ", finitely many unlisted exceptions") for side in ("lower", "upper")),
     _family_lim_1_odd_2k(),
     _family_lim_1_2i_k(),
     _family_lim_1_k_kpodd(),

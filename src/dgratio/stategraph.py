@@ -557,24 +557,22 @@ class _MaskPinning(meancycle.CyclePinning):
     first, and returns the cycle from the first cycle mask that a walk of
     masks from the least mask of Howard's start node meets.  width[i] is
     max(S) for node i's graph (a run on several gap graphs holds several),
-    least[i] is node i's least mask, and shared lists the nodes with more
-    than one.
+    least[i] is node i's least mask, and shared[i] says whether node i has
+    more than one.
     """
 
     def __init__(self, width: np.ndarray, least: np.ndarray, shared: np.ndarray):
         self.width, self.least, self.shared = width, least, shared
 
     @classmethod
-    def joined(cls, rules: list, offsets: list) -> _MaskPinning:
-        """The rule for graphs laid end to end, the one of rules[i] starting
-        at node offsets[i]."""
+    def joined(cls, rules: list) -> _MaskPinning:
+        """The rule for the graphs of rules laid end to end, in order."""
         return cls(np.concatenate([r.width for r in rules]),
                    np.concatenate([r.least for r in rules]),
-                   np.concatenate([r.shared + o for r, o in zip(rules, offsets)]))
+                   np.concatenate([r.shared for r in rules]))
 
     def part(self, lo, hi):
-        keep = (self.shared >= lo) & (self.shared < hi)
-        return _MaskPinning(self.width[lo:hi], self.least[lo:hi], self.shared[keep] - lo)
+        return _MaskPinning(self.width[lo:hi], self.least[lo:hi], self.shared[lo:hi])
 
     @staticmethod
     def _cycle_masks(s: int, gaps: list) -> list:
@@ -596,11 +594,10 @@ class _MaskPinning(meancycle.CyclePinning):
     def pins(self, succ, wsel, handle, heads):
         # nodes are numbered by least mask, so a cycle whose smallest node
         # has one mask is pinned there: that mask is numbered before every
-        # mask of the cycle's other nodes.  Walked: the shared nodes that
-        # are offered heads (both lists are increasing)
+        # mask of the cycle's other nodes.  Walked: the offered heads that
+        # are shared nodes
         pinned = []
-        at = heads.searchsorted(self.shared)
-        for head in self.shared[heads.take(at, mode="clip") == self.shared].tolist():
+        for head in heads[self.shared[heads]].tolist():
             cycle, gaps, v = [], [], head
             while not cycle or v != head:
                 cycle.append(v)
@@ -673,7 +670,7 @@ def _independence_gap_graph(distances: DistanceSet, max_states: int):
     number = np.empty(n, dtype=index)
     number[node_of] = np.arange(n, dtype=index)
     order = values[node_of]
-    shared = np.flatnonzero(np.diff(np.append(starts, len(masks)))[node_of] > 1)
+    shared = np.diff(np.append(starts, len(masks)))[node_of] > 1
     pinning = _MaskPinning(np.full(n, s, dtype=np.uint8), masks[by_key[least[node_of]]], shared)
     gaps = np.arange(1, s + 2, dtype=np.int64)
     per_block = max(1, meancycle._ARC_BLOCK // len(gaps))
@@ -735,7 +732,7 @@ def _solve_together(graphs: list) -> list:
         indptr = np.concatenate([[0]] + [indptr[1:] + a for (indptr, _, _), a in zip(csrs, arcs_before)])
         dst = np.concatenate([dst + o for (_, dst, _), o in zip(csrs, nodes)])
         w = np.concatenate([w for _, _, w in csrs])
-        pinning = _MaskPinning.joined([arcs.pinning for arcs in graphs], nodes[:-1])
+        pinning = _MaskPinning.joined([arcs.pinning for arcs in graphs])
     return meancycle.min_mean_cycle_howard(indptr, dst, w, pinning, nodes)
 
 

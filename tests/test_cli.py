@@ -282,6 +282,24 @@ def test_console_entry_point():
     assert "2/5" in proc.stdout
 
 
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # stdout is a pipe whose reader has already gone, as in `families |
+    # head -1` once head has exited: the CLI exits as a SIGPIPE death does
+    # (128 + 13, as cat does) and prints nothing to stderr
+    package_root = os.path.dirname(os.path.dirname(dgratio.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dgratio.cli", "families"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": package_root},
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 def test_help_returns_zero(capsys):
     # argparse prints the help and exits from inside the parse; run
     # returns that exit code like every other outcome

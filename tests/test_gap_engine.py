@@ -251,7 +251,7 @@ def test_pinning_only_the_changed_cycles_shifts_no_bias(monkeypatch):
 def test_a_joined_mask_rule_parts_back_into_each_graphs_rule():
     graphs = [_independence_gap_graph(DistanceSet(combo), 10**6)[1] for combo in TABLE_SETS[:12]]
     offsets = np.cumsum([0] + [len(arcs) for arcs in graphs]).tolist()
-    joined = stategraph._MaskPinning.joined([arcs.pinning for arcs in graphs], offsets[:-1])
+    joined = stategraph._MaskPinning.joined([arcs.pinning for arcs in graphs])
     for arcs, lo, hi in zip(graphs, offsets, offsets[1:]):
         part = joined.part(lo, hi)
         for name in ("width", "least", "shared"):

@@ -145,7 +145,8 @@ def test_list_family_value_examples():
     assert fam.in_domain({"k": 8})
 
 
-RESIDUE_FAMILIES = ("1-4-k", "1-k-kp1", "1-k-kp3", "1-6-k", "1-8-k", "1-k-kp5", "1-k-kp7")
+RESIDUE_FAMILIES = ("all-odd", "1-2-3k", "1-3-2i", "1-5-2i", "1-4-k", "1-k-kp1", "1-k-kp3",
+                    "1-6-k", "1-8-k", "1-k-kp5", "1-k-kp7")
 
 
 def _product(x, y):
@@ -160,8 +161,8 @@ def test_residue_rule_witnesses_attain_their_values_for_every_k():
     classes = 0
     for fid in RESIDUE_FAMILIES:
         fam = get_family(fid)
-        rule = fam.value_rule.__self__
-        assert isinstance(rule, ResidueRule) and fam.witness_builder.__self__ is rule, fid
+        rule = fam.predicted.__self__
+        assert isinstance(rule, ResidueRule) and fam.witness.__self__ is rule, fid
         m = rule.modulus
         assert len(rule.values) == m, fid
         if rule.witnesses is None:
@@ -178,14 +179,14 @@ def test_residue_rule_witnesses_attain_their_values_for_every_k():
             num, den = (a * r + b, a * m), (c * r + d, c * m)  # a k + b and c k + d in q
             assert _product(count, den) == _product(period, num), (fid, r)
             classes += 1
-    assert classes == 20
+    assert classes == 24
 
 
 def test_residue_rule_witnesses_are_independent_up_to_200():
     points = 0
     for fid in RESIDUE_FAMILIES:
         fam = get_family(fid)
-        if fam.value_rule.__self__.witnesses is None:
+        if fam.predicted.__self__.witnesses is None:
             continue
         for params in fam.sweep(0, 200):
             blocks = fam.witness(params)
@@ -193,7 +194,7 @@ def test_residue_rule_witnesses_are_independent_up_to_200():
             assert verify_periodic_independent(blocks, distances).ok, (fid, params)
             assert blocks.density() == fam.predicted(params), (fid, params)
             points += 1
-    assert points == 196 + 199 + 198 + 190
+    assert points == 200 + 200 + 199 + 196 + 196 + 199 + 198 + 190
 
 
 def test_residue_rule_has_no_witness_where_a_repeat_is_negative():
@@ -269,6 +270,27 @@ def test_theorem_families_verify_with_witnesses():
             assert v.agreement == "match", (fid, v.params, v.predicted, v.computed)
             assert v.witness_ok in (True, None), (fid, v.params)
             assert not v.is_failure
+
+
+def test_zhu_bounds_are_the_printed_formulas():
+    # each bound as printed, against the family's predicted value
+    printed = {
+        "zhu-3k1-lower": lambda a, k: Fraction(a + k, 3 * a + 3 * k + 1),
+        "zhu-3k1-upper": lambda a, k: Fraction(a + 2 * k, 3 * a + 6 * k + 1),
+        "zhu-3k2-lower": lambda a, k: Fraction(a + 2 * k + 1, 3 * a + 6 * k + 7),
+        "zhu-3k2-upper": lambda a, k: Fraction(a + 2 * k + 2, 3 * a + 6 * k + 7),
+    }
+    for fid, formula in printed.items():
+        fam = get_family(fid)
+        for a, k in itertools.product(range(1, 7), repeat=2):
+            assert fam.predicted({"a": a, "k": k}) == formula(a, k), (fid, a, k)
+    constants = {
+        "zhu-mixed-lower": Fraction(1, 3), "zhu-mixed-upper": Fraction(1, 2),
+        "zhu-generic-lower": Fraction(3, 8), "zhu-generic-upper": Fraction(1, 2),
+    }
+    for fid, value in constants.items():
+        fam = get_family(fid)
+        assert {fam.predicted(p) for p in fam.sweep(1, 6)} == {value}, fid
 
 
 def test_bound_families_hold():
