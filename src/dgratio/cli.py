@@ -22,6 +22,7 @@ import csv
 import functools
 import json
 import os
+import stat
 import sys
 import time
 from fractions import Fraction
@@ -53,6 +54,10 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_RESOURCE = 4
 
+# the most points a verify range or a table grid may hold; a larger one is
+# refused, with exit 4, before any point is listed
+GRID_LIMIT = 1_000_000
+
 
 class UsageError(Exception):
     pass
@@ -63,16 +68,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _frac(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _frac_fields(value: Optional[Fraction]) -> dict:
     if value is None:
         return {"num": None, "den": None}
     return {"num": value.numerator, "den": value.denominator}
+
+
+def _check_grid(points: int, what: str) -> None:
+    """Refuse a grid of more than GRID_LIMIT points, counted from its ranges."""
+    if points > GRID_LIMIT:
+        raise StateSpaceError(f"{what} holds {points:,} points, over the limit of {GRID_LIMIT:,}", points)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -122,9 +127,9 @@ def _cmd_compute(args):
         "counters": report.counters,
     }
     if report.status == "exact":
-        lines = [f"alpha-bar = {_frac(report.value)} (exact)"]
+        lines = [f"alpha-bar = {report.value} (exact)"]
     else:
-        lines = [f"alpha-bar in [{_frac(report.lower)}, {_frac(report.upper)}] ({report.status})"]
+        lines = [f"alpha-bar in [{report.lower}, {report.upper}] ({report.status})"]
     s = "s" if wit.count != 1 else ""
     lines += [
         f"method: {report.method}",
@@ -152,19 +157,20 @@ def _cmd_blocks(args):
         "violation": list(verdict.violation) if verdict.violation else None,
     }
     if verdict.ok:
-        line = f"independent; density {_frac(density)}"
+        line = f"independent; density {density}"
     else:
         x, y = verdict.violation
-        line = f"not independent: elements at positions {x} and {y} are at distance {y - x}; density {_frac(density)}"
+        line = f"not independent: elements at positions {x} and {y} are at distance {y - x}; density {density}"
     return EXIT_OK, result, [line]
 
 
 def _cmd_verify(args):
     lo, hi = _parse_range(args.range)
     try:
-        get_family(args.family)
+        fam = get_family(args.family)
     except UnknownFamilyError:
         raise UsageError(f"unknown family {args.family!r}")
+    _check_grid((hi - lo + 1) ** len(fam.parameters), f"{fam.id} over --range {args.range}")
     verdicts = verify_family(args.family, lo, hi, budget_nodes=args.budget)
     failures = sum(v.is_failure for v in verdicts)
     result = {
@@ -186,8 +192,8 @@ def _cmd_verify(args):
     }
     lines = []
     for v in verdicts:
-        pred = _frac(v.predicted) if v.predicted is not None else "-"
-        comp = _frac(v.computed) if v.computed is not None else f"[{v.computed_status}]"
+        pred = str(v.predicted) if v.predicted is not None else "-"
+        comp = str(v.computed) if v.computed is not None else f"[{v.computed_status}]"
         wit = {True: "witness ok", False: "WITNESS BAD", None: "no witness"}[v.witness_ok]
         params = ",".join(f"{k}={v2}" for k, v2 in sorted(v.params.items()))
         lines.append(f"{v.family} {params} set={v.distances} predicted={pred} computed={comp} {v.agreement} ({wit})")
@@ -206,6 +212,7 @@ def _cmd_table(args):
     i_lo, i_hi = _parse_range(args.i)
     if min(k_lo, i_lo) < 1:  # k or i of 0 makes {1, 1+k, 1+k+i} a set of fewer than three
         raise UsageError(f"--k and --i must start at 1 or more, got {args.k} and {args.i}")
+    _check_grid((k_hi - k_lo + 1) * (i_hi - i_lo + 1), f"the grid --k {args.k} --i {args.i}")
     # opened before the first cell is computed, so an unwritable path fails
     # at once, and opened to append, so a run that stops partway leaves an
     # existing file as it was
@@ -215,8 +222,11 @@ def _cmd_table(args):
         raise UsageError(str(exc)) from exc
     with handle:
         rows = _table_rows(args, k_lo, k_hi, i_lo, i_hi)
-        handle.seek(0)
-        handle.truncate()
+        # a regular file is rewritten from its start; anything else (a
+        # device, a pipe) cannot seek, and is written to as it is
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.seek(0)
+            handle.truncate()
         writer = csv.DictWriter(handle, fieldnames=_TABLE_FIELDS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
@@ -281,7 +291,7 @@ def _density_answer(distances, what: str, extra: dict, density: Fraction, witnes
         "period": witness.period,
     }
     lines = [
-        f"minimum {what} density = {_frac(density)}",
+        f"minimum {what} density = {density}",
         f"witness: {result['witness_blocks']}  (period {witness.period})",
     ]
     return EXIT_OK, result, lines
@@ -324,9 +334,9 @@ def _cmd_chi_f(args):
     except InexactResultError as exc:
         lower, upper = 1 / exc.report.upper, 1 / exc.report.lower
         result.update(chi_f=_frac_fields(None), chi_f_lower=_frac_fields(lower), chi_f_upper=_frac_fields(upper))
-        return EXIT_BUDGET, result, [f"fractional chromatic number in [{_frac(lower)}, {_frac(upper)}] (budget exhausted)"]
+        return EXIT_BUDGET, result, [f"fractional chromatic number in [{lower}, {upper}] (budget exhausted)"]
     result["chi_f"] = _frac_fields(value)
-    return EXIT_OK, result, [_frac(value)]
+    return EXIT_OK, result, [str(value)]
 
 
 @functools.cache

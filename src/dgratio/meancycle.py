@@ -49,21 +49,21 @@ Every run solves one or several disjoint graphs laid end to end (the
 so several small graphs share numpy's fixed per-call cost, and one path
 serves every run.  No arc leaves its graph, so every per-node quantity
 (policy, gain, bias, basin) is that graph's own, and two rules make each
-improvement pass do for each graph what the graph's own run does, no
-more.  Gains are ranked within each graph: only a graph that holds more
-than one gain takes the gain pass, and only its edges into a cycle of
-another gain are left out of the bias pass, while a graph of one gain
-takes the bias pass with its own den and nothing left out.  A graph whose
-gain pass switches skips the bias pass.  And only the graphs still
-running are read: a graph in which neither pass switches has converged
-and its result is recorded, and from then on both passes read only the
-rows of the others.  Rows that lie together are read in place, and
-others are copied out in their own dtypes: the live rows each time a
-settled graph splits them, and the rows of the graphs of several gains
-for their gain pass (the gap engine's unions hold at most _ARC_BLOCK
-arcs).  A settled graph's arcs no longer change, so later evaluations give
-it the same biases (no cycle of it is offered to the pinning rule).  So
-each graph goes through the policies of its own run, in as many
+improvement pass do for each graph what the graph's own run does.  The
+gain pass runs only when some graph holds more than one gain, and it
+ranks the gains of all the cycles it reads; ranks keep the order of the
+gains, so a row of a graph of several gains switches as in its own run,
+and in a graph of one gain, whose targets all share the rank of its
+rows, no row switches.  Only edges into a cycle of another gain are left
+out of the bias pass, so a graph of one gain takes it with nothing left
+out, and a graph whose gain pass switches skips it.  And a graph in which
+neither pass switches has converged; its result is recorded once, and
+from then on both passes read the span of rows from the first graph
+still running to the last, in place.  A settled graph inside the span is
+read but never switches: its arcs no longer change, so later evaluations
+give it the same biases (no cycle of it is offered to the pinning rule)
+and both passes the values under which it switched nothing.  So each
+graph goes through the policies of its own run, in as many
 evaluations, and its result is that run's.
 """
 
@@ -310,10 +310,10 @@ def _segment_argmin_switch(rows: _Rows, values_of, current: np.ndarray, pol: np.
 
     values_of(a, b, lo, hi, deg) gives the values of edges lo..hi-1, the
     out-edges of rows a..b-1 (below _NEVER; +_INF to exclude), one block
-    of rows.blocks at a time; current is per row.  Rows and edges are
-    numbered as in `rows`; a switch is written to pol, and marked in
-    `changed`, at the row's node and edge in the run.  Returns whether any
-    switch happened.
+    of rows.blocks at a time; current is per row.  Rows are numbered as in
+    `rows`, and edges as in the run; a switch is written to pol, and marked
+    in `changed`, at the row's node in the run, rows.nodes.start on.
+    Returns whether any switch happened.
     Deterministic: first minimal edge in CSR order wins.
     """
     switched = False
@@ -328,12 +328,8 @@ def _segment_argmin_switch(rows: _Rows, values_of, current: np.ndarray, pol: np.
         goal = np.where(better, seg_min, _NEVER)
         hits = (values == goal.repeat(deg)).nonzero()[0]
         up = better.nonzero()[0]
-        picked = lo + hits[hits.searchsorted(starts[up])]
-        if isinstance(rows.nodes, slice):
-            at = up + (a + rows.nodes.start)
-        else:
-            at, picked = rows.nodes[a + up], picked + rows.shift[a + up]
-        pol[at] = picked
+        at = up + (a + rows.nodes.start)
+        pol[at] = lo + hits[hits.searchsorted(starts[up])]
         changed[at] = True
         switched = True
     return switched
@@ -350,87 +346,67 @@ def _initial_policy(num_nodes: int, w: np.ndarray, blocks: list) -> np.ndarray:
 
 
 class _Rows:
-    """The rows of some whole graphs of a run, which solves one or several
-    laid end to end (offsets as min_mean_cycle_howard's parts), taken as a
-    graph of their own: the graphs still running, or some of them.
+    """The rows of graphs first..last of a run, which solves one or several
+    laid end to end (offsets as min_mean_cycle_howard's parts), read in
+    place: the span from the first graph still running to the last.
 
-    `graphs` lists the run's graphs taken, in order; graph graphs[i] is
-    numbered here from row lo[i] on and holds sizes[i] rows.  Row r here is
-    node nodes[r] of the run, and its edge e here is the run's edge
-    e + shift[r].  Graphs whose rows lie together in the run are read in
-    place: nodes is then a slice, edges keep the run's numbering (no
-    shift), indptr is a view of the run's and tgt and w (each edge's target
-    and weight) are the run's own arrays.  Others are copied, with nodes
-    and shift per row and their edges numbered from 0.  Either way tgt and
-    w keep the run's dtypes, and the passes widen them one block at a
-    time.  blocks are the _row_blocks of indptr.
+    Graph graphs[i] is numbered here from row lo[i] on and holds sizes[i]
+    rows.  Row r here is node nodes.start + r of the run (nodes is a
+    slice), and edges keep the run's numbering: indptr is a view of the
+    run's, and tgt and w (each edge's target and weight) are the run's own
+    arrays, in its dtypes, which the passes widen one block at a time.
+    blocks are the _row_blocks of indptr.  A settled graph inside the span
+    is read too, but never switches (see _improve_live).
     """
 
-    __slots__ = ("run", "offsets", "graphs", "lo", "sizes", "nodes", "shift", "indptr", "blocks",
-                 "tgt", "w")
+    __slots__ = ("graphs", "lo", "sizes", "nodes", "indptr", "blocks", "tgt", "w")
 
-    def __init__(self, run: tuple, offsets: list, graphs: list):
-        indptr, dst, w = self.run = run
-        self.offsets, self.graphs = offsets, graphs
-        a, z = offsets[graphs[0]], offsets[graphs[-1] + 1]
-        if len(graphs) == 1:
+    def __init__(self, run: tuple, offsets: list, first: int, last: int):
+        indptr, self.tgt, self.w = run
+        a, z = offsets[first], offsets[last + 1]
+        self.graphs, self.nodes, self.indptr = range(first, last + 1), slice(a, z), indptr[a:z + 1]
+        if first == last:
             self.lo, self.sizes = [0], [z - a]
         else:  # arrays, as numpy reads them at every evaluation
-            starts = np.array([offsets[i] for i in graphs])
-            self.sizes = np.array([offsets[i + 1] for i in graphs]) - starts
-            self.lo = np.cumsum(self.sizes) - self.sizes
-        if graphs[-1] - graphs[0] == len(graphs) - 1:  # rows that lie together: read in place
-            self.nodes, self.indptr, self.tgt, self.w = slice(a, z), indptr[a:z + 1], dst, w
-        else:
-            sizes = self.sizes
-            first, last = indptr[starts], indptr[starts + sizes]
-            counts = last - first
-            ends = np.cumsum(counts)
-            self.nodes = np.arange(int(sizes.sum()), dtype=np.int64) + (starts - self.lo).repeat(sizes)
-            self.shift = (first - (ends - counts)).repeat(sizes)
-            self.indptr = np.concatenate((indptr[self.nodes] - self.shift, ends[-1:]))
-            spans = list(zip(first.tolist(), last.tolist()))
-            self.tgt = np.concatenate([dst[x:y] for x, y in spans])
-            self.w = np.concatenate([w[x:y] for x, y in spans])
+            bounds = np.array(offsets[first:last + 2]) - a
+            self.lo, self.sizes = bounds[:-1], bounds[1:] - bounds[:-1]
         self.blocks = _row_blocks(self.indptr)
-
-    def alone(self, which) -> _Rows:
-        """The rows of graphs `which` (numbered here) alone."""
-        return _Rows(self.run, self.offsets, [self.graphs[i] for i in which])
 
 
 def _improve_live(live: _Rows, lam_num: np.ndarray, lam_den: np.ndarray, bias: np.ndarray,
                   handle: np.ndarray, pol: np.ndarray, changed: np.ndarray) -> tuple[np.ndarray, list]:
-    """For each graph still running (their rows are `live`), the policy
-    improvement that its own run makes.
+    """For each graph of the span `live`, the policy improvement that its
+    own run makes.
 
-    Gains are ranked within each graph, so only the graphs that hold more
-    than one gain take the gain pass, and only their edges into a cycle of
-    another gain are left out of the bias pass; a graph that switches in
-    the gain pass skips the bias pass.  Marks the switched nodes in
-    `changed`.  Returns the ranks, 0 throughout a graph of one gain, and
-    the graphs of live in which no node switched: they have converged.
+    When some graph of the span holds more than one gain, the gain pass
+    reads the span, with the gains ranked over all of its cycles; a graph
+    of one gain then has no row that switches in it.  Only edges into a
+    cycle of another gain are left out of the bias pass, so a graph of one
+    gain has none left out, and a graph that switches in the gain pass
+    skips the bias pass.  A graph that settled earlier switches in neither:
+    its arcs and its biases are those of the evaluation at which it
+    settled.  Marks the switched nodes in `changed`.  Returns the ranks,
+    equal throughout a graph of one gain, and the graphs of the span in
+    which no node switched.
     """
     num, den = lam_num[live.nodes], lam_den[live.nodes]
     current = bias[live.nodes] + num
     one = len(live.lo) == 1  # one graph: no flags per graph to keep
     if one:
-        multi = [0] if ((num != num[0]) | (den != den[0])).any() else []
-    else:
-        mixed = (num != num[live.lo].repeat(live.sizes)) | (den != den[live.lo].repeat(live.sizes))
-        multi = np.logical_or.reduceat(mixed, live.lo).nonzero()[0]  # the graphs of several gains
+        several = ((num != num[0]) | (den != den[0])).any()
+    else:  # whether some graph holds several gains
+        several = ((num != num[live.lo].repeat(live.sizes)) | (den != den[live.lo].repeat(live.sizes))).any()
     rank = np.zeros(len(bias), dtype=np.int64)
-    if len(multi):
-        ranked = live if len(multi) == len(live.lo) else live.alone(multi.tolist())
-        nodes = np.arange(len(bias))[ranked.nodes]
-        rank = _gain_rank(lam_num, lam_den, handle, nodes[handle[ranked.nodes] == nodes])
+    if several:
+        nodes = np.arange(live.nodes.start, live.nodes.stop)
+        rank = _gain_rank(lam_num, lam_den, handle, nodes[handle[live.nodes] == nodes])
 
         # a block's targets are widened before they index anything, since
         # numpy would convert a narrow index array on every gather
         def rank_of_targets(a, b, lo, hi, deg):
-            return rank[ranked.tgt[lo:hi].astype(np.int64, copy=False)]
+            return rank[live.tgt[lo:hi].astype(np.int64, copy=False)]
 
-        if _segment_argmin_switch(ranked, rank_of_targets, rank[ranked.nodes], pol, changed):
+        if _segment_argmin_switch(live, rank_of_targets, rank[live.nodes], pol, changed):
             # a graph that switched to a better gain skips the bias pass
             if one:
                 return rank, []
@@ -438,23 +414,23 @@ def _improve_live(live: _Rows, lam_num: np.ndarray, lam_den: np.ndarray, bias: n
             if held.all():
                 return rank, []
             current[held.repeat(live.sizes)] = _FLOOR
-    flat = one and not len(multi)  # one den for every row
-    row_rank = rank[live.nodes] if len(multi) else None
+    flat = one and not several  # one den for every row
+    row_rank = rank[live.nodes] if several else None
 
     def candidate_bias(a, b, lo, hi, deg):
-        """w*den + bias[target] per edge, with the source's gain; in a
-        graph of several gains, only edges into a cycle of the same gain.
+        """w*den + bias[target] per edge, with the source's gain; when some
+        graph holds several gains, only edges into a cycle of the same gain.
         A node's num is added to its bias instead of taken off here."""
         tgt = live.tgt[lo:hi].astype(np.int64, copy=False)
         cand = np.multiply(live.w[lo:hi], den[a] if flat else den[a:b].repeat(deg), dtype=np.int64)
         cand += bias[tgt]
-        if len(multi):
+        if several:
             cand[rank[tgt] != row_rank[a:b].repeat(deg)] = _INF
         return cand
 
     switched = _segment_argmin_switch(live, candidate_bias, current, pol, changed)
     if one:
-        return rank, [] if switched else live.graphs
+        return rank, [] if switched else list(live.graphs)
     moved = np.logical_or.reduceat(changed[live.nodes], live.lo).tolist()
     return rank, [i for i, m in zip(live.graphs, moved) if not m]
 
@@ -492,7 +468,7 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray,
         raise ValueError("parts must rise strictly from 0 to the node count")
     results: list = [None] * (len(offsets) - 1)
     unsolved = list(range(len(results)))
-    live = _Rows((indptr, dst, w), offsets, unsolved)  # the rows of the graphs still running
+    live = _Rows((indptr, dst, w), offsets, 0, len(results) - 1)  # the span of the graphs still running
     pol = _initial_policy(num_nodes, w, live.blocks)
     max_w = max(int(w.max()), -int(w.min()))
     prev_bias = np.zeros(num_nodes, dtype=np.int64)
@@ -510,6 +486,7 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray,
         # pinning rule
         changed = np.zeros(num_nodes, dtype=bool)
         rank, settled = _improve_live(live, lam_num, lam_den, bias, handle, pol, changed)
+        settled = [i for i in settled if results[i] is None]  # each result is recorded once
         if not settled:
             continue
         # Bellman optimality reached in these graphs: their best policy
@@ -525,7 +502,8 @@ def min_mean_cycle_howard(indptr: np.ndarray, dst: np.ndarray, w: np.ndarray,
         unsolved = [i for i in unsolved if results[i] is None]
         if not unsolved:
             return results[0] if parts is None else results
-        live = _Rows(live.run, offsets, unsolved)
+        if live.graphs != range(unsolved[0], unsolved[-1] + 1):
+            live = _Rows((indptr, dst, w), offsets, unsolved[0], unsolved[-1])
     if len(results) == 1:  # a run on the graph alone: this one
         rescued = _min_mean_cycle_descent(indptr, dst, w)
         return rescued if parts is None else [rescued]

@@ -401,6 +401,47 @@ def test_table_refuses_a_range_below_one_before_opening_its_output(tmp_path, mon
     assert kept.read_text() == "kept\n"
 
 
+def test_table_writes_to_an_output_that_is_not_a_regular_file(capsys):
+    # a device or a pipe cannot seek or truncate, and is written to as it is
+    code, out, err = _capture(capsys, ["table", "--k", "1..1", "--i", "1..1", "--out", os.devnull])
+    assert (code, err) == (0, "") and out.startswith("wrote 1 rows")
+    package_root = os.path.dirname(os.path.dirname(dgratio.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dgratio.cli", "table", "--k", "1..1", "--i", "1..2", "--out", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("k,i,set,") and len(proc.stdout.splitlines()) == 4
+
+
+def test_grids_past_the_limit_are_refused_before_any_point(tmp_path, monkeypatch, capsys):
+    # the points are counted from the ranges: a grid past GRID_LIMIT is
+    # refused with exit 4 before a point is listed or --out is opened
+    kept = tmp_path / "kept.csv"
+    kept.write_text("kept\n")
+    with monkeypatch.context() as m:
+        m.setattr(dgratio.registry.Family, "sweep", lambda *a: pytest.fail("a point was listed"))
+        m.setattr(dgratio.cli, "open", lambda *a, **k: pytest.fail("the output was opened"), raising=False)
+        for argv, count in (
+            (["verify", "--family", "1-4-k", "--range", "1..1000000000"], "1,000,000,000"),
+            (["verify", "--family", "two-generators", "--range", "1..1001"], "1,002,001"),
+            (["table", "--k", "1..100000", "--i", "1..100000", "--out", str(kept)], "10,000,000,000"),
+        ):
+            code, out, err = _capture(capsys, argv)
+            assert (code, out) == (4, ""), argv
+            assert err.startswith("resource cap: ") and f" {count} points" in err, err
+    assert kept.read_text() == "kept\n"
+    # the limit itself is allowed
+    monkeypatch.setattr(dgratio.cli, "GRID_LIMIT", 6)
+    assert run(["table", "--k", "1..2", "--i", "1..3", "--out", str(kept)]) == 0
+    assert run(["table", "--k", "1..2", "--i", "1..4", "--out", str(kept)]) == 4
+    assert run(["verify", "--family", "1-3-2i", "--range", "2..7"]) == 0
+    assert run(["verify", "--family", "1-3-2i", "--range", "2..8"]) == 4
+    capsys.readouterr()
+    assert len(kept.read_text().splitlines()) == 7
+
+
 def test_sizes_past_every_cap_are_refused_at_once():
     # each case used to hang, raise OverflowError from a mask or a scaled
     # witness, or take seconds and hundreds of MB; each is refused from

@@ -156,7 +156,7 @@ def test_a_run_on_several_graphs_equals_a_run_on_each(monkeypatch, evaluate_call
 def _record_passes(monkeypatch) -> list:
     """A list that gains, per policy evaluation Howard makes, the list of the
     improvement passes that follow it, each as (whether it is the gain pass,
-    the set of nodes whose rows it reads)."""
+    the set of nodes whose rows it reads, the set of nodes it switches)."""
     evaluations = []
     evaluate, switch = meancycle._evaluate, meancycle._segment_argmin_switch
 
@@ -166,8 +166,11 @@ def _record_passes(monkeypatch) -> list:
 
     def recorded(rows, values_of, current, pol, changed):
         read = set(np.arange(len(pol))[rows.nodes].tolist())
-        evaluations[-1].append((values_of.__name__ == "rank_of_targets", read))
-        return switch(rows, values_of, current, pol, changed)
+        before = changed.copy()
+        switched = switch(rows, values_of, current, pol, changed)
+        evaluations[-1].append((values_of.__name__ == "rank_of_targets", read,
+                                set((changed & ~before).nonzero()[0].tolist())))
+        return switched
 
     monkeypatch.setattr(meancycle, "_evaluate", counted)
     monkeypatch.setattr(meancycle, "_segment_argmin_switch", recorded)
@@ -176,7 +179,7 @@ def _record_passes(monkeypatch) -> list:
 
 def _gain_rows(evaluations: list, shift: int = 0) -> list:
     """Per evaluation, the nodes whose rows its gain pass reads, plus shift."""
-    return [{v + shift for gain, read in passes if gain for v in read} for passes in evaluations]
+    return [{v + shift for gain, read, _ in passes if gain for v in read} for passes in evaluations]
 
 
 def _alone(graph, rule, evaluations: list, shift: int = 0) -> tuple:
@@ -194,12 +197,25 @@ def _alone(graph, rule, evaluations: list, shift: int = 0) -> tuple:
     return solved, len(evaluations), _gain_rows(evaluations, shift)
 
 
+def _spans(lengths, offsets) -> list:
+    """Per evaluation of a run on the graphs laid end to end at offsets,
+    whose own runs take lengths evaluations, the nodes from the first to the
+    last graph whose own run takes that evaluation."""
+    spans = []
+    for j in range(1, max(lengths) + 1):
+        running = [i for i, n in enumerate(lengths) if n >= j]
+        spans.append(set(range(offsets[running[0]], offsets[running[-1] + 1])))
+    return spans
+
+
 @pytest.mark.parametrize("arc_block", [meancycle._ARC_BLOCK, 3])
 @pytest.mark.parametrize("rule", [None, _PinAtLargest()])
 def test_a_shared_run_reads_only_the_graphs_still_running(monkeypatch, rule, arc_block):
-    # a pass after a graph's last evaluation of its own run reads none of
-    # its rows, and the gain pass reads the rows of the graphs whose own
-    # runs take one at that evaluation, those that hold several gains
+    # every pass reads the span from the first to the last graph whose own
+    # run takes that evaluation; the gain pass runs when a graph of the span
+    # holds several gains at that evaluation of its own run (at its last,
+    # for a graph that has settled), and only graphs whose own runs go on
+    # switch
     monkeypatch.setattr(meancycle, "_ARC_BLOCK", arc_block)
     evaluations = _record_passes(monkeypatch)
     rng = random.Random(37)
@@ -212,11 +228,13 @@ def test_a_shared_run_reads_only_the_graphs_still_running(monkeypatch, rule, arc
         evaluations.clear()
         assert meancycle.min_mean_cycle_howard(*csr, rule, offsets) == list(alone)
         assert len(evaluations) == max(length)
-        for j, passes in enumerate(evaluations, 1):
-            running = {v for i, n in enumerate(length) if n >= j for v in range(offsets[i], offsets[i + 1])}
-            assert all(read <= running for _, read in passes)
-        assert _gain_rows(evaluations) == [
-            set().union(*(rows[j] for rows in gain_rows if j < len(rows))) for j in range(max(length))]
+        for j, (passes, span) in enumerate(zip(evaluations, _spans(length, offsets))):
+            assert passes and all(read == span for _, read, _ in passes)
+            inside = [i for i in range(len(graphs)) if offsets[i] in span]
+            several = any(gain_rows[i][min(j, length[i] - 1)] for i in inside)
+            assert any(gain for gain, _, _ in passes) == several
+            going_on = {v for i, n in enumerate(length) if n > j + 1 for v in range(offsets[i], offsets[i + 1])}
+            assert all(switched <= going_on for _, _, switched in passes)
         staggered += len(set(length)) > 1
     assert staggered > 100
 
@@ -224,8 +242,9 @@ def test_a_shared_run_reads_only_the_graphs_still_running(monkeypatch, rule, arc
 @pytest.mark.parametrize("rule", [None, _PinAtLargest()])
 def test_one_gain_graphs_run_no_gain_pass_beside_a_graph_of_several(monkeypatch, rule):
     # graphs whose own runs hold one gain at every evaluation, alone in a
-    # union or beside one graph whose run holds several: the union's gain
-    # passes read that graph's rows only, and every graph keeps its result
+    # union or beside one graph whose run holds several: alone they take no
+    # gain pass, and beside it the gain pass reads the span but switches
+    # rows of that graph only; every graph keeps its result
     evaluations = _record_passes(monkeypatch)
     rng = random.Random(41)
     one, several = [], []
@@ -242,12 +261,16 @@ def test_one_gain_graphs_run_no_gain_pass_beside_a_graph_of_several(monkeypatch,
             evaluations.clear()
             assert meancycle.min_mean_cycle_howard(*csr, rule, offsets) == [solved for _, solved, _ in graphs]
             assert len(evaluations) == max(length for _, _, length in graphs)
-            gain_rows = set().union(*_gain_rows(evaluations))
+            gain_passes = [(read, switched, span)
+                           for passes, span in zip(evaluations, _spans([n for _, _, n in graphs], offsets))
+                           for gain, read, switched in passes if gain]
             if not mixed:
-                assert not gain_rows
+                assert not gain_passes
             else:
                 i = next(i for i, graph in enumerate(graphs) if graph is several[k])
-                assert gain_rows and gain_rows <= set(range(offsets[i], offsets[i + 1]))
+                assert gain_passes
+                for read, switched, span in gain_passes:
+                    assert read == span and switched <= set(range(offsets[i], offsets[i + 1]))
 
 
 def test_parts_must_rise_from_zero_to_the_node_count():
