@@ -239,6 +239,30 @@ def brute_force_alpha_interval(distances: DistanceSet, n: int) -> int:
     return best
 
 
+def window_alpha_intervals(distances: DistanceSet, n: int) -> list:
+    """alpha(G(S)[m]) for m = 0..n by dynamic programming over windows.
+
+    After position m, a state is the occupancy of the last max(S)
+    positions (bit i for position m - i) and its value the largest
+    independent subset of [m] that ends so; position m + 1 may join when
+    no position d back, for d in S, is occupied.  Every subset of [m] is
+    covered, with no search, bound or table of the main solver.
+    """
+    window = (1 << distances.max_element) - 1
+    clash = sum(1 << (d - 1) for d in distances.distances)
+    best, out = {0: 0}, [0]
+    for _ in range(n):
+        grown: dict = {}
+        for state, size in best.items():
+            shifted = (state << 1) & window
+            grown[shifted] = max(grown.get(shifted, 0), size)
+            if not state & clash:
+                grown[shifted | 1] = max(grown.get(shifted | 1, 0), size + 1)
+        best = grown
+        out.append(max(best.values()))
+    return out
+
+
 def scan_periodic_independent(blocks: BlockList, distances: DistanceSet) -> IndependenceVerdict:
     """The periodic independence check by scanning element pairs.
 
@@ -295,17 +319,23 @@ def beta(iv: list, candidates: int) -> int:
 def recursive_search(table: AlphaTable, count, candidates, target, nbr, bound, budget, chosen) -> bool:
     """AlphaTable._search as one recursive call per node (Python's recursion
     limit bounds its depth), scanning every run of every candidate set;
-    `count` is the number of vertices chosen so far.  RecursiveAlphaTable
-    runs the interval and circulant solvers on it."""
+    `count` is the number of vertices chosen so far.  An interval search
+    (bound is the table's interval_alpha) scans beta of the candidates it
+    has not tried yet each time round its loop and gives up once they
+    cannot reach the target.  RecursiveAlphaTable runs the interval and
+    circulant solvers on it."""
     charge(budget)
     if count == target:
         return True
-    if count + beta(table.interval_alpha, candidates) < target:
+    iv = table.interval_alpha
+    if count + beta(iv, candidates) < target:
         return False
     rest = candidates
     while rest:
         v = rest.bit_length()
         if count + bound[v] < target:
+            return False
+        if bound is iv and count + beta(iv, rest) < target:
             return False
         rest ^= 1 << (v - 1)
         chosen.append(v)

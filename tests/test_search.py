@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from dgratio.core import BlockList, DistanceSet, verify_periodic_independent
+from dgratio import search
 from dgratio.registry import closed_form
 from dgratio.stategraph import independence_ratio_exact
 from dgratio.search import (
@@ -32,6 +33,7 @@ from oracles import (
     brute_force_alpha_interval,
     round_by_round_ratio,
     searched_interval_alpha,
+    window_alpha_intervals,
 )
 
 
@@ -164,6 +166,84 @@ def test_search_matches_the_recursion_on_random_sets():
         assert runs[0][3] == 20_001
         with_circulants += any(runs[0][2])
     assert with_circulants >= 10
+
+
+class _UncutTable(AlphaTable):
+    """Searches every interval as the circulant solver does: a copy of the
+    bound is not the table's own interval_alpha, so no node stops at the
+    beta of its untried candidates."""
+
+    def _search(self, candidates, target, nbr, bound, budget, chosen):
+        return super()._search(candidates, target, nbr, list(bound), budget, chosen)
+
+
+def test_interval_searches_that_stop_at_their_untried_candidates_stay_exact():
+    # every S within {1..8}: the table's intervals, proved or searched, and
+    # a search at every step equal a count over all subsets, the window
+    # count to 3 max(S) + 12 and the brute force to 16; the cut spares
+    # nodes, so a search that stopped too early would show here
+    spared = 0
+    for size in range(1, 9):
+        for combo in itertools.combinations(range(1, 9), size):
+            distances = DistanceSet(combo)
+            n = 3 * distances.max_element + 12
+            want = window_alpha_intervals(distances, n)
+            assert want[:17] == [brute_force_alpha_interval(distances, m) for m in range(min(n, 16) + 1)], combo
+            assert searched_interval_alpha(distances, n) == want, combo
+            nodes = []
+            for table in (AlphaTable(distances), _UncutTable(distances)):
+                budget = SearchBudget()
+                alpha_interval(distances, n, table, budget)
+                assert table.interval_alpha == want, combo
+                nodes.append(budget.nodes)
+            assert nodes[0] <= nodes[1], combo
+            spared += nodes[1] - nodes[0]
+    assert spared > 0
+
+
+@pytest.mark.parametrize(
+    "combo, n, size, nodes",
+    [((5, 6, 9), 30, 10, 377), ((2, 5, 11), 40, 14, 773), ((1, 17, 36), 74, 28, 75_374)],
+    ids=["5,6,9", "2,5,11", "1,17,36"],
+)
+def test_circulant_searches_keep_their_node_counts(combo, n, size, nodes):
+    # circulant searches do not stop at the beta of their untried
+    # candidates: the kernel and the recursion spend the same nodes on the
+    # same prefix tables and sets as a search with no such cut anywhere
+    distances = DistanceSet(combo)
+    runs = []
+    for table in (AlphaTable(distances), RecursiveAlphaTable(distances), _UncutTable(distances)):
+        alpha_interval(distances, n, table)
+        budget = SearchBudget()
+        found = _alpha_circulant_solution(distances, n, table, budget, 0)
+        runs.append((found, table.prefix_alpha, budget.nodes))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0][0] == size and runs[0][2] == nodes
+
+
+def test_a_budget_that_runs_out_in_an_interval_search_leaves_a_resumable_table():
+    # {21,22}'s interval searches to 44 spend a third of the nodes they
+    # spend without stopping at the beta of their untried candidates;
+    # wherever the budget runs out, the table keeps only completed entries
+    # and resumes to the values of a search without the cut
+    distances = DistanceSet([21, 22])
+    n = 44
+    uncut, spent = _UncutTable(distances), []
+    for table in (AlphaTable(distances), uncut):
+        budget = SearchBudget()
+        alpha_interval(distances, n, table, budget)
+        spent.append(budget.nodes)
+    want = uncut.interval_alpha
+    assert 3 * spent[0] < spent[1]
+    for limit in (spent[0] // 3, spent[0] // 2, spent[0] - 1):
+        table, budget = AlphaTable(distances), SearchBudget(max_nodes=limit)
+        with pytest.raises(BudgetExceeded):
+            alpha_interval(distances, n, table, budget)
+        assert budget.nodes == limit + 1
+        done = table.interval_alpha
+        assert len(done) <= n and done == want[: len(done)]
+        assert alpha_interval(distances, n, table) == want[n]
+        assert table.interval_alpha == want
 
 
 def test_split_runs_match_the_run_scan():
@@ -551,11 +631,11 @@ def test_jumps_keep_the_round_by_round_answers(combo):
 
 @pytest.mark.parametrize(
     "combo, value, nodes, jumps",
-    [((19, 22), Fraction(20, 41), 364_312, 9), ((21, 22), Fraction(21, 43), 806_178, 11)],
+    [((19, 22), Fraction(20, 41), 150_017, 9), ((21, 22), Fraction(21, 43), 265_655, 11)],
     ids=["19,22", "21,22"],
 )
 def test_jumps_close_the_capped_pairs_in_round_max_s(combo, value, nodes, jumps):
-    # the round-by-round schedule spends 772,638 and 1,560,626 nodes and
+    # the round-by-round schedule spends 379,543 and 735,077 nodes and
     # closes these in round q, after the intervals up to 2q - 2; a jump hit
     # on Z_q closes them once an interval of round max(S) or just before
     # reads the value: {21,22} in round 22, after ten misses (four of them
@@ -583,8 +663,11 @@ def test_jumps_close_the_capped_pairs_in_round_max_s(combo, value, nodes, jumps)
 def test_jumps_to_multiples_close_light_sets_sooner(combo, z_q_nodes):
     # the ratio p/q has q <= max(S), so Z_q is never searched; once the
     # upper bound reads p/q, a jump to the least multiple kq > max(n, max(S))
-    # closes the set with fewer nodes than a search that jumps only to Z_q
-    # (z_q_nodes), which waits for round kq or an interval of length 3q
+    # closes the set with fewer nodes than a search that jumps only to Z_q,
+    # which waits for round kq or an interval of length 3q (z_q_nodes, its
+    # count when interval searches do not stop at the beta of their untried
+    # candidates; with that cut it spends 27,074, 28,147, 24,941, 14,414,
+    # 4,739 and 5,143)
     distances = DistanceSet(combo)
     report = compute_ratio(distances, SearchBudget(max_nodes=FALLBACK_NODE_BUDGET))
     assert report.status == "exact" and report.value.denominator <= distances.max_element
@@ -619,17 +702,23 @@ def test_a_jump_gives_up_after_its_node_limit():
 
 @pytest.mark.parametrize(
     "combo, budget, lower, upper",
-    [((8, 17, 28, 29), 200_000, Fraction(1, 3), Fraction(7, 19)), ((16, 22, 27), 500_000, Fraction(11, 31), Fraction(9, 22))],
+    [((8, 17, 28, 29), 150_000, Fraction(1, 3), Fraction(7, 19)), ((16, 22, 27), 200_000, Fraction(11, 31), Fraction(9, 22))],
     ids=["8,17,28,29", "16,22,27"],
 )
-def test_jump_misses_leave_a_bounded_search_its_bounds(combo, budget, lower, upper):
-    # the bounds a search that jumps only to Z_q reaches within the budget;
-    # with no node limit on the jumps to multiples, their misses (Z_46 for
-    # {8,17,28,29}, Z_38 and Z_44 for {16,22,27}) spend the budget before
-    # the first circulant round, and the lower bound stays 1/(max(S) + 1)
-    report = compute_ratio(DistanceSet(combo), SearchBudget(max_nodes=budget))
+def test_jump_misses_leave_a_bounded_search_its_bounds(combo, budget, lower, upper, monkeypatch):
+    # the bounds the search reaches within the budget; with no node limit
+    # on the jumps to multiples, their misses (Z_46 for {8,17,28,29}, Z_38
+    # and Z_44 for {16,22,27}) spend the budget before the first circulant
+    # round that raises the lower bound, and it stays 1/(max(S) + 1).  At
+    # 200,000 and 500,000 nodes these reach (1/3, 7/19) and (14/37, 9/22)
+    # with or without the limit, so larger budgets would not show it
+    distances = DistanceSet(combo)
+    report = compute_ratio(distances, SearchBudget(max_nodes=budget))
     assert report.status == "bounded"
     assert (report.lower, report.upper) == (lower, upper)
+    monkeypatch.setattr(search, "_MULTIPLE_JUMP_NODES", budget)
+    report = compute_ratio(distances, SearchBudget(max_nodes=budget))
+    assert report.lower == Fraction(1, distances.max_element + 1)
 
 
 @pytest.mark.parametrize("combo, value", [((1, 6, 31), Fraction(13, 32)), ((1, 31, 36), Fraction(28, 67))])
