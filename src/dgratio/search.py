@@ -10,7 +10,10 @@ best bounds meet or the work budget runs out.  The core solver is a
 backtracking search over vertices in decreasing order with two prunes: the
 memoized alpha values of shorter intervals, and the interval decomposition
 bound beta(B) of the remaining candidate set, which interval searches test
-again each time a node uses up a candidate.
+again each time a node uses up a candidate.  A search for one vertex more
+than the vertices after vertex 1 hold must take vertex 1, so interval steps
+and the prefix searches of a jump drop every child that loses it; regular
+circulant rounds keep their node order.
 
 An interval step a(m) = alpha(G(S)[m]) is either a(m-1) or a(m-1) + 1, and
 two exact proofs settle many steps without a search: alpha is subadditive
@@ -169,6 +172,7 @@ class AlphaTable:
         bound: list[int],
         budget: SearchBudget,
         chosen: list[int],
+        first: Optional[int] = None,
     ) -> bool:
         """Grow an independent set to `target` vertices, decreasing order.
 
@@ -206,13 +210,26 @@ class AlphaTable:
         settles nearly all of these tests (rest, too, is narrower than the
         table); only the others scan rest, once, and carry its beta.  The
         cut is exact, so every interval value stays the same; circulant
-        searches keep their node order, as a cut there moves a budget-bound
+        searches keep no such cut, as a cut there moves a budget-bound
         search's nodes into costlier late rounds.
+
+        A forced search (`first` given, the mask of vertex 1's neighbours)
+        wants one vertex more than the vertices above vertex 1 can hold, so
+        every answer takes vertex 1 and none of `first`.  It drops a child
+        whose candidates have lost vertex 1 (bit 0), or hold fewer vertices
+        outside `first` than the child needs.  A dropped subtree holds no
+        answer, so the search finds what it finds without the cut, and the
+        same first answer in depth-first order; only node counts fall.  The
+        tests sit in the interval cut's branch, which a search that is
+        neither interval nor forced skips with one test per child.
         """
         f = self.interval_alpha
         if candidates.bit_length() >= len(f):
             raise ValueError(f"{candidates.bit_length()} candidates exceed the table's {len(f) - 1} intervals")
         interval = bound is f
+        forced = first is not None
+        cut = interval or forced
+        keep = candidates & ~first if forced else 0  # vertex 1 and its non-neighbours
         nodes, limit = budget.nodes, budget.max_nodes
         try:
             nodes += 1
@@ -243,15 +260,18 @@ class AlphaTable:
                     hits = rest & nbr[v]  # the neighbours of v the child loses
                     below = rest ^ hits
                     k = need - 1
-                    if interval:  # the node keeps no rest once beta(rest) < need
-                        if beta is None:
-                            p = rest.bit_count()
-                            if p < need:  # beta(rest) <= p
+                    if cut:  # an interval or forced search; regular circulant rounds skip both tests
+                        if interval:  # the node keeps no rest once beta(rest) < need
+                            if beta is None:
+                                p = rest.bit_count()
+                                if p < need:  # beta(rest) <= p
+                                    rest = 0
+                                elif f[p] < need:
+                                    beta = _beta(f, rest)
+                            if beta is not None and beta < need:
                                 rest = 0
-                            elif f[p] < need:
-                                beta = _beta(f, rest)
-                        if beta is not None and beta < need:
-                            rest = 0
+                        if forced and (not below & 1 or (below & keep).bit_count() < k):
+                            continue  # the child lost vertex 1, or has too few vertices it may keep beside it
                     pc = below.bit_count()
                     if pc < k:
                         continue
@@ -283,7 +303,9 @@ class AlphaTable:
         proves a(m) = a(m-1) when some 2 <= j <= m/2 gives a(j) + a(m-j) <=
         a(m-1) (j = 1 never does, as a(1) = 1); the adopted witness proves
         a(m) = a(m-1) + 1 when one of its windows of m integers holds that
-        many elements.  Only a step neither proof settles is searched.
+        many elements.  Only a step neither proof settles is searched, and
+        that search forces vertex 1 (AlphaTable._search): [2..m] is a
+        translate of [1..m-1], so a set of a(m-1) + 1 vertices takes it.
         """
         self._extend_masks(n + 1)
         iv = self.interval_alpha
@@ -302,8 +324,9 @@ class AlphaTable:
                 continue
             iv.append(target)  # sentinel: a(m) <= a(m-1) + 1 keeps prunes sound
             chosen: list[int] = []
+            first = sum(1 << d for d in self.distances.distances if d < m)  # vertex 1 + d is bit d
             try:
-                found = self._search((1 << m) - 1, target, self._nbr, iv, budget, chosen)
+                found = self._search((1 << m) - 1, target, self._nbr, iv, budget, chosen, first)
             except BudgetExceeded:
                 iv.pop()
                 raise
@@ -334,7 +357,7 @@ def _circulant_masks(distances: DistanceSet, n: int) -> list[int]:
 
 
 def _alpha_circulant_solution(
-    distances: DistanceSet, n: int, table: AlphaTable, budget: SearchBudget, need: int
+    distances: DistanceSet, n: int, table: AlphaTable, budget: SearchBudget, need: int, forced: bool = False
 ) -> Optional[tuple[int, list[int]]]:
     """alpha(G(n,S)) with one maximum independent set as witness, or None
     when alpha(G(n,S)) < need (need = 0 always answers).
@@ -343,6 +366,15 @@ def _alpha_circulant_solution(
     alpha(G(n,S)) <= prefix[i] + alpha(G(S)[n-i]), and prefix[i] is at most
     prefix[i-1] + 1: the round is cut before prefix i when that sum is
     below need, and a round that ends below need recovers no set.
+
+    With `forced`, as a jump runs it, each prefix search forces vertex 1
+    (AlphaTable._search): vertices 2..i induce a translate of 1..i-1, which
+    hold prefix[i-1], so a set of prefix[i-1] + 1 takes vertex 1.  The cut
+    is exact, so the prefix table and the set found stay the same.  Regular
+    rounds keep their node order: the cut there too saves nodes, but moves
+    a budget-bound search such as {1,17,36}'s into later rounds whose
+    nodes cost more, and it took longer.  The search that recovers a set
+    never forces, as its target prefix[n] is not one above a prefix.
     """
     s = distances.max_element
     if n <= s:
@@ -350,6 +382,7 @@ def _alpha_circulant_solution(
     table.ensure_interval(n, budget)
     iv = table.interval_alpha
     nbr = _circulant_masks(distances, n)
+    first = nbr[1] if forced else None
     prefix = [0] * (n + 1)
     wrap_free = n - s  # prefixes this short see no wrap edges
     for i in range(1, min(wrap_free, n) + 1):
@@ -361,7 +394,7 @@ def _alpha_circulant_solution(
         target = prefix[i - 1] + 1
         prefix[i] = target  # sentinel upper bound while this entry is open
         chosen: list[int] = []
-        if table._search((1 << i) - 1, target, nbr, prefix, budget, chosen):
+        if table._search((1 << i) - 1, target, nbr, prefix, budget, chosen, first):
             prefix[i] = target
             solution = list(chosen)
         else:
@@ -424,13 +457,15 @@ _MULTIPLE_JUMP_NODES = 10_000
 def _circulant_jump(
     distances: DistanceSet, n: int, table: AlphaTable, budget: SearchBudget, need: int, limit: int
 ) -> Optional[tuple[int, list[int]]]:
-    """_alpha_circulant_solution(distances, n, table, budget, need), but None
-    once it has spent `limit` nodes; they count against the budget all the
-    same, and BudgetExceeded still ends the search when the budget runs out
-    first."""
+    """_alpha_circulant_solution(distances, n, table, budget, need, True),
+    which forces vertex 1 in each prefix search, but None once it has spent
+    `limit` nodes; they count against the budget all the same, and
+    BudgetExceeded still ends the search when the budget runs out first.
+    The forced cut makes misses cheaper: {22,23,29} shows that Z_48 holds
+    fewer than 22 vertices after 34,994 nodes, against 104,986 without it."""
     trial = SearchBudget(min(budget.max_nodes, budget.nodes + limit), budget.nodes)
     try:
-        return _alpha_circulant_solution(distances, n, table, trial, need)
+        return _alpha_circulant_solution(distances, n, table, trial, need, True)
     except BudgetExceeded:
         if trial.max_nodes == budget.max_nodes:
             raise
@@ -482,8 +517,13 @@ def compute_ratio(distances: DistanceSet, budget: Optional[SearchBudget] = None)
     untried ones falls below its need (AlphaTable._search).  That cut is
     exact as well: it lowers only interval node counts ({21,22} closes
     after 265,655 nodes, against 806,178 without it), so a budget-bound
-    search gets further for the same budget.  Circulant searches keep
-    their node order.
+    search gets further for the same budget.  Each interval step and each
+    prefix search of a jump asks for one vertex more than the vertices
+    after vertex 1 hold, so it must take vertex 1, and it drops every child
+    that loses it (AlphaTable._search).  That cut is exact too: {21,22}
+    closes after 169,231 nodes, and no value, witness or upper_witness_n
+    changes.  Regular circulant rounds keep their node order: with the cut,
+    the budget-bound {1,17,36} spends its nodes in later, costlier rounds.
 
     Interval minima alone can stay strictly above the ratio forever (for
     {5,6,9}, alpha(G(S)[m]) stays one element above 4m/11 at every multiple

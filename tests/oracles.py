@@ -9,7 +9,9 @@ against.  None of them is used by the package itself.
   check must keep;
 - the recursive branch-and-bound search, one Python call per search node
   and a full run scan per candidate set, whose node order, node counts and
-  budget exhaustion the package's explicit-stack search must keep;
+  budget exhaustion the package's explicit-stack search must keep, with its
+  cut of searches that must hold vertex 1 switchable off for reference
+  runs;
 - the round-by-round ratio schedule: circulant Z_n then intervals 2n-1
   and 2n in every round, with no jump ahead to Z_q, whose status, bounds
   and witnesses the package's schedule must keep;
@@ -316,17 +318,23 @@ def beta(iv: list, candidates: int) -> int:
     return total
 
 
-def recursive_search(table: AlphaTable, count, candidates, target, nbr, bound, budget, chosen) -> bool:
+def recursive_search(table: AlphaTable, count, candidates, target, nbr, bound, budget, chosen, first=None) -> bool:
     """AlphaTable._search as one recursive call per node (Python's recursion
     limit bounds its depth), scanning every run of every candidate set;
     `count` is the number of vertices chosen so far.  An interval search
     (bound is the table's interval_alpha) scans beta of the candidates it
     has not tried yet each time round its loop and gives up once they
-    cannot reach the target.  RecursiveAlphaTable runs the interval and
-    circulant solvers on it."""
+    cannot reach the target.  A search given `first`, the neighbours of
+    vertex 1, wants only sets that hold vertex 1: every node below the root
+    fails on entry unless its candidates still hold vertex 1 and at least
+    as many vertices outside `first` as it still needs.
+    RecursiveAlphaTable runs the interval and circulant solvers on it."""
     charge(budget)
     if count == target:
         return True
+    if count and first is not None:
+        if not candidates & 1 or (candidates & ~first).bit_count() < target - count:
+            return False
     iv = table.interval_alpha
     if count + beta(iv, candidates) < target:
         return False
@@ -339,28 +347,40 @@ def recursive_search(table: AlphaTable, count, candidates, target, nbr, bound, b
             return False
         rest ^= 1 << (v - 1)
         chosen.append(v)
-        if recursive_search(table, count + 1, rest & ~nbr[v], target, nbr, bound, budget, chosen):
+        if recursive_search(table, count + 1, rest & ~nbr[v], target, nbr, bound, budget, chosen, first):
             return True
         chosen.pop()
     return False
 
 
 class RecursiveAlphaTable(AlphaTable):
-    def _search(self, candidates, target, nbr, bound, budget, chosen) -> bool:
-        return recursive_search(self, 0, candidates, target, nbr, bound, budget, chosen)
+    """The solvers on recursive_search; with forced=False, a reference run
+    that ignores vertex 1's neighbours, so no search is cut for losing it."""
+
+    def __init__(self, distances: DistanceSet, forced: bool = True):
+        super().__init__(distances)
+        self.forced = forced
+
+    def _search(self, candidates, target, nbr, bound, budget, chosen, first=None) -> bool:
+        first = first if self.forced else None
+        return recursive_search(self, 0, candidates, target, nbr, bound, budget, chosen, first)
 
 
-def searched_interval_alpha(distances: DistanceSet, n: int) -> list:
+def searched_interval_alpha(distances: DistanceSet, n: int, table=None, budget=None) -> list:
     """alpha(G(S)[m]) for m = 0..n with a search at every step, as
     AlphaTable.ensure_interval filled its table before it proved steps:
-    the search for a(m-1) + 1 runs with that target as a(m)'s entry."""
-    table = AlphaTable(distances)
+    the search for a(m-1) + 1 runs with that target as a(m)'s entry and
+    with vertex 1 forced, since [2..m] holds only a(m-1) vertices.  The
+    searches run on `table` (a fresh AlphaTable by default) and spend
+    `budget` (unlimited by default)."""
+    table = table or AlphaTable(distances)
     table._extend_masks(n + 1)
-    iv, budget = table.interval_alpha, SearchBudget(max_nodes=10**12)
+    iv, budget = table.interval_alpha, budget or SearchBudget(max_nodes=10**12)
     for m in range(1, n + 1):
         target = iv[m - 1] + 1
         iv.append(target)
-        if not table._search((1 << m) - 1, target, table._nbr, iv, budget, []):
+        first = sum(1 << (u - 1) for u in range(2, m + 1) if u - 1 in distances.distances)
+        if not table._search((1 << m) - 1, target, table._nbr, iv, budget, [], first):
             iv[m] = target - 1
     return iv
 

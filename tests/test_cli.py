@@ -162,7 +162,7 @@ def test_chi_f_budget_exhaustion_json(capsys):
     result = json.loads(out)["result"]
     assert result["set"] == [1, 17, 36]
     assert result["chi_f"] == {"num": None, "den": None}
-    assert result["chi_f_lower"] == {"num": 41, "den": 18}
+    assert result["chi_f_lower"] == {"num": 7, "den": 3}
     assert result["chi_f_upper"] == {"num": 37, "den": 1}
 
 

@@ -129,7 +129,7 @@ def _schedule_until_the_budget_runs_out(table, distances, budget):
             q = upper.denominator
             if lower < upper and max(n, s) < q <= n + s and q not in jumped:
                 jumped.add(q)
-                found = _alpha_circulant_solution(distances, q, table, budget, upper.numerator)
+                found = _alpha_circulant_solution(distances, q, table, budget, upper.numerator, True)
                 circulants.append(found)
                 if found is not None:
                     lower = Fraction(found[0], q)
@@ -169,27 +169,40 @@ def test_search_matches_the_recursion_on_random_sets():
 
 
 class _UncutTable(AlphaTable):
-    """Searches every interval as the circulant solver does: a copy of the
-    bound is not the table's own interval_alpha, so no node stops at the
-    beta of its untried candidates."""
+    """Searches every interval as a regular circulant round is searched: a
+    copy of the bound is not the table's own interval_alpha, so no node
+    stops at the beta of its untried candidates, and no vertex is forced,
+    so no child is cut for losing vertex 1."""
 
-    def _search(self, candidates, target, nbr, bound, budget, chosen):
+    def _search(self, candidates, target, nbr, bound, budget, chosen, first=None):
         return super()._search(candidates, target, nbr, list(bound), budget, chosen)
 
 
 def test_interval_searches_that_stop_at_their_untried_candidates_stay_exact():
     # every S within {1..8}: the table's intervals, proved or searched, and
     # a search at every step equal a count over all subsets, the window
-    # count to 3 max(S) + 12 and the brute force to 16; the cut spares
-    # nodes, so a search that stopped too early would show here
-    spared = 0
+    # count to 3 max(S) + 12 and the brute force to 16; the cuts spare
+    # nodes, so a search that stopped too early would show here.  A step
+    # asks for a(m-1) + 1 vertices of [m], and [2..m] holds only a(m-1), so
+    # every answer takes vertex 1: searched at every step, the kernel
+    # visits the nodes of the recursion that cuts the children losing it,
+    # and gets the values of the recursion without that cut
+    spared = forced_spared = 0
     for size in range(1, 9):
         for combo in itertools.combinations(range(1, 9), size):
             distances = DistanceSet(combo)
             n = 3 * distances.max_element + 12
             want = window_alpha_intervals(distances, n)
             assert want[:17] == [brute_force_alpha_interval(distances, m) for m in range(min(n, 16) + 1)], combo
-            assert searched_interval_alpha(distances, n) == want, combo
+            searched = []
+            tables = (AlphaTable(distances), RecursiveAlphaTable(distances), RecursiveAlphaTable(distances, forced=False))
+            for table in tables:
+                budget = SearchBudget(max_nodes=10**12)
+                searched.append((searched_interval_alpha(distances, n, table, budget), budget.nodes))
+            assert searched[0] == searched[1], combo
+            assert searched[0][0] == searched[2][0] == want, combo
+            assert searched[0][1] <= searched[2][1], combo
+            forced_spared += searched[2][1] - searched[0][1]
             nodes = []
             for table in (AlphaTable(distances), _UncutTable(distances)):
                 budget = SearchBudget()
@@ -198,7 +211,7 @@ def test_interval_searches_that_stop_at_their_untried_candidates_stay_exact():
                 nodes.append(budget.nodes)
             assert nodes[0] <= nodes[1], combo
             spared += nodes[1] - nodes[0]
-    assert spared > 0
+    assert spared > 0 and forced_spared > 0
 
 
 @pytest.mark.parametrize(
@@ -207,9 +220,10 @@ def test_interval_searches_that_stop_at_their_untried_candidates_stay_exact():
     ids=["5,6,9", "2,5,11", "1,17,36"],
 )
 def test_circulant_searches_keep_their_node_counts(combo, n, size, nodes):
-    # circulant searches do not stop at the beta of their untried
-    # candidates: the kernel and the recursion spend the same nodes on the
-    # same prefix tables and sets as a search with no such cut anywhere
+    # regular circulant searches neither stop at the beta of their untried
+    # candidates nor force vertex 1: the kernel and the recursion spend the
+    # same nodes on the same prefix tables and sets as a search with no
+    # such cut anywhere
     distances = DistanceSet(combo)
     runs = []
     for table in (AlphaTable(distances), RecursiveAlphaTable(distances), _UncutTable(distances)):
@@ -221,11 +235,59 @@ def test_circulant_searches_keep_their_node_counts(combo, n, size, nodes):
     assert runs[0][0][0] == size and runs[0][2] == nodes
 
 
+def test_jump_prefix_searches_that_must_take_vertex_1_stay_exact():
+    # a prefix step asks for prefix[i-1] + 1 of the first i vertices of
+    # Z_n, and vertices 2..i induce a translate of 1..i-1, so every answer
+    # takes vertex 1.  Every S within {1..6} and max(S) < n <= 20: the
+    # circulant as a jump searches it, cutting the children that lose
+    # vertex 1, holds a brute-force alpha(Z_n), and keeps the prefix table
+    # and set of the search without the cut, in the recursion's nodes
+    spared = 0
+    for size in range(1, 7):
+        for combo in itertools.combinations(range(1, 7), size):
+            distances = DistanceSet(combo)
+            for n in range(distances.max_element + 1, 21):
+                runs = []
+                for table, forced in (
+                    (AlphaTable(distances), True),
+                    (RecursiveAlphaTable(distances), True),
+                    (AlphaTable(distances), False),
+                ):
+                    alpha_interval(distances, n, table)
+                    budget = SearchBudget()
+                    found = _alpha_circulant_solution(distances, n, table, budget, 0, forced)
+                    runs.append((found, table.prefix_alpha, budget.nodes))
+                assert runs[0] == runs[1], (combo, n)
+                assert runs[0][:2] == runs[2][:2], (combo, n)
+                assert runs[0][0][0] == _brute_circulant(distances, n), (combo, n)
+                assert runs[0][2] <= runs[2][2], (combo, n)
+                spared += runs[2][2] - runs[0][2]
+    assert spared > 0
+
+
+@pytest.mark.parametrize("budget", [1_000, 150_000])
+@pytest.mark.parametrize("combo", [(16, 22, 27), (8, 17, 28, 29), (1, 17, 36)], ids=lambda c: ",".join(map(str, c)))
+def test_budget_bound_searches_end_at_least_as_tight_with_the_cut(combo, budget, monkeypatch):
+    # the cut is exact and saves nodes, so a search that runs out of budget
+    # reaches at least as far with it as the recursion that never forces
+    # vertex 1: each bound is at least as tight, and on these six runs one
+    # of them is tighter
+    distances = DistanceSet(combo)
+    cut = compute_ratio(distances, SearchBudget(max_nodes=budget))
+    monkeypatch.setattr(search, "AlphaTable", lambda distances: RecursiveAlphaTable(distances, forced=False))
+    uncut = compute_ratio(distances, SearchBudget(max_nodes=budget))
+    assert cut.status == uncut.status == "bounded"
+    assert uncut.lower <= cut.lower <= cut.upper <= uncut.upper
+    assert (cut.lower, cut.upper) != (uncut.lower, uncut.upper)
+    assert verify_periodic_independent(cut.lower_witness, distances).ok
+
+
 def test_a_budget_that_runs_out_in_an_interval_search_leaves_a_resumable_table():
-    # {21,22}'s interval searches to 44 spend a third of the nodes they
-    # spend without stopping at the beta of their untried candidates;
-    # wherever the budget runs out, the table keeps only completed entries
-    # and resumes to the values of a search without the cut
+    # {21,22}'s interval searches to 44 spend 157,340 nodes, against
+    # 766,849 without stopping at the beta of their untried candidates or
+    # cutting the children that lose vertex 1; wherever the budget runs
+    # out, the table keeps only completed entries and resumes to the values
+    # of a search without the cuts
     distances = DistanceSet([21, 22])
     n = 44
     uncut, spent = _UncutTable(distances), []
@@ -631,11 +693,11 @@ def test_jumps_keep_the_round_by_round_answers(combo):
 
 @pytest.mark.parametrize(
     "combo, value, nodes, jumps",
-    [((19, 22), Fraction(20, 41), 150_017, 9), ((21, 22), Fraction(21, 43), 265_655, 11)],
+    [((19, 22), Fraction(20, 41), 102_871, 9), ((21, 22), Fraction(21, 43), 169_231, 11)],
     ids=["19,22", "21,22"],
 )
 def test_jumps_close_the_capped_pairs_in_round_max_s(combo, value, nodes, jumps):
-    # the round-by-round schedule spends 379,543 and 735,077 nodes and
+    # the round-by-round schedule spends 354,679 and 666,091 nodes and
     # closes these in round q, after the intervals up to 2q - 2; a jump hit
     # on Z_q closes them once an interval of round max(S) or just before
     # reads the value: {21,22} in round 22, after ten misses (four of them
@@ -667,7 +729,8 @@ def test_jumps_to_multiples_close_light_sets_sooner(combo, z_q_nodes):
     # which waits for round kq or an interval of length 3q (z_q_nodes, its
     # count when interval searches do not stop at the beta of their untried
     # candidates; with that cut it spends 27,074, 28,147, 24,941, 14,414,
-    # 4,739 and 5,143)
+    # 4,739 and 5,143, and with the cut of children that lose vertex 1 as
+    # well 24,764, 25,319, 23,038, 10,648, 4,491 and 5,123)
     distances = DistanceSet(combo)
     report = compute_ratio(distances, SearchBudget(max_nodes=FALLBACK_NODE_BUDGET))
     assert report.status == "exact" and report.value.denominator <= distances.max_element
@@ -677,14 +740,15 @@ def test_jumps_to_multiples_close_light_sets_sooner(combo, z_q_nodes):
 
 def test_a_jump_gives_up_after_its_node_limit():
     # for {22,23,29}, Z_48 holds fewer than 22 vertices (11/24 is an upper
-    # bound of round 24, not the ratio), and its search takes 104,986 nodes
-    # to show it; nodes spent under the limit count against the budget
+    # bound of round 24, not the ratio), and its search takes 34,994 nodes
+    # to show it (104,986 without cutting the children that lose vertex 1);
+    # nodes spent under the limit count against the budget
     distances = DistanceSet([22, 23, 29])
     table = AlphaTable(distances)
     alpha_interval(distances, 48, table)
     budget = SearchBudget(max_nodes=FALLBACK_NODE_BUDGET)
     assert _circulant_jump(distances, 48, table, budget, 22, FALLBACK_NODE_BUDGET) is None
-    assert budget.nodes == 104_986
+    assert budget.nodes == 34_994
     budget = SearchBudget(max_nodes=FALLBACK_NODE_BUDGET, nodes=7)
     assert _circulant_jump(distances, 48, table, budget, 22, 10_000) is None
     assert budget.nodes == 7 + 10_001
@@ -701,24 +765,30 @@ def test_a_jump_gives_up_after_its_node_limit():
 
 
 @pytest.mark.parametrize(
-    "combo, budget, lower, upper",
-    [((8, 17, 28, 29), 150_000, Fraction(1, 3), Fraction(7, 19)), ((16, 22, 27), 200_000, Fraction(11, 31), Fraction(9, 22))],
-    ids=["8,17,28,29", "16,22,27"],
+    "combo, budget, bounds, unlimited",
+    [
+        ((8, 17, 28, 29), 150_000, (Fraction(1, 3), Fraction(26, 71)), (Fraction(1, 3), Fraction(26, 71))),
+        ((16, 22, 27), 200_000, (Fraction(11, 31), Fraction(9, 22)), (Fraction(11, 31), Fraction(9, 22))),
+        ((13, 14, 35), 70_000, (Fraction(15, 38), Fraction(3, 7)), (Fraction(1, 36), Fraction(7, 16))),
+    ],
+    ids=["8,17,28,29", "16,22,27", "13,14,35"],
 )
-def test_jump_misses_leave_a_bounded_search_its_bounds(combo, budget, lower, upper, monkeypatch):
-    # the bounds the search reaches within the budget; with no node limit
-    # on the jumps to multiples, their misses (Z_46 for {8,17,28,29}, Z_38
-    # and Z_44 for {16,22,27}) spend the budget before the first circulant
-    # round that raises the lower bound, and it stays 1/(max(S) + 1).  At
-    # 200,000 and 500,000 nodes these reach (1/3, 7/19) and (14/37, 9/22)
-    # with or without the limit, so larger budgets would not show it
+def test_jump_misses_leave_a_bounded_search_its_bounds(combo, budget, bounds, unlimited, monkeypatch):
+    # the bounds the search reaches within the budget, and with no node
+    # limit on the jumps to multiples.  Jumps cut the children that lose
+    # vertex 1, so the misses of the first two sets (Z_46 for {8,17,28,29};
+    # Z_38 and Z_44 for {16,22,27}) now cost 7,055, 6,413 and 18,085 nodes,
+    # and these budgets give both searches the same bounds.  {13,14,35}
+    # misses Z_48 for 7/16 after 23,324 nodes; without the limit that miss
+    # spends the budget before the first circulant round that raises the
+    # lower bound, and it stays 1/(max(S) + 1)
     distances = DistanceSet(combo)
     report = compute_ratio(distances, SearchBudget(max_nodes=budget))
     assert report.status == "bounded"
-    assert (report.lower, report.upper) == (lower, upper)
+    assert (report.lower, report.upper) == bounds
     monkeypatch.setattr(search, "_MULTIPLE_JUMP_NODES", budget)
     report = compute_ratio(distances, SearchBudget(max_nodes=budget))
-    assert report.lower == Fraction(1, distances.max_element + 1)
+    assert (report.lower, report.upper) == unlimited
 
 
 @pytest.mark.parametrize("combo, value", [((1, 6, 31), Fraction(13, 32)), ((1, 31, 36), Fraction(28, 67))])
